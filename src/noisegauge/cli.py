@@ -41,6 +41,8 @@ from .measures import (
 from .report import NcResult, NoiseReport
 
 DEFAULT_STEPS = 200
+TOL_HELP = ("accuracy bound on the threshold mu_c, in (0, 1e-3]; the exact solve "
+            "for each prepared state always meets it (default 1e-6)")
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +367,7 @@ def _verify_fixtures():
          "2 * 0.755^3 + 0.55^3"),
         ("isotropic-state threshold", 2.0 / 3.0,
          lambda: mu_given_rho0(UnitalChannel(np.eye(3)), np.eye(2) / 2, 1e-6), 1e-5,
-         "bisection over the partial-transpose test"),
+         "exact root of the partial-transpose determinant along the mixing segment"),
         ("rotation-channel threshold", 2.0 / 3.0,
          lambda: mu_c_unital(UnitalChannel(np.eye(3))), 1e-12,
          "closed form at trace norm 3"),
@@ -478,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="noise report for one channel")
     p_an.add_argument("channel", help="channel JSON (inline, file path, or - for stdin)")
     p_an.add_argument("--cap", type=int, default=64)
-    p_an.add_argument("--tol", type=float, default=1e-6)
+    p_an.add_argument("--tol", type=float, default=1e-6, help=TOL_HELP)
     p_an.set_defaults(func=_cmd_analyze)
 
     p_sw = sub.add_parser("sweep", help="CSV phase-diagram data")
@@ -488,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--fixed", action="append", metavar="NAME=VALUE")
     p_sw.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     p_sw.add_argument("--cap", type=int, default=64)
-    p_sw.add_argument("--tol", type=float, default=1e-6)
+    p_sw.add_argument("--tol", type=float, default=1e-6, help=TOL_HELP)
     p_sw.add_argument("--seed", type=int, default=42)
     p_sw.set_defaults(func=_cmd_sweep)
 

@@ -8,7 +8,8 @@ solution.  All formulas below are stated for gamma <= 1/2; the channel at
 conjugation with sigma_x, so inputs with gamma > 1/2 are reflected first.
 
 Every closed form here is cross-checked in the test suite against the
-representation-independent route (Choi matrix, partial transpose, bisection).
+representation-independent route (Choi matrix, partial transpose, exact
+threshold solve along the mixing segment).
 """
 
 from __future__ import annotations

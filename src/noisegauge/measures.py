@@ -1,10 +1,16 @@
 """The two noise functionals: depolarizing threshold and iteration order.
 
 ``mu_given_rho0`` computes the minimal probability of mixing a channel with
-the "prepare rho0" map before the mixture becomes entanglement breaking; the
-search is a bisection over the PPT separability decision, which is valid
-because separability along the mixing segment is monotone (the separable set
-is convex and the endpoint is a product state).
+the "prepare rho0" map before the mixture becomes entanglement breaking.  It
+is solved exactly.  With G the partial transpose of the channel's Choi matrix
+and P = rho0 (x) 1/2, every point (1-mu) G + mu P of the mixing segment is the
+partial transpose of a two-qubit state, and the partial transpose decides
+separability for two qubits.  The partial transpose of an entangled two-qubit
+state is full rank with exactly one negative eigenvalue, so the segment stays
+nonsingular until the onset of separability, and the onset is the smallest
+root of det((1-mu) G + mu P) = 0 in (0, 1].  With S = sqrt(rho0) (x) 1/sqrt(2)
+the roots are mu = 1/(1 - nu) for the eigenvalues nu < 0 of the Hermitian
+matrix S G^-1 S, so the threshold is one 4x4 eigen-solve.
 
 ``mu_c`` minimizes that threshold over the prepared state rho0.  Unital and
 damping channels have exact closed forms; for everything else a multistart
@@ -65,39 +71,56 @@ def _pt_choi(c: Channel) -> np.ndarray:
     return partial_transpose(ChoiState(choi(c)).g)
 
 
-def _mu_threshold(gpt: np.ndarray, ppt: np.ndarray, tol: float) -> float:
-    """Bisection for the separability onset along (1-mu) gpt + mu ppt."""
+def _pt_choi_inverse(c: Channel) -> np.ndarray | None:
+    """Inverse of the partially transposed Choi matrix, or None when the
+    channel is entanglement breaking (then the threshold is 0)."""
+    gpt = _pt_choi(c)
     if float(np.linalg.eigvalsh(gpt).min()) >= -SEP_TOL:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        m = (1.0 - mid) * gpt + mid * ppt
-        if float(np.linalg.eigvalsh(m).min()) >= -SEP_TOL:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        return None
+    return np.linalg.inv(gpt)
 
 
-def _check_tol(tol: float) -> float:
+def _qubit_sqrt(r: np.ndarray) -> np.ndarray:
+    """Square root of a 2x2 PSD matrix: (r + sqrt(det r) 1) / sqrt(tr r + 2 sqrt(det r))."""
+    s = np.sqrt(max(float((r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]).real), 0.0))
+    return (r + s * IDENTITY_2) / np.sqrt(float(np.trace(r).real) + 2.0 * s)
+
+
+def _mu_threshold(ginv: np.ndarray, r: np.ndarray) -> float:
+    """Separability onset along (1-mu) G + mu rho0 (x) 1/2, given G^-1.
+
+    The roots of det((1-mu) G + mu P) are mu = 1/(1 - nu) for the negative
+    eigenvalues nu of S G^-1 S with S S = P; the smallest root comes from the
+    most negative nu.  Without a negative nu the segment meets no root before
+    its PSD endpoint P, so the onset is 1.
+    """
+    half = np.kron(_qubit_sqrt(r), IDENTITY_2)
+    nu = 0.5 * float(np.linalg.eigvalsh(half @ ginv @ half).min())
+    return 1.0 / (1.0 - nu) if nu < 0.0 else 1.0
+
+
+def _check_tol(tol: float) -> None:
     if not 0.0 < tol <= 1e-3:
         raise ValueError(f"tolerance {tol} outside (0, 1e-3]")
-    return float(tol)
 
 
 def mu_given_rho0(c: Channel, rho0, tol: float = DEFAULT_TOL) -> float:
-    """Minimal mixing probability towards the fixed state rho0, by bisection.
+    """Minimal mixing probability towards the fixed state rho0, solved exactly.
 
-    Returns 0 when the channel is already entanglement breaking.  The result
-    is within `tol` of the exact threshold.
+    With G the partial transpose of the Choi matrix and P = rho0 (x) 1/2, the
+    threshold is the smallest root in (0, 1] of det((1-mu) G + mu P) = 0: the
+    segment consists of partial transposes of two-qubit states, which are full
+    rank while entangled, so the first root is the onset of separability.  It
+    equals 1/(1 - nu_min) for the most negative eigenvalue nu_min of
+    S G^-1 S, S = sqrt(rho0) (x) 1/sqrt(2), and 1 when there is none.
+
+    Returns 0 when the channel is already entanglement breaking.  `tol` must
+    lie in (0, 1e-3]; it is an accuracy bound, and the exact solve meets it.
     """
-    tol = _check_tol(tol)
+    _check_tol(tol)
     r = validate_density(rho0)
-    gpt = _pt_choi(c)
-    # rho0 (x) 1/2 equals its own partial transpose (the second factor is 1/2).
-    ppt = np.kron(r, IDENTITY_2 / 2)
-    return _mu_threshold(gpt, ppt, tol)
+    ginv = _pt_choi_inverse(c)
+    return 0.0 if ginv is None else _mu_threshold(ginv, r)
 
 
 def coarse_bloch_grid() -> list[np.ndarray]:
@@ -146,11 +169,13 @@ def mu_c_search(
     grid points; points outside the ball are radially projected.  The spread
     between refined restarts is reported so callers can judge whether the
     landscape looked multimodal; the returned value is the minimum over every
-    evaluation either way.
+    evaluation either way.  Each evaluation is the exact solve of
+    `mu_given_rho0`, with G inverted once per search; `tol` is checked as
+    there.
     """
-    tol = _check_tol(tol)
-    gpt = _pt_choi(c)
-    if float(np.linalg.eigvalsh(gpt).min()) >= -SEP_TOL:
+    _check_tol(tol)
+    ginv = _pt_choi_inverse(c)
+    if ginv is None:
         return MuSearchResult(0.0, np.zeros(3), 0.0, 1)
 
     count = [0]
@@ -160,8 +185,7 @@ def mu_c_search(
         r = float(np.linalg.norm(w))
         if r > 1.0:
             w = w / r
-        ppt = np.kron(bloch_to_density(w), IDENTITY_2 / 2)
-        return _mu_threshold(gpt, ppt, tol)
+        return _mu_threshold(ginv, bloch_to_density(w))
 
     grid = coarse_bloch_grid()
     values = [objective(w) for w in grid]
@@ -184,6 +208,13 @@ def mu_c_search(
             r = float(np.linalg.norm(w))
             best_point = w / r if r > 1.0 else w
     spread = (max(refined) - min(refined)) if refined else 0.0
+    # rho0 = 1/2 meets the bound d/(1+d) for every channel (the partial
+    # transpose of a two-qubit state has no eigenvalue below -1/2).  For a
+    # unitary channel the minimum sits there; Nelder-Mead stops a few 1e-6
+    # away, where the exact solve reads up to ~1e-12 above the bound.
+    bound = mu_c_upper_bound(2)
+    if best_value > bound:
+        best_value, best_point = bound, np.zeros(3)
     return MuSearchResult(best_value, best_point, spread, count[0])
 
 

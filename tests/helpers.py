@@ -3,13 +3,15 @@
 import numpy as np
 
 from noisegauge import UnitalChannel
+from noisegauge.channels import IDENTITY_2, validate_density
+from noisegauge.linalg import partial_transpose
+from noisegauge.separability import SEP_TOL, choi_state
 
 
-def random_rotation(rng) -> np.ndarray:
-    """Haar-ish random proper rotation from a normalized quaternion."""
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
+def rotation_from_quaternion(q) -> np.ndarray:
+    """Proper rotation of the (normalized) quaternion q = (w, x, y, z)."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q / np.linalg.norm(q)
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
@@ -17,6 +19,11 @@ def random_rotation(rng) -> np.ndarray:
             [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
         ]
     )
+
+
+def random_rotation(rng) -> np.ndarray:
+    """Haar-ish random proper rotation from a normalized quaternion."""
+    return rotation_from_quaternion(rng.normal(size=4))
 
 
 def in_cpt_tetrahedron(lam, tol: float = 0.0) -> bool:
@@ -78,3 +85,28 @@ def eigenvalues_by_charpoly(a: np.ndarray) -> np.ndarray:
     characteristic polynomial; independent of eigvalsh."""
     roots = np.roots(charpoly_coefficients(a))
     return np.sort(roots.real)
+
+
+def bisect_threshold(c, rho0, tol: float, sep_tol: float = SEP_TOL) -> float:
+    """Separability onset along (1-mu) G + mu rho0 (x) 1/2 by bisection over
+    the PPT decision; an oracle for the exact solve in ``mu_given_rho0``.
+
+    Valid because separability along the mixing segment is monotone (the
+    separable set is convex and the endpoint is a product state).  A point
+    counts as separable when its smallest PT eigenvalue is >= -sep_tol, so
+    the result sits below the exact onset by about sep_tol divided by the
+    slope of that eigenvalue along the segment.
+    """
+    gpt = partial_transpose(choi_state(c).g)
+    ppt = np.kron(validate_density(rho0), IDENTITY_2 / 2)
+    if float(np.linalg.eigvalsh(gpt).min()) >= -SEP_TOL:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        m = (1.0 - mid) * gpt + mid * ppt
+        if float(np.linalg.eigvalsh(m).min()) >= -sep_tol:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

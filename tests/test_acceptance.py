@@ -233,7 +233,7 @@ def test_criterion_09_amendability():
     assert abs(amend_boundary_s1(1e-6) - (math.sqrt(5) - 1) / 2) <= 1e-3
 
     # interleaved-filter threshold never exceeds the two-use threshold
-    slack = 5e-5  # bisection discretization at tol 1e-6
+    slack = 5e-5  # accuracy margin of the Bloch-ball search
     for gamma, filt in ((0.1, s1), (0.4, r2r1)):
         for p in np.linspace(0.0, 1.0, 21):
             filtered_channel = sandwich(gad_kraus(GadParams(float(p), gamma)), filt)

@@ -1,15 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import random_cp_unital, random_density, random_rotation, random_tetra_lambda
+from helpers import (
+    bisect_threshold,
+    random_cp_unital,
+    random_density,
+    random_rotation,
+    random_tetra_lambda,
+    rotation_from_quaternion,
+)
 from noisegauge import (
+    FilterCandidate,
     GadParams,
     NcResult,
     UnitalChannel,
     as_kraus,
+    bloch_to_density,
     channel_power,
     compose_unital,
     ebn_member,
+    gad_kraus,
     mu_c,
     mu_c_gad,
     mu_c_search,
@@ -19,8 +31,10 @@ from noisegauge import (
     mu_vs_vz,
     n_c,
     noise_report,
+    sandwich,
 )
 from noisegauge.linalg import polar_decompose, trace_norm
+from noisegauge.separability import SEP_TOL
 
 LAM = np.diag([0.73, 0.5, 0.5])
 SWAP_XY = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
@@ -48,6 +62,36 @@ class TestMuGivenRho0:
             mu_given_rho0(IDENTITY_CH, MIXED, tol=0.0)
         with pytest.raises(ValueError):
             mu_given_rho0(IDENTITY_CH, MIXED, tol=0.01)
+
+    def test_isotropic_threshold_is_exact(self):
+        assert mu_given_rho0(IDENTITY_CH, MIXED) == pytest.approx(2 / 3, abs=1e-12)
+
+    @pytest.mark.parametrize("kind,seed", [("unital", 41), ("damping", 42), ("filtered", 43)])
+    @pytest.mark.parametrize("state", ["mixed", "pure", "maximally-mixed"])
+    def test_matches_bisection_oracle(self, kind, seed, state):
+        rng = np.random.default_rng(seed)
+        s1 = FilterCandidate.pauli(1)
+        # The oracle counts min eig >= -sep_tol as separable, so it stops short
+        # of the onset by about sep_tol / slope.  For a pure rho0 the product
+        # state is singular and the slope can fall to ~1e-5, which puts the
+        # default oracle up to ~1e-5 low; there it decides by the exact sign.
+        sep_tol = 0.0 if state == "pure" else SEP_TOL
+        for _ in range(12):
+            if kind == "unital":
+                c = as_kraus(random_cp_unital(rng))
+            elif kind == "damping":
+                c = gad_kraus(GadParams(rng.uniform(0, 0.9), rng.uniform()))
+            else:
+                c = sandwich(gad_kraus(GadParams(rng.uniform(0, 0.9), rng.uniform(0, 0.5))), s1)
+            if state == "mixed":
+                rho0 = random_density(rng)
+            elif state == "pure":
+                v = rng.normal(size=3)
+                rho0 = bloch_to_density(v / np.linalg.norm(v))
+            else:
+                rho0 = MIXED
+            got = mu_given_rho0(c, rho0, tol=1e-10)
+            assert got == pytest.approx(bisect_threshold(c, rho0, 1e-10, sep_tol), abs=1e-8)
 
 
 class TestMuCUnital:
@@ -96,6 +140,51 @@ class TestMuCSearch:
     def test_separable_shortcut(self):
         res = mu_c_search(as_kraus(UnitalChannel(np.zeros((3, 3)))))
         assert res.value == 0.0 and res.evaluations == 1
+
+    def test_unitary_channels_stay_at_the_bound(self):
+        rng = np.random.default_rng(37)
+        channels = [sandwich(gad_kraus(GadParams(0.0, 0.1)), FilterCandidate.pauli(1))]
+        channels += [as_kraus(UnitalChannel(random_rotation(rng))) for _ in range(5)]
+        for c in channels:
+            value = mu_c_search(c).value
+            assert 2 / 3 - 1e-9 <= value <= 2 / 3
+
+    def test_unital_closed_form_to_1e9(self):
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            c = random_cp_unital(rng)
+            assert mu_c_search(as_kraus(c)).value == pytest.approx(mu_c_unital(c), abs=1e-9)
+
+    def test_damping_closed_form_to_1e9(self):
+        rng = np.random.default_rng(36)
+        for _ in range(20):
+            p, gamma = rng.uniform(), rng.uniform()
+            got = mu_c_search(as_kraus(GadParams(p, gamma))).value
+            assert got == pytest.approx(mu_c_gad(p, gamma), abs=1e-9)
+
+
+QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+
+
+class TestRepresentationIndependence:
+    # Pauli channels: convex weights on the vertices of the CP tetrahedron.
+    VERTICES = np.array([[1.0, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        QUATERNIONS,
+        QUATERNIONS,
+    )
+    def test_kraus_search_matches_unital_closed_form(self, weights, q1, q2):
+        assume(sum(weights) > 1e-3)
+        assume(np.linalg.norm(q1) > 1e-3 and np.linalg.norm(q2) > 1e-3)
+        lam = np.asarray(weights) @ self.VERTICES / sum(weights)
+        t = rotation_from_quaternion(q1) @ np.diag(lam) @ rotation_from_quaternion(q2)
+        c = UnitalChannel(t)
+        assume(trace_norm(c.t) > 1.0)
+        got = mu_c_search(as_kraus(c)).value
+        assert got == pytest.approx(mu_c_unital(c), abs=1e-9)
 
 
 class TestEbnMember:
