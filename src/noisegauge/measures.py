@@ -12,6 +12,11 @@ root of det((1-mu) G + mu P) = 0 in (0, 1].  With S = sqrt(rho0) (x) 1/sqrt(2)
 the roots are mu = 1/(1 - nu) for the eigenvalues nu < 0 of the Hermitian
 matrix S G^-1 S, so the threshold is one 4x4 eigen-solve.
 
+For rho0 = (1 + w.sigma)/2, sqrt(rho0) = c0 1 + c.sigma with s = sqrt(1-|w|^2)/2,
+c0 = sqrt(1+2s)/2 and c = w / (2 sqrt(1+2s)), so S G^-1 S = (1/2) sum_jk c_j c_k
+Q_jk with Q_jk = (sigma_j (x) 1) G^-1 (sigma_k (x) 1), sigma_0 = 1: one 16x16
+table per channel, then one (c (x) c) @ table and one eigvalsh per state.
+
 ``mu_c`` minimizes that threshold over the prepared state rho0.  Unital and
 damping channels have exact closed forms; for everything else a multistart
 derivative-free search over the Bloch ball is used, with the closed forms
@@ -24,6 +29,7 @@ scan suffices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +41,12 @@ from .channels import (
     GadParams,
     IDENTITY_2,
     KrausChannel,
+    PAULIS,
     UnitalChannel,
     as_kraus,
-    bloch_to_density,
     choi,
     compose_kraus,
+    density_to_bloch,
     validate_density,
 )
 from .linalg import partial_transpose, trace_norm
@@ -66,36 +73,42 @@ def mu_c_unital(c: UnitalChannel) -> float:
     return (tn - 1.0) / tn
 
 
-def _pt_choi(c: Channel) -> np.ndarray:
-    """Partial transpose of the channel's Choi matrix, validated as a state."""
-    return partial_transpose(ChoiState(choi(c)).g)
+# sigma_j (x) 1 for j = 0..3, with sigma_0 = 1.
+_SIGMA_1 = np.array([np.kron(s, IDENTITY_2) for s in PAULIS])
 
 
-def _pt_choi_inverse(c: Channel) -> np.ndarray | None:
-    """Inverse of the partially transposed Choi matrix, or None when the
-    channel is entanglement breaking (then the threshold is 0)."""
-    gpt = _pt_choi(c)
+def _threshold_table(c: Channel) -> np.ndarray | None:
+    """The 16x16 table with row 4j + k holding Q_jk / 2 (module docstring),
+    or None when the channel is entanglement breaking (threshold 0)."""
+    gpt = partial_transpose(ChoiState(choi(c)).g)
     if float(np.linalg.eigvalsh(gpt).min()) >= -SEP_TOL:
         return None
-    return np.linalg.inv(gpt)
+    q = (_SIGMA_1 @ np.linalg.inv(gpt))[:, None] @ _SIGMA_1
+    return 0.5 * q.reshape(16, 16)
 
 
-def _qubit_sqrt(r: np.ndarray) -> np.ndarray:
-    """Square root of a 2x2 PSD matrix: (r + sqrt(det r) 1) / sqrt(tr r + 2 sqrt(det r))."""
-    s = np.sqrt(max(float((r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]).real), 0.0))
-    return (r + s * IDENTITY_2) / np.sqrt(float(np.trace(r).real) + 2.0 * s)
-
-
-def _mu_threshold(ginv: np.ndarray, r: np.ndarray) -> float:
-    """Separability onset along (1-mu) G + mu rho0 (x) 1/2, given G^-1.
+def _mu_threshold(table: np.ndarray, w: np.ndarray) -> float:
+    """Separability onset along (1-mu) G + mu rho0 (x) 1/2 for the Bloch
+    vector w of rho0, given the table of ``_threshold_table``.
 
     The roots of det((1-mu) G + mu P) are mu = 1/(1 - nu) for the negative
     eigenvalues nu of S G^-1 S with S S = P; the smallest root comes from the
     most negative nu.  Without a negative nu the segment meets no root before
-    its PSD endpoint P, so the onset is 1.
+    its PSD endpoint P, so the onset is 1.  S G^-1 S is (c (x) c) @ table for
+    sqrt(rho0) = c0 1 + c.sigma, c0 = sqrt(1+2s)/2, c = w / (2 sqrt(1+2s)),
+    s = sqrt(1-|w|^2)/2.  A w outside the ball is projected radially onto it.
     """
-    half = np.kron(_qubit_sqrt(r), IDENTITY_2)
-    nu = 0.5 * float(np.linalg.eigvalsh(half @ ginv @ half).min())
+    x, y, z = w.tolist()
+    r = math.hypot(x, y, z)
+    if not math.isfinite(r):
+        raise ValueError("Bloch vector entries must be finite")
+    if r > 1.0:
+        x, y, z, r = x / r, y / r, z / r, 1.0
+    root = math.sqrt(1.0 + math.sqrt((1.0 - r) * (1.0 + r)))
+    k = 0.5 / root
+    coef = np.array([0.5 * root, k * x, k * y, k * z])
+    m = ((coef[:, None] * coef).reshape(16) @ table).reshape(4, 4)
+    nu = float(np.linalg.eigvalsh(m)[0])
     return 1.0 / (1.0 - nu) if nu < 0.0 else 1.0
 
 
@@ -118,9 +131,9 @@ def mu_given_rho0(c: Channel, rho0, tol: float = DEFAULT_TOL) -> float:
     lie in (0, 1e-3]; it is an accuracy bound, and the exact solve meets it.
     """
     _check_tol(tol)
-    r = validate_density(rho0)
-    ginv = _pt_choi_inverse(c)
-    return 0.0 if ginv is None else _mu_threshold(ginv, r)
+    w = density_to_bloch(validate_density(rho0))
+    table = _threshold_table(c)
+    return 0.0 if table is None else _mu_threshold(table, w)
 
 
 def coarse_bloch_grid() -> list[np.ndarray]:
@@ -170,22 +183,19 @@ def mu_c_search(
     between refined restarts is reported so callers can judge whether the
     landscape looked multimodal; the returned value is the minimum over every
     evaluation either way.  Each evaluation is the exact solve of
-    `mu_given_rho0`, with G inverted once per search; `tol` is checked as
-    there.
+    `mu_given_rho0`, with its 16x16 table built once per search; `tol` is
+    checked as there.
     """
     _check_tol(tol)
-    ginv = _pt_choi_inverse(c)
-    if ginv is None:
+    table = _threshold_table(c)
+    if table is None:
         return MuSearchResult(0.0, np.zeros(3), 0.0, 1)
 
     count = [0]
 
     def objective(w: np.ndarray) -> float:
         count[0] += 1
-        r = float(np.linalg.norm(w))
-        if r > 1.0:
-            w = w / r
-        return _mu_threshold(ginv, bloch_to_density(w))
+        return _mu_threshold(table, w)
 
     grid = coarse_bloch_grid()
     values = [objective(w) for w in grid]

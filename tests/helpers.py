@@ -87,6 +87,23 @@ def eigenvalues_by_charpoly(a: np.ndarray) -> np.ndarray:
     return np.sort(roots.real)
 
 
+def _qubit_sqrt(r: np.ndarray) -> np.ndarray:
+    """Square root of a 2x2 PSD matrix: (r + sqrt(det r) 1) / sqrt(tr r + 2 sqrt(det r))."""
+    s = np.sqrt(max(float((r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]).real), 0.0))
+    return (r + s * IDENTITY_2) / np.sqrt(float(np.trace(r).real) + 2.0 * s)
+
+
+def kron_threshold(ginv: np.ndarray, rho0) -> float:
+    """Separability onset along (1-mu) G + mu rho0 (x) 1/2 from the inverse
+    G^-1 of the partially transposed Choi matrix, by building S = sqrt(rho0)
+    (x) 1/sqrt(2) and solving S G^-1 S directly; an oracle for the
+    precomputed-table kernel in ``measures``.
+    """
+    half = np.kron(_qubit_sqrt(validate_density(rho0)), IDENTITY_2)
+    nu = 0.5 * float(np.linalg.eigvalsh(half @ ginv @ half).min())
+    return 1.0 / (1.0 - nu) if nu < 0.0 else 1.0
+
+
 def bisect_threshold(c, rho0, tol: float, sep_tol: float = SEP_TOL) -> float:
     """Separability onset along (1-mu) G + mu rho0 (x) 1/2 by bisection over
     the PPT decision; an oracle for the exact solve in ``mu_given_rho0``.

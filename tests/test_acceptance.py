@@ -69,7 +69,7 @@ def test_criterion_01_trace_norm_fixtures():
     _done(1, "seven trace-norm fixtures at stated tolerances")
 
 
-def test_criterion_02_isotropic_threshold_by_bisection():
+def test_criterion_02_isotropic_threshold_exact_solve():
     got = mu_given_rho0(UnitalChannel(np.eye(3)), np.eye(2) / 2, tol=1e-6)
     assert abs(got - 2 / 3) <= 1e-5
     _done(2, "identity-channel threshold 2/3 via the partial-transpose route")

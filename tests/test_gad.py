@@ -37,10 +37,10 @@ class TestMuVsVz:
         "p,gamma,vz",
         [(0.4, 0.3, 0.2), (0.1, 0.05, -0.6), (0.6, 0.45, 0.9), (0.75, 0.25, 0.0)],
     )
-    def test_matches_bisection_oracle(self, p, gamma, vz):
+    def test_matches_exact_solve(self, p, gamma, vz):
         rho0 = np.diag([(1 + vz) / 2, (1 - vz) / 2]).astype(complex)
-        oracle = mu_given_rho0(GadParams(p, gamma), rho0, tol=1e-7)
-        assert mu_vs_vz(p, gamma, vz) == pytest.approx(oracle, abs=1e-5)
+        exact = mu_given_rho0(GadParams(p, gamma), rho0, tol=1e-7)
+        assert mu_vs_vz(p, gamma, vz) == pytest.approx(exact, abs=1e-9)
 
     def test_rejects_reflected_gamma(self):
         with pytest.raises(ValueError):

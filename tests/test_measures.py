@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     bisect_threshold,
+    kron_threshold,
     random_cp_unital,
     random_density,
     random_rotation,
@@ -33,14 +34,25 @@ from noisegauge import (
     noise_report,
     sandwich,
 )
-from noisegauge.linalg import polar_decompose, trace_norm
-from noisegauge.separability import SEP_TOL
+from noisegauge.linalg import partial_transpose, polar_decompose, trace_norm
+from noisegauge.measures import _mu_threshold, _threshold_table
+from noisegauge.separability import SEP_TOL, choi_state
 
 LAM = np.diag([0.73, 0.5, 0.5])
 SWAP_XY = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
 T = SWAP_XY @ LAM
 MIXED = np.eye(2) / 2
 IDENTITY_CH = UnitalChannel(np.eye(3))
+
+
+def _seeded_channel(kind, rng):
+    """A seeded unital Kraus, damping Kraus or s1-filtered damping channel."""
+    if kind == "unital":
+        return as_kraus(random_cp_unital(rng))
+    if kind == "damping":
+        return gad_kraus(GadParams(rng.uniform(0, 0.9), rng.uniform()))
+    s1 = FilterCandidate.pauli(1)
+    return sandwich(gad_kraus(GadParams(rng.uniform(0, 0.9), rng.uniform(0, 0.5))), s1)
 
 
 class TestMuGivenRho0:
@@ -70,19 +82,13 @@ class TestMuGivenRho0:
     @pytest.mark.parametrize("state", ["mixed", "pure", "maximally-mixed"])
     def test_matches_bisection_oracle(self, kind, seed, state):
         rng = np.random.default_rng(seed)
-        s1 = FilterCandidate.pauli(1)
         # The oracle counts min eig >= -sep_tol as separable, so it stops short
         # of the onset by about sep_tol / slope.  For a pure rho0 the product
         # state is singular and the slope can fall to ~1e-5, which puts the
         # default oracle up to ~1e-5 low; there it decides by the exact sign.
         sep_tol = 0.0 if state == "pure" else SEP_TOL
         for _ in range(12):
-            if kind == "unital":
-                c = as_kraus(random_cp_unital(rng))
-            elif kind == "damping":
-                c = gad_kraus(GadParams(rng.uniform(0, 0.9), rng.uniform()))
-            else:
-                c = sandwich(gad_kraus(GadParams(rng.uniform(0, 0.9), rng.uniform(0, 0.5))), s1)
+            c = _seeded_channel(kind, rng)
             if state == "mixed":
                 rho0 = random_density(rng)
             elif state == "pure":
@@ -92,6 +98,41 @@ class TestMuGivenRho0:
                 rho0 = MIXED
             got = mu_given_rho0(c, rho0, tol=1e-10)
             assert got == pytest.approx(bisect_threshold(c, rho0, 1e-10, sep_tol), abs=1e-8)
+
+
+class TestThresholdKernel:
+    """The table kernel against the direct S G^-1 S construction."""
+
+    @pytest.mark.parametrize("kind,seed", [("unital", 51), ("damping", 52), ("filtered", 53)])
+    @pytest.mark.parametrize("state", ["mixed", "pure", "centre", "outside"])
+    def test_matches_kron_oracle(self, kind, seed, state):
+        rng = np.random.default_rng(seed)
+        checked = 0
+        while checked < 12:
+            c = _seeded_channel(kind, rng)
+            table = _threshold_table(c)
+            if table is None:
+                continue
+            checked += 1
+            ginv = np.linalg.inv(partial_transpose(choi_state(c).g))
+            v = rng.normal(size=3)
+            if state == "mixed":
+                w = v * rng.uniform() / np.linalg.norm(v)
+            elif state == "pure":
+                w = v / np.linalg.norm(v)
+            elif state == "centre":
+                w = np.zeros(3)
+            else:
+                w = v * rng.uniform(1.0, 3.0) / np.linalg.norm(v)
+            projected = w / max(1.0, np.linalg.norm(w))
+            expected = kron_threshold(ginv, bloch_to_density(projected))
+            assert _mu_threshold(table, w) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_bloch_entry(self, bad):
+        table = _threshold_table(IDENTITY_CH)
+        with pytest.raises(ValueError, match="finite"):
+            _mu_threshold(table, np.array([0.1, bad, 0.2]))
 
 
 class TestMuCUnital:
