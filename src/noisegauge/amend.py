@@ -5,13 +5,14 @@ be rescued: interposing a fixed unitary filter between uses keeps the
 composition non-entanglement-breaking for longer.  ``is_amendable2`` tests a
 given filter, ``amend_order`` computes the order of the filtered iteration,
 and ``search_filter`` looks for a good filter among the named Pauli /
-rotation candidates plus a seeded Euler-angle grid.
+rotation candidates plus a seeded Euler-angle grid.  Both orders come from
+one batched scan, ``_order_scan``, over a stack of filter rotations.
 
 Filters are unitary channels given by their Bloch rotation.  Improper
 orthogonal Bloch actions (determinant -1) are accepted for compositions with
 unital channels, where everything reduces to trace norms of 3x3 matrices;
-they do not correspond to any Kraus form and are rejected when a Kraus-route
-composition is required.
+they do not correspond to any Kraus form and are rejected whenever a
+channel is composed through its Kraus operators or its Pauli transfer matrix.
 """
 
 from __future__ import annotations
@@ -32,29 +33,45 @@ from .channels import (
     SIGMA_Z,
     UnitalChannel,
     as_kraus,
-    choi,
     compose_kraus,
     gad_kraus,
+    ptm,
 )
 from .gad import p_n
-from .linalg import polar_decompose, trace_norm
+from .linalg import polar_decompose
 from .measures import DEFAULT_CAP, EB_TOL, ebn_member, n_c
 from .report import NcResult
-from .separability import is_eb, min_pt_eigenvalue
+from .separability import is_eb, ptm_min_pt_eigenvalues
 
 _PAULI_VECTOR = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
+def _axis_rotations(axis: int, angles) -> np.ndarray:
+    """Stack of right-handed rotations about a coordinate axis (0=x, 1=y, 2=z),
+    one per angle."""
+    angles = np.asarray(angles, dtype=float)
+    c, s = np.cos(angles), np.sin(angles)
+    m = np.zeros((angles.size, 3, 3))
+    m[:, axis, axis] = 1.0
+    i, j = [(1, 2), (2, 0), (0, 1)][axis]
+    m[:, i, i] = c
+    m[:, j, j] = c
+    m[:, i, j] = -s
+    m[:, j, i] = s
+    return m
+
+
 def _rot(axis: int, angle: float) -> np.ndarray:
     """Right-handed rotation about a coordinate axis (0=x, 1=y, 2=z)."""
-    c, s = math.cos(angle), math.sin(angle)
-    m = np.eye(3)
-    i, j = [(1, 2), (2, 0), (0, 1)][axis]
-    m[i, i] = c
-    m[j, j] = c
-    m[i, j] = -s
-    m[j, i] = s
-    return m
+    return _axis_rotations(axis, [angle])[0]
+
+
+def _euler_lattice(alphas, betas, thetas) -> np.ndarray:
+    """Bloch matrices R_z(alpha) R_y(beta) R_z(theta) of every Euler filter on
+    the grid alphas x betas x thetas, stacked with theta varying fastest."""
+    outer = _axis_rotations(2, alphas)[:, None] @ _axis_rotations(1, betas)[None, :]
+    inner = _axis_rotations(2, thetas)[None, None, :]
+    return (outer[:, :, None] @ inner).reshape(-1, 3, 3)
 
 
 def _su2(axis: int, angle: float) -> np.ndarray:
@@ -143,7 +160,7 @@ class FilterCandidate:
             return _rot(1, math.pi / 2) @ _rot(0, math.pi / 2)
         if self.kind == "euler":
             a, b, t = self.params
-            return _rot(2, a) @ _rot(1, b) @ _rot(2, t)
+            return _euler_lattice([a], [b], [t])[0]
         return np.asarray(self.params, dtype=float).reshape(3, 3)
 
     def unitary(self) -> np.ndarray:
@@ -225,50 +242,73 @@ def is_amendable2(c: Channel, f: FilterCandidate) -> bool:
 
 def amend_order(c: Channel, f: FilterCandidate, cap: int = DEFAULT_CAP) -> NcResult:
     """Entanglement-breaking order of the filtered iteration (f . c)^m."""
-    return n_c(apply_filter(f, c), cap)
+    orders, _ = _order_scan(_scan_base(c), f.bloch_matrix()[None], cap)
+    return _order_result(orders[0], cap)
 
 
-def _order_and_margin(c: Channel, f: FilterCandidate, cap: int) -> tuple[NcResult, float]:
-    """Order of f . c plus a sub-integer tie-break margin in (-1, 0].
+def _order_result(order, cap: int) -> NcResult:
+    return NcResult(None if order > cap else int(order), cap)
 
-    At the step where the iterate first turns entanglement breaking, the
-    margin measures how close it sits to the boundary (trace norm for the
-    unital route, minimal partial-transpose eigenvalue otherwise); a margin
-    near zero means the filter almost reached the next order.
+
+def _scan_base(c: Channel) -> np.ndarray:
+    """What ``_order_scan`` iterates: the 3x3 Bloch matrix of a
+    ``UnitalChannel``, the 4x4 PTM of any other channel."""
+    return c.t if isinstance(c, UnitalChannel) else ptm(c)
+
+
+def _order_scan(base: np.ndarray, rotations: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orders of the filtered channels O . c for a stack of Bloch rotations O
+    and `base` = ``_scan_base(c)``, each with a tie-break margin in [-1, 0].
+
+    An order above ``cap`` reads cap + 1 with margin 0, so ``orders + margins``
+    ranks ExceedsCap first and, within one order, the iterate that turned
+    entanglement breaking nearest the boundary.  The margin is the trace norm
+    minus one on the 3x3 route, which takes improper rotations, and minus
+    twice the smallest partial-transpose eigenvalue on the PTM route, which
+    rejects them.  Finished candidates drop out after each composition.
     """
-    filtered = apply_filter(f, c)
-    if isinstance(filtered, UnitalChannel):
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    unital = base.shape == (3, 3)
+    if unital:
+        step = rotations @ base
         power = np.eye(3)
-        for m in range(1, cap + 1):
-            power = power @ filtered.t
-            tn = trace_norm(power)
-            if tn <= 1.0 + EB_TOL:
-                return NcResult(m, cap), max(-1.0, tn - 1.0)
-        return NcResult(None, cap), 0.0
-    base = as_kraus(filtered)
-    current = base
+    else:
+        if np.any(np.linalg.det(rotations) < 0):
+            raise ValueError("improper orthogonal Bloch action has no unitary realization")
+        filters = np.zeros((len(rotations), 4, 4))
+        filters[:, 0, 0] = 1.0
+        filters[:, 1:, 1:] = rotations
+        step = filters @ base
+        power = np.eye(4)
+    orders = np.full(len(rotations), cap + 1)
+    margins = np.zeros(len(rotations))
+    active = np.arange(len(rotations))
     for m in range(1, cap + 1):
-        low = min_pt_eigenvalue(choi(current))
-        if low >= -EB_TOL:
-            return NcResult(m, cap), -min(1.0, 2.0 * max(0.0, low))
-        if m < cap:
-            current = compose_kraus(base, current)
-    return NcResult(None, cap), 0.0
+        power = power @ step
+        if unital:
+            tn = np.linalg.svd(power, compute_uv=False).sum(axis=-1)
+            done = tn <= 1.0 + EB_TOL
+            margin = np.maximum(-1.0, tn - 1.0)
+        else:
+            low = ptm_min_pt_eigenvalues(power)
+            done = low >= -EB_TOL
+            margin = -np.minimum(1.0, 2.0 * np.maximum(0.0, low))
+        if done.any():
+            orders[active[done]] = m
+            margins[active[done]] = margin[done]
+            keep = ~done
+            active, power, step = active[keep], power[keep], step[keep]
+            if not active.size:
+                break
+    return orders, margins
 
 
-def _score(result: NcResult, margin: float, cap: int) -> float:
-    """Total order: ExceedsCap > Finite(m) > Finite(m' < m), margins tie-break."""
-    base = cap + 1.0 if result.n is None else float(result.n)
-    return base + margin
-
-
-def _is_unitary_channel(c: Channel) -> bool:
-    if isinstance(c, UnitalChannel):
-        return c.is_orthogonal()
-    if isinstance(c, KrausChannel) and len(c.ops) == 1:
-        u = c.ops[0]
-        return bool(np.abs(u @ u.conj().T - IDENTITY_2).max() <= 1e-10)
-    return False
+def _is_unitary_channel(c: Channel, tol: float = 1e-10) -> bool:
+    """T orthogonal in the PTM, whatever the representation.  A channel maps
+    the Bloch sphere into the ball, so an orthogonal T also forces t = 0."""
+    m = ptm(c)[1:, 1:]
+    return bool(np.abs(m.T @ m - np.eye(3)).max() <= tol)
 
 
 def search_filter(
@@ -282,23 +322,20 @@ def search_filter(
     Tries the named filters (three Pauli conjugations and the x-then-y
     quarter-turn pair), the inverse polar rotation for unital channels, and a
     seeded Euler-angle lattice of about `budget` points, then refines the best
-    lattice point with a Nelder-Mead pass.  Deterministic for a fixed seed;
-    ties keep the first maximum in evaluation order.
+    lattice point with a Nelder-Mead pass.  All candidates are scored at once
+    by one batched order scan over their stacked Bloch rotations.
+    Deterministic for a fixed seed; ties keep the first maximum in evaluation
+    order.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if _is_unitary_channel(c):
         raise ValueError("unitary channels never break entanglement; nothing to amend")
 
-    candidates: list[FilterCandidate] = [
-        FilterCandidate.pauli(1),
-        FilterCandidate.pauli(2),
-        FilterCandidate.pauli(3),
-        FilterCandidate.r2r1(),
-    ]
+    named = [FilterCandidate.pauli(k) for k in (1, 2, 3)] + [FilterCandidate.r2r1()]
     if isinstance(c, UnitalChannel):
         rotation, _ = polar_decompose(c.t)
-        candidates.append(FilterCandidate.orthogonal(rotation.T))
+        named.append(FilterCandidate.orthogonal(rotation.T))
 
     rng = np.random.default_rng(seed)
     per_axis = max(1, int(math.floor(budget ** (1.0 / 3.0))))
@@ -308,48 +345,41 @@ def search_filter(
         offsets[k] + np.arange(per_axis) * (spans[k] / per_axis)
         for k in range(3)
     ]
-    euler_points = [
-        (float(a), float(b), float(t))
-        for a in axes[0]
-        for b in axes[1]
-        for t in axes[2]
-    ]
-    candidates.extend(FilterCandidate.euler(*pt) for pt in euler_points)
+    rotations = np.concatenate(
+        [np.array([f.bloch_matrix() for f in named]), _euler_lattice(*axes)]
+    )
+    base = _scan_base(c)
+    orders, margins = _order_scan(base, rotations, cap)
+    scores = orders + margins
+    best = int(np.argmax(scores))
+    best_score = scores[best]
+    best_result = _order_result(orders[best], cap)
 
-    best_filter = None
-    best_result = None
-    best_score = -math.inf
-    best_euler = None
-    best_euler_score = -math.inf
-    for cand in candidates:
-        result, margin = _order_and_margin(c, cand, cap)
-        score = _score(result, margin, cap)
-        if score > best_score:
-            best_filter, best_result, best_score = cand, result, score
-        if cand.kind == "euler" and score > best_euler_score:
-            best_euler, best_euler_score = cand, score
+    def lattice_point(index: int) -> tuple:
+        ijk = np.unravel_index(index, (per_axis,) * 3)
+        return tuple(float(axes[k][ijk[k]]) for k in range(3))
 
-    if best_euler is not None:
+    if best < len(named):
+        best_filter = named[best]
+    else:
+        best_filter = FilterCandidate.euler(*lattice_point(best - len(named)))
 
-        def negated(angles: np.ndarray) -> float:
-            cand = FilterCandidate.euler(*angles)
-            result, margin = _order_and_margin(c, cand, cap)
-            return -_score(result, margin, cap)
+    def negated(angles: np.ndarray) -> float:
+        o, m = _order_scan(base, _euler_lattice(*angles[:, None]), cap)
+        return -(o[0] + m[0])
 
-        res = minimize(
-            negated,
-            np.asarray(best_euler.params, dtype=float),
-            method="Nelder-Mead",
-            options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 200},
-        )
-        if -res.fun > best_score:
-            best_filter = FilterCandidate.euler(*(float(a) for a in res.x))
-            best_result, margin = _order_and_margin(c, best_filter, cap)
-            best_score = _score(best_result, margin, cap)
+    res = minimize(
+        negated,
+        np.asarray(lattice_point(int(np.argmax(scores[len(named):]))), dtype=float),
+        method="Nelder-Mead",
+        options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 200},
+    )
+    if -res.fun > best_score:
+        best_filter = FilterCandidate.euler(*(float(a) for a in res.x))
+        best_result = amend_order(c, best_filter, cap)
 
-    base = n_c(c, cap)
     amendable = ebn_member(c, 2) and best_result.order_key() > 2
-    return AmendReport(base, best_result, best_filter, amendable)
+    return AmendReport(n_c(c, cap), best_result, best_filter, amendable)
 
 
 def gad_amendable(p: float, gamma: float, f: FilterCandidate) -> bool:

@@ -6,6 +6,10 @@ Three interchangeable representations are supported:
 * ``KrausChannel``  -- a list of 2x2 complex operators, rho -> sum E rho E^dag.
 * ``GadParams``     -- the (p, gamma) generalized amplitude-damping family.
 
+Each converts to its real 4x4 Pauli transfer matrix (``ptm``), the affine Bloch
+map R = [[1, 0], [t, T]] of King and Ruskai, under which composition is the
+matrix product.
+
 The Choi matrix convention used throughout: the channel acts on the FIRST
 tensor factor of the maximally entangled state, Gamma = (Phi (x) I)[psi+],
 with psi+ built on the canonical basis.  With this convention the Choi matrix
@@ -37,6 +41,7 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULIS = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+_PAULI_STACK = np.array(PAULIS)
 
 _PSI_PLUS_VEC = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 PSI_PLUS = np.outer(_PSI_PLUS_VEC, _PSI_PLUS_VEC.conj())
@@ -106,10 +111,6 @@ class UnitalChannel:
                 f"not a Bloch contraction: largest eigenvalue of T^T T is {top}"
             )
         object.__setattr__(self, "t", t)
-
-    def is_orthogonal(self, tol: float = 1e-10) -> bool:
-        """True when T^T T = 1, i.e. the channel is a unitary rotation."""
-        return bool(np.abs(self.t.T @ self.t - np.eye(3)).max() <= tol)
 
 
 @dataclass(frozen=True)
@@ -275,6 +276,21 @@ def compose(c1: Channel, c2: Channel) -> Channel:
     if isinstance(c1, UnitalChannel) and isinstance(c2, UnitalChannel):
         return compose_unital(c1, c2)
     return compose_kraus(as_kraus(c1), as_kraus(c2))
+
+
+def ptm(c: Channel) -> np.ndarray:
+    """Real 4x4 Pauli transfer matrix R_ij = Tr(sigma_i Phi(sigma_j)) / 2.
+
+    R = [[1, 0], [t, T]] maps (1, v) to (1, t + T v), so the PTM of a
+    composition c1 after c2 is R1 @ R2.  Unital channels give t = 0 exactly.
+    """
+    if isinstance(c, UnitalChannel):
+        r = np.eye(4)
+        r[1:, 1:] = c.t
+        return r
+    ops = np.array(as_kraus(c).ops)
+    images = np.einsum("kab,jbc,kdc->jad", ops, _PAULI_STACK, ops.conj())
+    return 0.5 * np.einsum("iab,jba->ij", _PAULI_STACK, images).real
 
 
 def channel_power(c: Channel, n: int) -> Channel:

@@ -19,6 +19,7 @@ import numpy as np
 from .channels import (
     Channel,
     IDENTITY_2,
+    PAULIS,
     UnitalChannel,
     choi,
     validate_density,
@@ -26,6 +27,9 @@ from .channels import (
 from .linalg import as_hermitian4, partial_transpose, trace_norm
 
 SEP_TOL = 1e-10
+
+# sigma_i (x) sigma_j / 4 in row 4i + j.
+_PT_BASIS = np.array([np.kron(a, b) for a in PAULIS for b in PAULIS]).reshape(16, 16) / 4
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,24 @@ def min_pt_eigenvalue(g) -> float:
     """Smallest eigenvalue of the partial transpose."""
     m = g.g if isinstance(g, ChoiState) else g
     return float(np.linalg.eigvalsh(partial_transpose(m)).min())
+
+
+def ptm_partial_transpose(r) -> np.ndarray:
+    """Partial transpose of the Choi matrix of a channel given by its PTM.
+
+    With psi+ = (1/4) sum_j sigma_j (x) sigma_j^T the Choi matrix is
+    (1/4) sum_ij R_ij sigma_i (x) sigma_j^T, so its partial transpose is the
+    fixed linear image (1/4) sum_ij R_ij sigma_i (x) sigma_j.  Accepts a stack
+    (..., 4, 4) of PTMs.
+    """
+    r = np.asarray(r, dtype=float)
+    lead = r.shape[:-2]
+    return (r.reshape(*lead, 16) @ _PT_BASIS).reshape(*lead, 4, 4)
+
+
+def ptm_min_pt_eigenvalues(r) -> np.ndarray:
+    """Smallest partial-transpose eigenvalue for each PTM of a stack."""
+    return np.linalg.eigvalsh(ptm_partial_transpose(r))[..., 0]
 
 
 def pt_determinant(g) -> float:

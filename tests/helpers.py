@@ -1,11 +1,17 @@
 """Shared random generators and independent oracles for the test suite."""
 
+import math
+
 import numpy as np
+from scipy.optimize import minimize
 
 from noisegauge import UnitalChannel
-from noisegauge.channels import IDENTITY_2, validate_density
-from noisegauge.linalg import partial_transpose
-from noisegauge.separability import SEP_TOL, choi_state
+from noisegauge.amend import AmendReport, FilterCandidate, apply_filter
+from noisegauge.channels import IDENTITY_2, as_kraus, choi, compose_kraus, validate_density
+from noisegauge.linalg import partial_transpose, polar_decompose, trace_norm
+from noisegauge.measures import EB_TOL, ebn_member, n_c
+from noisegauge.report import NcResult
+from noisegauge.separability import SEP_TOL, choi_state, min_pt_eigenvalue
 
 
 def rotation_from_quaternion(q) -> np.ndarray:
@@ -127,3 +133,71 @@ def bisect_threshold(c, rho0, tol: float, sep_tol: float = SEP_TOL) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def order_and_margin(c, f, cap: int) -> tuple:
+    """Order of f . c plus its tie-break margin, one filter at a time: the
+    trace-norm scan of the filtered Bloch matrix for unital channels, Kraus
+    composition and the Choi matrix's partial transpose otherwise.  An oracle
+    for the batched scan ``amend._order_scan``.
+    """
+    filtered = apply_filter(f, c)
+    if isinstance(filtered, UnitalChannel):
+        power = np.eye(3)
+        for m in range(1, cap + 1):
+            power = power @ filtered.t
+            tn = trace_norm(power)
+            if tn <= 1.0 + EB_TOL:
+                return NcResult(m, cap), max(-1.0, tn - 1.0)
+        return NcResult(None, cap), 0.0
+    base = as_kraus(filtered)
+    current = base
+    for m in range(1, cap + 1):
+        low = min_pt_eigenvalue(choi(current))
+        if low >= -EB_TOL:
+            return NcResult(m, cap), -min(1.0, 2.0 * max(0.0, low))
+        if m < cap:
+            current = compose_kraus(base, current)
+    return NcResult(None, cap), 0.0
+
+
+def loop_search_filter(c, cap: int, budget: int, seed: int) -> AmendReport:
+    """``search_filter`` with every candidate built as a ``FilterCandidate``
+    and scored on its own by ``order_and_margin``; an oracle for the batched
+    search."""
+
+    def score(f):
+        result, margin = order_and_margin(c, f, cap)
+        return result, (cap + 1.0 if result.n is None else float(result.n)) + margin
+
+    candidates = [FilterCandidate.pauli(k) for k in (1, 2, 3)] + [FilterCandidate.r2r1()]
+    if isinstance(c, UnitalChannel):
+        candidates.append(FilterCandidate.orthogonal(polar_decompose(c.t)[0].T))
+    rng = np.random.default_rng(seed)
+    per_axis = max(k for k in range(1, budget + 1) if k ** 3 <= budget)
+    spans = (2 * math.pi, math.pi, 2 * math.pi)
+    offsets = [rng.uniform(0.0, span / per_axis) for span in spans]
+    axes = [offsets[k] + np.arange(per_axis) * (spans[k] / per_axis) for k in range(3)]
+    candidates.extend(
+        FilterCandidate.euler(float(a), float(b), float(t))
+        for a in axes[0] for b in axes[1] for t in axes[2]
+    )
+    best_filter, best_result, best_score = None, None, -math.inf
+    best_euler, best_euler_score = None, -math.inf
+    for cand in candidates:
+        result, value = score(cand)
+        if value > best_score:
+            best_filter, best_result, best_score = cand, result, value
+        if cand.kind == "euler" and value > best_euler_score:
+            best_euler, best_euler_score = cand, value
+    res = minimize(
+        lambda angles: -score(FilterCandidate.euler(*angles))[1],
+        np.asarray(best_euler.params, dtype=float),
+        method="Nelder-Mead",
+        options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 200},
+    )
+    if -res.fun > best_score:
+        best_filter = FilterCandidate.euler(*(float(a) for a in res.x))
+        best_result = score(best_filter)[0]
+    amendable = ebn_member(c, 2) and best_result.order_key() > 2
+    return AmendReport(n_c(c, cap), best_result, best_filter, amendable)

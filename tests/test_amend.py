@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_cp_unital, random_rotation
+from helpers import (
+    loop_search_filter,
+    order_and_margin,
+    random_cp_unital,
+    random_rotation,
+)
 from noisegauge import (
     FilterCandidate,
     GadParams,
@@ -19,8 +24,9 @@ from noisegauge import (
     search_filter,
     su2_from_so3,
 )
-from noisegauge.amend import _rot
-from noisegauge.channels import PAULIS
+from noisegauge.amend import _euler_lattice, _order_scan, _rot, _scan_base
+from noisegauge.channels import PAULIS, as_kraus
+from noisegauge.linalg import polar_decompose
 from noisegauge.gad import amend_boundary_s1, p_n
 
 LAM = np.diag([0.73, 0.5, 0.5])
@@ -181,15 +187,122 @@ class TestSearchFilter:
         b = search_filter(UnitalChannel(T), cap=16, budget=27, seed=7)
         assert a == b
 
-    def test_rejects_unitary_input(self):
-        with pytest.raises(ValueError):
-            search_filter(UnitalChannel(np.eye(3)))
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            UnitalChannel(np.eye(3)),
+            GadParams(0.0, 0.3),
+            KrausChannel((np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.eye(2))),
+            UnitalChannel(bloch_of_unitary(FilterCandidate.euler(0.4, 1.2, 2.5).unitary())),
+            KrausChannel(
+                tuple(np.sqrt(0.5) * FilterCandidate.euler(0.4, 1.2, 2.5).unitary() for _ in range(2))
+            ),
+        ],
+        ids=["unital-identity", "gad-p0", "kraus2-identity", "unital-rotation", "kraus2-rotation"],
+    )
+    def test_rejects_unitary_input(self, channel):
+        # unitarity is read off the PTM, so every representation is rejected
+        with pytest.raises(ValueError, match="unitary"):
+            search_filter(channel, budget=8)
+
+    @pytest.mark.parametrize("budget", [8, 27])
+    def test_json_matches_loop_oracle(self, budget):
+        rng = np.random.default_rng(57)
+        kraus_unital = as_kraus(
+            UnitalChannel(random_rotation(rng) @ np.diag([0.85, 0.7, 0.6]) @ random_rotation(rng))
+        )
+        channels = [UnitalChannel(T), random_cp_unital(rng), kraus_unital]
+        channels += [as_kraus(random_cp_unital(rng)) for _ in range(2)]
+        channels += [gad_kraus(GadParams(p, 0.3)) for p in (0.55, 0.7)]
+        for c in channels:
+            report = search_filter(c, cap=16, budget=budget, seed=11).to_json()
+            oracle = loop_search_filter(c, cap=16, budget=budget, seed=11).to_json()
+            if report["base_nc"] == 1 and not isinstance(c, UnitalChannel):
+                # EB at one use: every filter has order 1 and, for a unital
+                # map, the same PT eigenvalues, so rounding picks the filter
+                report.pop("filter"), oracle.pop("filter")
+            assert json.dumps(report) == json.dumps(oracle)
+
+    def test_filtered_nc_equals_amend_order(self):
+        rng = np.random.default_rng(58)
+        channels = [random_cp_unital(rng) for _ in range(3)]
+        channels += [as_kraus(random_cp_unital(rng)) for _ in range(3)]
+        channels += [gad_kraus(GadParams(rng.uniform(0.4, 0.8), rng.uniform(0, 1))) for _ in range(3)]
+        for seed, c in enumerate(channels):
+            report = search_filter(c, cap=16, budget=8, seed=seed)
+            assert report.filtered_nc == amend_order(c, report.filter, cap=16)
 
     def test_report_json_schema(self):
         report = search_filter(UnitalChannel(T), cap=16, budget=8, seed=3)
         data = report.to_json()
         assert sorted(data) == ["amendable", "base_nc", "filter", "filtered_nc"]
         assert sorted(data["filter"]) == ["kind", "params"]
+
+
+def _scan_cases():
+    """(channel, rotations, cap) cases for the batched order scan: unital,
+    Kraus-unital and damping channels, EB at one use and beyond the cap."""
+    rng = np.random.default_rng(59)
+    polar = polar_decompose(T)[0].T
+    assert np.linalg.det(polar) < 0  # the swap fixture's polar candidate is improper
+    named = [FilterCandidate.pauli(k).bloch_matrix() for k in (1, 2, 3)]
+    named.append(FilterCandidate.r2r1().bloch_matrix())
+    axes = [rng.uniform(0, 2 * np.pi, 3), rng.uniform(0, np.pi, 3), rng.uniform(0, 2 * np.pi, 3)]
+    proper = np.concatenate([np.array(named), _euler_lattice(*axes)])
+    improper = np.concatenate([proper, [polar, SWAP_XY]])
+    dephasing = UnitalChannel(np.diag([0.7, 0.7, 1.0]))
+    cases = [
+        (UnitalChannel(T), improper, 16),
+        (UnitalChannel(np.zeros((3, 3))), improper, 4),
+        (dephasing, improper, 5),
+        (as_kraus(dephasing), proper, 5),
+        (gad_kraus(GadParams(0.95, 0.5)), proper, 8),
+    ]
+    for _ in range(3):
+        c = random_cp_unital(rng)
+        cases += [(c, improper, 16), (as_kraus(c), proper, 16)]
+    for _ in range(3):
+        cases.append((gad_kraus(GadParams(rng.uniform(0.3, 0.8), rng.uniform(0, 1))), proper, 16))
+    return cases
+
+
+class TestOrderScan:
+    @pytest.mark.parametrize("c, rotations, cap", _scan_cases())
+    def test_matches_loop_oracle(self, c, rotations, cap):
+        orders, margins = _order_scan(_scan_base(c), rotations, cap)
+        for o, margin, rot in zip(orders, margins, rotations):
+            result, expected = order_and_margin(c, FilterCandidate.orthogonal(rot), cap)
+            assert (None if o > cap else o) == result.n
+            if isinstance(c, UnitalChannel):
+                assert margin == expected
+            else:
+                assert abs(margin - expected) <= 1e-12
+
+    @pytest.mark.parametrize("unital", [True, False])
+    def test_cases_cover_eb_at_one_and_exceeded_cap(self, unital):
+        scans = [
+            (_order_scan(_scan_base(c), rotations, cap)[0], cap)
+            for c, rotations, cap in _scan_cases()
+            if isinstance(c, UnitalChannel) == unital
+        ]
+        assert any((orders == 1).any() for orders, _ in scans)
+        assert any((orders > cap).any() for orders, cap in scans)
+
+    def test_improper_rotation_rejected_off_unital_route(self):
+        c = gad_kraus(GadParams(0.5, 0.3))
+        with pytest.raises(ValueError, match="improper"):
+            amend_order(c, SWAP_FILTER)
+        with pytest.raises(ValueError, match="improper"):
+            amend_order(as_kraus(UnitalChannel(LAM)), SWAP_FILTER)
+
+    def test_lattice_matches_single_filters(self):
+        axes = [np.array([0.1, 2.0]), np.array([0.3, 1.7, 2.9]), np.array([4.0, 5.5])]
+        lattice = _euler_lattice(*axes)
+        points = [(a, b, t) for a in axes[0] for b in axes[1] for t in axes[2]]
+        assert len(lattice) == len(points)
+        for m, (a, b, t) in zip(lattice, points):
+            assert np.array_equal(m, FilterCandidate.euler(a, b, t).bloch_matrix())
+            assert np.array_equal(m, _rot(2, a) @ _rot(1, b) @ _rot(2, t))
 
 
 class TestInvariance:

@@ -20,7 +20,7 @@ from noisegauge import (
     kraus_from_choi,
     pauli_decompose,
 )
-from noisegauge.channels import IDENTITY_2, PSI_PLUS, SIGMA_X
+from noisegauge.channels import IDENTITY_2, PSI_PLUS, SIGMA_X, ptm
 from noisegauge.gad import p_n
 from noisegauge.linalg import partial_transpose, trace_norm
 
@@ -164,6 +164,39 @@ class TestChoi:
     def test_rejects_non_cp(self):
         with pytest.raises(ValueError):
             kraus_from_choi(choi(UnitalChannel(T)))
+
+
+class TestPtm:
+    def test_unital_block(self):
+        expected = np.eye(4)
+        expected[1:, 1:] = T
+        assert np.array_equal(ptm(UnitalChannel(T)), expected)
+
+    def test_gad_closed_form(self):
+        # t = (0, 0, p (2 gamma - 1)), T = diag(sqrt(1-p), sqrt(1-p), 1-p)
+        p, gamma = 0.4, 0.3
+        r = ptm(GadParams(p, gamma))
+        expected = np.diag([1.0, np.sqrt(1 - p), np.sqrt(1 - p), 1 - p])
+        expected[3, 0] = p * (2 * gamma - 1)
+        assert np.abs(r - expected).max() < 1e-15
+
+    def test_kraus_form_of_unital_channel(self):
+        rng = np.random.default_rng(60)
+        for _ in range(10):
+            c = random_cp_unital(rng)
+            assert np.abs(ptm(as_kraus(c)) - ptm(c)).max() < 1e-12
+
+    def test_composition_is_matrix_product(self):
+        rng = np.random.default_rng(61)
+
+        def draw():
+            if rng.uniform() < 0.5:
+                return gad_kraus(GadParams(*rng.uniform(0, 1, 2)))
+            return as_kraus(random_cp_unital(rng))
+
+        for _ in range(50):
+            a, b = draw(), draw()
+            assert np.abs(ptm(compose_kraus(a, b)) - ptm(a) @ ptm(b)).max() < 1e-14
 
 
 class TestChannelPower:

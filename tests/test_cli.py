@@ -207,3 +207,12 @@ class TestAmend:
     def test_gaussian_rejected(self, capsys):
         code, _, _ = run(capsys, "amend", '{"family":"attenuation","k":0.5,"n0":0.1}')
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "channel",
+        ['{"kind":"gad","p":0,"gamma":0.3}', json.dumps({"kind": "unital", "t": [1, 0, 0, 0, 1, 0, 0, 0, 1]})],
+    )
+    def test_identity_channel_rejected(self, capsys, channel):
+        code, _, err = run(capsys, "amend", channel, "--budget", "8")
+        assert code == 3
+        assert "unitary" in err

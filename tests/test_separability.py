@@ -14,8 +14,10 @@ from noisegauge import (
     noisy_choi,
     pt_determinant,
 )
-from noisegauge.channels import PSI_PLUS
+from noisegauge.channels import PSI_PLUS, as_kraus, gad_kraus, ptm
 from noisegauge.gad import p_n
+from noisegauge.linalg import partial_transpose
+from noisegauge.separability import ptm_min_pt_eigenvalues, ptm_partial_transpose
 
 LAM = np.diag([0.73, 0.5, 0.5])
 IDENTITY_CH = UnitalChannel(np.eye(3))
@@ -113,3 +115,24 @@ class TestIsEb:
             by_norm = is_eb(c)
             by_choi = is_separable(choi_state(c))
             assert by_norm == by_choi
+
+
+class TestPtmPartialTranspose:
+    @staticmethod
+    def channels():
+        rng = np.random.default_rng(62)
+        out = [UnitalChannel(np.array([[0, 0.5, 0], [0.73, 0, 0], [0, 0, 0.5]]))]  # not CP
+        for _ in range(5):
+            c = random_cp_unital(rng)
+            out += [c, as_kraus(c), gad_kraus(GadParams(*rng.uniform(0, 1, 2)))]
+        return out
+
+    def test_matches_choi_route(self):
+        for c in self.channels():
+            assert np.abs(ptm_partial_transpose(ptm(c)) - partial_transpose(choi(c))).max() < 1e-14
+
+    def test_stacked_min_eigenvalues(self):
+        channels = self.channels()
+        lows = ptm_min_pt_eigenvalues(np.array([ptm(c) for c in channels]))
+        for low, c in zip(lows, channels):
+            assert abs(low - min_pt_eigenvalue(choi(c))) < 1e-14
