@@ -311,6 +311,16 @@ def _is_unitary_channel(c: Channel, tol: float = 1e-10) -> bool:
     return bool(np.abs(m.T @ m - np.eye(3)).max() <= tol)
 
 
+def _cube_root_floor(n: int) -> int:
+    """Largest k with k**3 <= n, for n >= 1 (n ** (1/3) rounds 64 down to 3.99...)."""
+    k = round(n ** (1.0 / 3.0))
+    while k ** 3 > n:
+        k -= 1
+    while (k + 1) ** 3 <= n:
+        k += 1
+    return k
+
+
 def search_filter(
     c: Channel,
     cap: int = DEFAULT_CAP,
@@ -321,8 +331,8 @@ def search_filter(
 
     Tries the named filters (three Pauli conjugations and the x-then-y
     quarter-turn pair), the inverse polar rotation for unital channels, and a
-    seeded Euler-angle lattice of about `budget` points, then refines the best
-    lattice point with a Nelder-Mead pass.  All candidates are scored at once
+    seeded Euler-angle lattice of k^3 points, k^3 the largest cube not above
+    `budget`, then refines the best lattice point with a Nelder-Mead pass.  All candidates are scored at once
     by one batched order scan over their stacked Bloch rotations.
     Deterministic for a fixed seed; ties keep the first maximum in evaluation
     order.
@@ -338,7 +348,7 @@ def search_filter(
         named.append(FilterCandidate.orthogonal(rotation.T))
 
     rng = np.random.default_rng(seed)
-    per_axis = max(1, int(math.floor(budget ** (1.0 / 3.0))))
+    per_axis = _cube_root_floor(budget)
     spans = (2 * math.pi, math.pi, 2 * math.pi)
     offsets = [rng.uniform(0.0, span / per_axis) for span in spans]
     axes = [

@@ -24,7 +24,7 @@ from noisegauge import (
     search_filter,
     su2_from_so3,
 )
-from noisegauge.amend import _euler_lattice, _order_scan, _rot, _scan_base
+from noisegauge.amend import _cube_root_floor, _euler_lattice, _order_scan, _rot, _scan_base
 from noisegauge.channels import PAULIS, as_kraus
 from noisegauge.linalg import polar_decompose
 from noisegauge.gad import amend_boundary_s1, p_n
@@ -204,6 +204,13 @@ class TestSearchFilter:
         # unitarity is read off the PTM, so every representation is rejected
         with pytest.raises(ValueError, match="unitary"):
             search_filter(channel, budget=8)
+
+    @pytest.mark.parametrize(
+        "budget, per_axis",
+        [(1, 1), (7, 1), (8, 2), (27, 3), (64, 4), (125, 5), (999, 9), (1000, 10)],
+    )
+    def test_budget_rounds_to_a_cube(self, budget, per_axis):
+        assert _cube_root_floor(budget) == per_axis
 
     @pytest.mark.parametrize("budget", [8, 27])
     def test_json_matches_loop_oracle(self, budget):
