@@ -241,7 +241,12 @@ def is_amendable2(c: Channel, f: FilterCandidate) -> bool:
 
 
 def amend_order(c: Channel, f: FilterCandidate, cap: int = DEFAULT_CAP) -> NcResult:
-    """Entanglement-breaking order of the filtered iteration (f . c)^m."""
+    """Entanglement-breaking order of the filtered iteration (f . c)^m.
+
+    Runs the same scan as ``search_filter``, so a report's ``filtered_nc``
+    equals ``amend_order(c, report.filter, cap)``.  An improper filter raises
+    ``ValueError`` unless c is a ``UnitalChannel``.
+    """
     orders, _ = _order_scan(_scan_base(c), f.bloch_matrix()[None], cap)
     return _order_result(orders[0], cap)
 
@@ -304,11 +309,11 @@ def _order_scan(base: np.ndarray, rotations: np.ndarray, cap: int) -> tuple[np.n
     return orders, margins
 
 
-def _is_unitary_channel(c: Channel, tol: float = 1e-10) -> bool:
+def _is_unitary_channel(c: Channel) -> bool:
     """T orthogonal in the PTM, whatever the representation.  A channel maps
     the Bloch sphere into the ball, so an orthogonal T also forces t = 0."""
     m = ptm(c)[1:, 1:]
-    return bool(np.abs(m.T @ m - np.eye(3)).max() <= tol)
+    return bool(np.abs(m.T @ m - np.eye(3)).max() <= 1e-10)
 
 
 def _cube_root_floor(n: int) -> int:
@@ -332,10 +337,10 @@ def search_filter(
     Tries the named filters (three Pauli conjugations and the x-then-y
     quarter-turn pair), the inverse polar rotation for unital channels, and a
     seeded Euler-angle lattice of k^3 points, k^3 the largest cube not above
-    `budget`, then refines the best lattice point with a Nelder-Mead pass.  All candidates are scored at once
-    by one batched order scan over their stacked Bloch rotations.
-    Deterministic for a fixed seed; ties keep the first maximum in evaluation
-    order.
+    `budget`, then refines the best lattice point with a Nelder-Mead pass.
+    All candidates are scored at once by one batched order scan over their
+    stacked Bloch rotations.  Deterministic for a fixed seed; ties keep the
+    first maximum in evaluation order.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

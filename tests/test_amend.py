@@ -187,6 +187,10 @@ class TestSearchFilter:
         b = search_filter(UnitalChannel(T), cap=16, budget=27, seed=7)
         assert a == b
 
+    def test_rejects_unitary_input(self):
+        with pytest.raises(ValueError):
+            search_filter(UnitalChannel(np.eye(3)))
+
     @pytest.mark.parametrize(
         "channel",
         [
@@ -200,7 +204,7 @@ class TestSearchFilter:
         ],
         ids=["unital-identity", "gad-p0", "kraus2-identity", "unital-rotation", "kraus2-rotation"],
     )
-    def test_rejects_unitary_input(self, channel):
+    def test_rejects_unitary_channel_in_every_form(self, channel):
         # unitarity is read off the PTM, so every representation is rejected
         with pytest.raises(ValueError, match="unitary"):
             search_filter(channel, budget=8)
