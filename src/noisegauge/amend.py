@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import (
     Channel,
@@ -39,7 +38,7 @@ from .channels import (
 )
 from .gad import p_n
 from .linalg import polar_decompose
-from .measures import DEFAULT_CAP, EB_TOL, ebn_member, n_c
+from .measures import DEFAULT_CAP, EB_TOL, ebn_member, n_c, nelder_mead
 from .report import NcResult
 from .separability import is_eb, ptm_min_pt_eigenvalues
 
@@ -337,7 +336,8 @@ def search_filter(
     Tries the named filters (three Pauli conjugations and the x-then-y
     quarter-turn pair), the inverse polar rotation for unital channels, and a
     seeded Euler-angle lattice of k^3 points, k^3 the largest cube not above
-    `budget`, then refines the best lattice point with a Nelder-Mead pass.
+    `budget`, then refines the best lattice point with the local Nelder-Mead
+    simplex method ``measures.nelder_mead``.
     All candidates are scored at once by one batched order scan over their
     stacked Bloch rotations.  Deterministic for a fixed seed; ties keep the
     first maximum in evaluation order.
@@ -383,14 +383,15 @@ def search_filter(
         o, m = _order_scan(base, _euler_lattice(*angles[:, None]), cap)
         return -(o[0] + m[0])
 
-    res = minimize(
+    x, fun = nelder_mead(
         negated,
-        np.asarray(lattice_point(int(np.argmax(scores[len(named):]))), dtype=float),
-        method="Nelder-Mead",
-        options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 200},
+        lattice_point(int(np.argmax(scores[len(named):]))),
+        xatol=1e-4,
+        fatol=1e-12,
+        maxiter=200,
     )
-    if -res.fun > best_score:
-        best_filter = FilterCandidate.euler(*(float(a) for a in res.x))
+    if -fun > best_score:
+        best_filter = FilterCandidate.euler(*(float(a) for a in x))
         best_result = amend_order(c, best_filter, cap)
 
     amendable = ebn_member(c, 2) and best_result.order_key() > 2

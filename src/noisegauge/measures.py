@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import gad as gadforms
 from .channels import (
@@ -159,6 +158,81 @@ def coarse_bloch_grid() -> list[np.ndarray]:
     return pts
 
 
+def nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int) -> tuple[np.ndarray, float]:
+    """Minimize f from x0 by the unbounded, non-adaptive Nelder-Mead simplex
+    method (Nelder & Mead 1965; Lagarias, Reeds, Wright & Wright 1998).
+
+    The initial simplex scales each coordinate of x0 by 1.05, or sets it to
+    0.00025 when it is zero.  The reflection, expansion, contraction and
+    shrink coefficients are 1, 2, 0.5 and 0.5.  The run stops once every
+    vertex lies within `xatol` of the best one in each coordinate and within
+    `fatol` of it in value, or after `maxiter` iterations.  Each step, down
+    to the argsort that orders the vertices, follows the reference
+    implementation the test suite holds this to, so f sees the same points
+    in the same order and the result agrees bit for bit.  f must leave its
+    argument unchanged.  Returns the best vertex and the smallest value.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full((n + 1,), np.inf)
+    for k in range(n + 1):
+        fsim[k] = f(sim[k])
+    # The reference sorts twice here; argsort need not be stable on ties.
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        doshrink = False
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+            fxc = f(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                doshrink = True
+        else:
+            xcc = (1 - psi) * xbar + psi * sim[-1]
+            fxcc = f(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                doshrink = True
+        if doshrink:
+            for j in range(1, n + 1):
+                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
+
+
 @dataclass(frozen=True)
 class MuSearchResult:
     """Outcome of the generic threshold minimization over rho0."""
@@ -178,8 +252,9 @@ def mu_c_search(
     """Minimize mu_given_rho0 over the Bloch ball, any channel with a valid
     Choi matrix.
 
-    Coarse grid first, then Nelder-Mead refinement from the `restarts` best
-    grid points; points outside the ball are radially projected.  The spread
+    Coarse grid first, then a refinement by the local Nelder-Mead simplex
+    method ``nelder_mead`` from each of the `restarts` best grid points;
+    points outside the ball are radially projected.  The spread
     between refined restarts is reported so callers can judge whether the
     landscape looked multimodal; the returned value is the minimum over every
     evaluation either way.  Each evaluation is the exact solve of
@@ -205,16 +280,11 @@ def mu_c_search(
     best_point = grid[int(np.argmin(values))]
     refined = []
     for idx in ranking[: max(0, restarts)]:
-        res = minimize(
-            objective,
-            grid[int(idx)],
-            method="Nelder-Mead",
-            options={"xatol": xatol, "fatol": 1e-12, "maxiter": 600},
-        )
-        refined.append(float(res.fun))
-        if res.fun < best_value:
-            best_value = float(res.fun)
-            w = np.asarray(res.x, dtype=float)
+        x, fun = nelder_mead(objective, grid[int(idx)], xatol=xatol, fatol=1e-12, maxiter=600)
+        refined.append(float(fun))
+        if fun < best_value:
+            best_value = float(fun)
+            w = np.asarray(x, dtype=float)
             r = float(np.linalg.norm(w))
             best_point = w / r if r > 1.0 else w
     spread = (max(refined) - min(refined)) if refined else 0.0

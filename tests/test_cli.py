@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noisegauge
 from noisegauge.cli import main
 
 NEWT_JSON = json.dumps(
@@ -216,3 +221,15 @@ class TestAmend:
         code, _, err = run(capsys, "amend", channel, "--budget", "8")
         assert code == 3
         assert "unitary" in err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.optimize costs about 0.4 s at start-up, which every CLI call pays.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(noisegauge.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    probe = "import sys, noisegauge.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from helpers import (
     bisect_threshold,
@@ -34,8 +35,10 @@ from noisegauge import (
     noise_report,
     sandwich,
 )
+from noisegauge.amend import _euler_lattice, _order_scan, _scan_base
+from noisegauge.gad import p_n
 from noisegauge.linalg import partial_transpose, polar_decompose, trace_norm
-from noisegauge.measures import _mu_threshold, _threshold_table
+from noisegauge.measures import _mu_threshold, _threshold_table, coarse_bloch_grid, nelder_mead
 from noisegauge.separability import SEP_TOL, choi_state
 
 LAM = np.diag([0.73, 0.5, 0.5])
@@ -202,6 +205,93 @@ class TestMuCSearch:
             p, gamma = rng.uniform(), rng.uniform()
             got = mu_c_search(as_kraus(GadParams(p, gamma))).value
             assert got == pytest.approx(mu_c_gad(p, gamma), abs=1e-9)
+
+
+def _mu_objective(c):
+    table = _threshold_table(c)
+    assert table is not None
+    return lambda w: _mu_threshold(table, w)
+
+
+def _negated_filter_score(c, cap=16):
+    """The objective that ``search_filter`` refines: minus the order plus
+    margin of the Euler filter, flat between the integer orders."""
+    base = _scan_base(c)
+
+    def negated(angles):
+        o, m = _order_scan(base, _euler_lattice(*angles[:, None]), cap)
+        return -(o[0] + m[0])
+
+    return negated
+
+
+def _non_eb_channel(kind, rng):
+    while True:
+        c = _seeded_channel(kind, rng)
+        if _threshold_table(c) is not None:
+            return c
+
+
+class TestNelderMead:
+    """The local simplex method against scipy's, bit for bit."""
+
+    @staticmethod
+    def _both(f, x0, xatol=1e-4, fatol=1e-12, maxiter=600):
+        """Run the port and scipy from x0; require the same points evaluated
+        in the same order and the same result.  Returns scipy's result."""
+        seen = ([], [])
+
+        def traced(k):
+            def g(x):
+                seen[k].append(np.asarray(x, dtype=float).tobytes())
+                return f(x)
+            return g
+
+        x, fun = nelder_mead(traced(0), x0, xatol=xatol, fatol=fatol, maxiter=maxiter)
+        res = minimize(traced(1), x0, method="Nelder-Mead",
+                       options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})
+        assert seen[0] == seen[1]
+        assert len(seen[0]) == res.nfev
+        assert x.tobytes() == res.x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+        return res, seen[0]
+
+    @pytest.mark.parametrize("kind", ["damping", "unital"])
+    def test_threshold_search_restarts(self, kind):
+        rng = np.random.default_rng(61 if kind == "damping" else 62)
+        grid = coarse_bloch_grid()
+        for _ in range(5):
+            f = _mu_objective(_non_eb_channel(kind, rng))
+            ranking = np.argsort([f(w) for w in grid], kind="stable")
+            for idx in ranking[:3]:
+                self._both(f, grid[int(idx)])
+
+    def test_filter_score_takes_the_shrink_path(self):
+        rng = np.random.default_rng(63)
+        channels = [random_cp_unital(rng) for _ in range(4)]
+        for _ in range(3):
+            gamma = rng.uniform(0.05, 0.95)
+            channels.append(gad_kraus(GadParams(rng.uniform(p_n(gamma, 2), p_n(gamma, 1)), gamma)))
+        shrinks = 0
+        for c in channels:
+            x0 = rng.uniform(0.0, [2 * np.pi, np.pi, 2 * np.pi])
+            res, _ = self._both(_negated_filter_score(c), x0, maxiter=200)
+            # without a shrink an iteration costs at most two evaluations
+            shrinks += res.nfev > 4 + 2 * (res.nit - 1)
+        assert shrinks > 0
+
+    def test_zero_entries_start_at_the_small_step(self):
+        f = _mu_objective(gad_kraus(GadParams(0.3, 0.2)))
+        _, seen = self._both(f, np.array([0.0, 0.5, 0.0]))
+        start = [np.frombuffer(b) for b in seen[1:4]]
+        assert start[0].tolist() == [0.00025, 0.5, 0.0]
+        assert start[1].tolist() == [0.0, 1.05 * 0.5, 0.0]
+        assert start[2].tolist() == [0.0, 0.5, 0.00025]
+
+    def test_stops_at_maxiter(self):
+        f = _mu_objective(gad_kraus(GadParams(0.3, 0.2)))
+        res, _ = self._both(f, coarse_bloch_grid()[7], xatol=0.0, fatol=0.0, maxiter=9)
+        assert res.nit == 9 and res.status == 2
 
 
 QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
