@@ -44,6 +44,11 @@ from .separability import is_eb, ptm_min_pt_eigenvalues
 
 _PAULI_VECTOR = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
+# Filter scores this close count as equal.  A channel that is entanglement
+# breaking at one use gives every filter the same score in exact arithmetic,
+# and the winner must not be picked by rounding.
+SCORE_TIE = 1e-12
+
 
 def _axis_rotations(axis: int, angles) -> np.ndarray:
     """Stack of right-handed rotations about a coordinate axis (0=x, 1=y, 2=z),
@@ -325,6 +330,11 @@ def _cube_root_floor(n: int) -> int:
     return k
 
 
+def _first_max(scores: np.ndarray) -> int:
+    """Index of the first score within ``SCORE_TIE`` of the maximum."""
+    return int(np.argmax(scores >= scores.max() - SCORE_TIE))
+
+
 def search_filter(
     c: Channel,
     cap: int = DEFAULT_CAP,
@@ -339,8 +349,10 @@ def search_filter(
     `budget`, then refines the best lattice point with the local Nelder-Mead
     simplex method ``measures.nelder_mead``.
     All candidates are scored at once by one batched order scan over their
-    stacked Bloch rotations.  Deterministic for a fixed seed; ties keep the
-    first maximum in evaluation order.
+    stacked Bloch rotations.  Deterministic for a fixed seed.  Scores within
+    ``SCORE_TIE`` of the maximum tie, and the first of them in evaluation
+    order wins; the same rule picks the lattice point the refinement starts
+    from, and the refined filter wins only by more than ``SCORE_TIE``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -366,7 +378,7 @@ def search_filter(
     base = _scan_base(c)
     orders, margins = _order_scan(base, rotations, cap)
     scores = orders + margins
-    best = int(np.argmax(scores))
+    best = _first_max(scores)
     best_score = scores[best]
     best_result = _order_result(orders[best], cap)
 
@@ -385,12 +397,12 @@ def search_filter(
 
     x, fun = nelder_mead(
         negated,
-        lattice_point(int(np.argmax(scores[len(named):]))),
+        lattice_point(_first_max(scores[len(named):])),
         xatol=1e-4,
         fatol=1e-12,
         maxiter=200,
     )
-    if -fun > best_score:
+    if -fun > best_score + SCORE_TIE:
         best_filter = FilterCandidate.euler(*(float(a) for a in x))
         best_result = amend_order(c, best_filter, cap)
 

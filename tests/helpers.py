@@ -6,7 +6,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from noisegauge import UnitalChannel
-from noisegauge.amend import AmendReport, FilterCandidate, apply_filter
+from noisegauge.amend import SCORE_TIE, AmendReport, FilterCandidate, apply_filter
 from noisegauge.channels import IDENTITY_2, as_kraus, choi, compose_kraus, validate_density
 from noisegauge.linalg import partial_transpose, polar_decompose, trace_norm
 from noisegauge.measures import EB_TOL, ebn_member, n_c
@@ -182,21 +182,22 @@ def loop_search_filter(c, cap: int, budget: int, seed: int) -> AmendReport:
         FilterCandidate.euler(float(a), float(b), float(t))
         for a in axes[0] for b in axes[1] for t in axes[2]
     )
-    best_filter, best_result, best_score = None, None, -math.inf
-    best_euler, best_euler_score = None, -math.inf
-    for cand in candidates:
-        result, value = score(cand)
-        if value > best_score:
-            best_filter, best_result, best_score = cand, result, value
-        if cand.kind == "euler" and value > best_euler_score:
-            best_euler, best_euler_score = cand, value
+    scored = [(cand, *score(cand)) for cand in candidates]
+
+    def first_max(entries):
+        # scores within SCORE_TIE of the maximum tie; the first one wins
+        top = max(value for _, _, value in entries)
+        return next(e for e in entries if e[2] >= top - SCORE_TIE)
+
+    best_filter, best_result, best_score = first_max(scored)
+    best_euler = first_max([e for e in scored if e[0].kind == "euler"])[0]
     res = minimize(
         lambda angles: -score(FilterCandidate.euler(*angles))[1],
         np.asarray(best_euler.params, dtype=float),
         method="Nelder-Mead",
         options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 200},
     )
-    if -res.fun > best_score:
+    if -res.fun > best_score + SCORE_TIE:
         best_filter = FilterCandidate.euler(*(float(a) for a in res.x))
         best_result = score(best_filter)[0]
     amendable = ebn_member(c, 2) and best_result.order_key() > 2
