@@ -395,13 +395,8 @@ def search_filter(
         o, m = _order_scan(base, _euler_lattice(*angles[:, None]), cap)
         return -(o[0] + m[0])
 
-    x, fun = nelder_mead(
-        negated,
-        lattice_point(_first_max(scores[len(named):])),
-        xatol=1e-4,
-        fatol=1e-12,
-        maxiter=200,
-    )
+    start = lattice_point(_first_max(scores[len(named):]))
+    x, fun = nelder_mead(negated, start, xatol=1e-4, fatol=1e-12, maxiter=200)
     if -fun > best_score + SCORE_TIE:
         best_filter = FilterCandidate.euler(*(float(a) for a in x))
         best_result = amend_order(c, best_filter, cap)

@@ -254,9 +254,9 @@ def mu_c_search(
 
     Coarse grid first, then a refinement by the local Nelder-Mead simplex
     method ``nelder_mead`` from each of the `restarts` best grid points;
-    points outside the ball are radially projected.  The spread
-    between refined restarts is reported so callers can judge whether the
-    landscape looked multimodal; the returned value is the minimum over every
+    points outside the ball are radially projected.  The spread between
+    refined restarts is reported so callers can judge whether the landscape
+    looked multimodal; the returned value is the minimum over every
     evaluation either way.  Each evaluation is the exact solve of
     `mu_given_rho0`, with its 16x16 table built once per search; `tol` is
     checked as there.
@@ -284,9 +284,8 @@ def mu_c_search(
         refined.append(float(fun))
         if fun < best_value:
             best_value = float(fun)
-            w = np.asarray(x, dtype=float)
-            r = float(np.linalg.norm(w))
-            best_point = w / r if r > 1.0 else w
+            r = float(np.linalg.norm(x))
+            best_point = x / r if r > 1.0 else x
     spread = (max(refined) - min(refined)) if refined else 0.0
     # rho0 = 1/2 meets the bound d/(1+d) for every channel (the partial
     # transpose of a two-qubit state has no eigenvalue below -1/2).  For a
