@@ -28,16 +28,12 @@ from .channels import (
     GadParams,
     KrausChannel,
     UnitalChannel,
-    apply_kraus,
-    apply_unital,
     as_kraus,
     bloch_to_density,
     bloch_vector,
     channel_from_json,
-    channel_power,
     channel_to_json,
     choi,
-    compose,
     compose_kraus,
     compose_unital,
     density_to_bloch,
@@ -68,7 +64,6 @@ from .gaussian import (
     n_c_amplification,
     n_c_attenuation,
     n_c_iso,
-    n_c_iso_iterated,
     to_triplet,
 )
 from .linalg import (
@@ -96,8 +91,6 @@ from .separability import (
     is_eb,
     is_separable,
     min_pt_eigenvalue,
-    noisy_choi,
-    pt_determinant,
 )
 
 __version__ = "0.1.0"

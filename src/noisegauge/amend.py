@@ -5,8 +5,9 @@ be rescued: interposing a fixed unitary filter between uses keeps the
 composition non-entanglement-breaking for longer.  ``is_amendable2`` tests a
 given filter, ``amend_order`` computes the order of the filtered iteration,
 and ``search_filter`` looks for a good filter among the named Pauli /
-rotation candidates plus a seeded Euler-angle grid.  Both orders come from
-one batched scan, ``_order_scan``, over a stack of filter rotations.
+rotation candidates plus a seeded Euler-angle grid.  The channel's own order
+and every filtered order come from one batched scan over a stack of filter
+rotations, ``measures._order_scan``.
 
 Filters are unitary channels given by their Bloch rotation.  Improper
 orthogonal Bloch actions (determinant -1) are accepted for compositions with
@@ -33,14 +34,22 @@ from .channels import (
     UnitalChannel,
     as_kraus,
     compose_kraus,
-    gad_kraus,
     ptm,
 )
 from .gad import p_n
 from .linalg import polar_decompose
-from .measures import DEFAULT_CAP, EB_TOL, ebn_member, n_c, nelder_mead
+from .measures import (
+    DEFAULT_CAP,
+    _filter_ptms,
+    _order_result,
+    _order_scan,
+    _scan_base,
+    ebn_member,
+    n_c,
+    nelder_mead,
+)
 from .report import NcResult
-from .separability import is_eb, ptm_min_pt_eigenvalues
+from .separability import SEP_TOL, is_eb, ptm_min_pt_eigenvalues
 
 _PAULI_VECTOR = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
@@ -255,64 +264,6 @@ def amend_order(c: Channel, f: FilterCandidate, cap: int = DEFAULT_CAP) -> NcRes
     return _order_result(orders[0], cap)
 
 
-def _order_result(order, cap: int) -> NcResult:
-    return NcResult(None if order > cap else int(order), cap)
-
-
-def _scan_base(c: Channel) -> np.ndarray:
-    """What ``_order_scan`` iterates: the 3x3 Bloch matrix of a
-    ``UnitalChannel``, the 4x4 PTM of any other channel."""
-    return c.t if isinstance(c, UnitalChannel) else ptm(c)
-
-
-def _order_scan(base: np.ndarray, rotations: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orders of the filtered channels O . c for a stack of Bloch rotations O
-    and `base` = ``_scan_base(c)``, each with a tie-break margin in [-1, 0].
-
-    An order above ``cap`` reads cap + 1 with margin 0, so ``orders + margins``
-    ranks ExceedsCap first and, within one order, the iterate that turned
-    entanglement breaking nearest the boundary.  The margin is the trace norm
-    minus one on the 3x3 route, which takes improper rotations, and minus
-    twice the smallest partial-transpose eigenvalue on the PTM route, which
-    rejects them.  Finished candidates drop out after each composition.
-    """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    unital = base.shape == (3, 3)
-    if unital:
-        step = rotations @ base
-        power = np.eye(3)
-    else:
-        if np.any(np.linalg.det(rotations) < 0):
-            raise ValueError("improper orthogonal Bloch action has no unitary realization")
-        filters = np.zeros((len(rotations), 4, 4))
-        filters[:, 0, 0] = 1.0
-        filters[:, 1:, 1:] = rotations
-        step = filters @ base
-        power = np.eye(4)
-    orders = np.full(len(rotations), cap + 1)
-    margins = np.zeros(len(rotations))
-    active = np.arange(len(rotations))
-    for m in range(1, cap + 1):
-        power = power @ step
-        if unital:
-            tn = np.linalg.svd(power, compute_uv=False).sum(axis=-1)
-            done = tn <= 1.0 + EB_TOL
-            margin = np.maximum(-1.0, tn - 1.0)
-        else:
-            low = ptm_min_pt_eigenvalues(power)
-            done = low >= -EB_TOL
-            margin = -np.minimum(1.0, 2.0 * np.maximum(0.0, low))
-        if done.any():
-            orders[active[done]] = m
-            margins[active[done]] = margin[done]
-            keep = ~done
-            active, power, step = active[keep], power[keep], step[keep]
-            if not active.size:
-                break
-    return orders, margins
-
-
 def _is_unitary_channel(c: Channel) -> bool:
     """T orthogonal in the PTM, whatever the representation.  A channel maps
     the Bloch sphere into the ball, so an orthogonal T also forces t = 0."""
@@ -353,6 +304,8 @@ def search_filter(
     ``SCORE_TIE`` of the maximum tie, and the first of them in evaluation
     order wins; the same rule picks the lattice point the refinement starts
     from, and the refined filter wins only by more than ``SCORE_TIE``.
+    The report is amendable when the channel's order, found within `cap`,
+    is at most 2 and the winning filter's order exceeds 2.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -401,8 +354,9 @@ def search_filter(
         best_filter = FilterCandidate.euler(*(float(a) for a in x))
         best_result = amend_order(c, best_filter, cap)
 
-    amendable = ebn_member(c, 2) and best_result.order_key() > 2
-    return AmendReport(n_c(c, cap), best_result, best_filter, amendable)
+    base_nc = n_c(c, cap)
+    amendable = base_nc.is_finite and base_nc.n <= 2 < best_result.order_key()
+    return AmendReport(base_nc, best_result, best_filter, amendable)
 
 
 def gad_amendable(p: float, gamma: float, f: FilterCandidate) -> bool:
@@ -411,11 +365,14 @@ def gad_amendable(p: float, gamma: float, f: FilterCandidate) -> bool:
     The rescued channel at point (p, gamma) is the damping channel composed
     with the rotation f; the order-raising filter is the inverse rotation
     (equivalently ``is_amendable2`` on that pair).  Written out: the
-    interleaved two-use map (damping . f . damping) breaks entanglement while
-    the plain two-fold composition does not, the latter decided through the
-    closed-form band edge.
+    interleaved two-use map (damping . f . damping), with PTM R F R, breaks
+    entanglement while the plain two-fold composition does not, the latter
+    decided through the closed-form band edge.  An improper f raises
+    ``ValueError``.
     """
     channel = GadParams(p, gamma)
     if channel.p >= p_n(channel.gamma, 2):
         return False
-    return is_eb(sandwich(gad_kraus(channel), f))
+    r = ptm(channel)
+    two_use = r @ _filter_ptms(f.bloch_matrix()[None])[0] @ r
+    return bool(ptm_min_pt_eigenvalues(two_use) >= -SEP_TOL)

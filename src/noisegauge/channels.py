@@ -1,14 +1,16 @@
-"""Qubit channel representations and their algebra.
+"""Qubit channel input formats and the transfer matrix that carries the algebra.
 
-Three interchangeable representations are supported:
+Three input formats are accepted:
 
 * ``UnitalChannel`` -- a 3x3 real matrix acting on Bloch vectors, v -> T v.
 * ``KrausChannel``  -- a list of 2x2 complex operators, rho -> sum E rho E^dag.
 * ``GadParams``     -- the (p, gamma) generalized amplitude-damping family.
 
 Each converts to its real 4x4 Pauli transfer matrix (``ptm``), the affine Bloch
-map R = [[1, 0], [t, T]] of King and Ruskai, under which composition is the
-matrix product.
+map R = [[1, 0], [t, T]] of King and Ruskai, and the algebra runs on it:
+composition is the matrix product, and the Choi matrix is a fixed linear
+image of R.  Kraus sets are still composed and extracted (``compose_kraus``,
+``kraus_from_choi``) where a caller needs a channel in Kraus form.
 
 The Choi matrix convention used throughout: the channel acts on the FIRST
 tensor factor of the maximally entangled state, Gamma = (Phi (x) I)[psi+],
@@ -24,6 +26,7 @@ unital channels therefore runs on trace norms of T, never on Choi positivity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +45,9 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULIS = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 _PAULI_STACK = np.array(PAULIS)
+
+# sigma_i (x) sigma_j^T / 4 in row 4i + j: ``choi`` is R.reshape(16) @ this.
+_CHOI_BASIS = np.array([np.kron(a, b.T) for a in PAULIS for b in PAULIS]).reshape(16, 16) / 4
 
 _PSI_PLUS_VEC = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 PSI_PLUS = np.outer(_PSI_PLUS_VEC, _PSI_PLUS_VEC.conj())
@@ -153,11 +159,6 @@ class GadParams:
 Channel = UnitalChannel | KrausChannel | GadParams
 
 
-def apply_unital(c: UnitalChannel, v) -> np.ndarray:
-    """Bloch-space action v -> T v."""
-    return c.t @ bloch_vector(v)
-
-
 def compose_unital(c1: UnitalChannel, c2: UnitalChannel) -> UnitalChannel:
     """Composition c1 after c2 (c2 acts first); Bloch matrix T1 T2."""
     return UnitalChannel(c1.t @ c2.t)
@@ -183,50 +184,16 @@ def gad_kraus(g: GadParams) -> KrausChannel:
     return KrausChannel((e1, e2, e3, e4))
 
 
-def apply_kraus(c: KrausChannel, rho) -> np.ndarray:
-    """Apply the channel to a density matrix: sum_i E_i rho E_i^dag."""
-    r = validate_density(rho)
-    out = sum(e @ r @ e.conj().T for e in c.ops)
-    return np.asarray(out)
-
-
-def _apply_unital_mat(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Linear extension of the unital channel to arbitrary 2x2 operators."""
-    out = np.trace(x) / 2 * IDENTITY_2
-    coeff = np.array([np.trace(s @ x) for s in PAULIS[1:]])
-    img = t @ coeff
-    for i, s in enumerate(PAULIS[1:]):
-        out = out + img[i] * s / 2
-    return out
-
-
-def apply_channel_mat(c: Channel, x) -> np.ndarray:
-    """Apply a channel to an arbitrary 2x2 operator (by linear extension)."""
-    x = np.asarray(x, dtype=complex)
-    if isinstance(c, UnitalChannel):
-        return _apply_unital_mat(c.t, x)
-    if isinstance(c, GadParams):
-        c = gad_kraus(c)
-    return sum(e @ x @ e.conj().T for e in c.ops)
-
-
 def choi(c: Channel) -> np.ndarray:
     """Choi matrix (Phi (x) I)[psi+], channel acting on the first factor.
 
+    With psi+ = (1/4) sum_j sigma_j (x) sigma_j^T it is the fixed linear image
+    (1/4) sum_ij R_ij sigma_i (x) sigma_j^T of the transfer matrix R = ptm(c).
     Always Hermitian with unit trace; positive semidefinite exactly when the
     channel is completely positive (see the module docstring caveat for
     unital channels that only satisfy the contraction condition).
     """
-    g = np.zeros((4, 4), dtype=complex)
-    for k in range(2):
-        for l in range(2):
-            unit = np.zeros((2, 2), dtype=complex)
-            unit[k, l] = 1.0
-            g += np.kron(apply_channel_mat(c, unit), unit)
-    g /= 2.0
-    # Kill the O(eps) anti-Hermitian round-off so downstream eigensolves see
-    # an exactly Hermitian matrix.
-    return (g + g.conj().T) / 2.0
+    return (ptm(c).reshape(16) @ _CHOI_BASIS).reshape(4, 4)
 
 
 def kraus_from_choi(g) -> KrausChannel:
@@ -254,10 +221,10 @@ def kraus_from_choi(g) -> KrausChannel:
     return KrausChannel(tuple(ops))
 
 
-def compose_kraus(c1: KrausChannel, c2: KrausChannel, prune: bool = True) -> KrausChannel:
+def compose_kraus(c1: KrausChannel, c2: KrausChannel) -> KrausChannel:
     """Composition c1 after c2 as Kraus sets, pruned back to <= 4 operators."""
     ops = tuple(a @ b for a in c1.ops for b in c2.ops)
-    if prune and len(ops) > 4:
+    if len(ops) > 4:
         return kraus_from_choi(choi(KrausChannel(ops)))
     return KrausChannel(ops)
 
@@ -271,39 +238,29 @@ def as_kraus(c: Channel) -> KrausChannel:
     return kraus_from_choi(choi(c))
 
 
-def compose(c1: Channel, c2: Channel) -> Channel:
-    """Generic composition c1 after c2. Unital pairs stay unital."""
-    if isinstance(c1, UnitalChannel) and isinstance(c2, UnitalChannel):
-        return compose_unital(c1, c2)
-    return compose_kraus(as_kraus(c1), as_kraus(c2))
-
-
 def ptm(c: Channel) -> np.ndarray:
     """Real 4x4 Pauli transfer matrix R_ij = Tr(sigma_i Phi(sigma_j)) / 2.
 
     R = [[1, 0], [t, T]] maps (1, v) to (1, t + T v), so the PTM of a
-    composition c1 after c2 is R1 @ R2.  Unital channels give t = 0 exactly.
+    composition c1 after c2 is R1 @ R2.  Unital channels give t = 0 exactly;
+    the damping channel has the closed form t = (0, 0, p (2 gamma - 1)),
+    T = diag(sqrt(1-p), sqrt(1-p), 1-p).
     """
     if isinstance(c, UnitalChannel):
         r = np.eye(4)
         r[1:, 1:] = c.t
         return r
-    ops = np.array(as_kraus(c).ops)
+    if isinstance(c, GadParams):
+        s = math.sqrt(1.0 - c.p)
+        return np.array([
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, s, 0.0, 0.0],
+            [0.0, 0.0, s, 0.0],
+            [c.p * (2.0 * c.gamma - 1.0), 0.0, 0.0, 1.0 - c.p],
+        ])
+    ops = np.array(c.ops)
     images = np.einsum("kab,jbc,kdc->jad", ops, _PAULI_STACK, ops.conj())
     return 0.5 * np.einsum("iab,jba->ij", _PAULI_STACK, images).real
-
-
-def channel_power(c: Channel, n: int) -> Channel:
-    """n-fold self-composition in the channel's native representation."""
-    if n < 1:
-        raise ValueError("channel power requires n >= 1")
-    if isinstance(c, UnitalChannel):
-        return UnitalChannel(np.linalg.matrix_power(c.t, n))
-    base = as_kraus(c)
-    out = base
-    for _ in range(n - 1):
-        out = compose_kraus(base, out)
-    return out
 
 
 def pauli_decompose(lam) -> np.ndarray:

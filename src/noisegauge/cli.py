@@ -41,8 +41,6 @@ from .measures import (
 from .report import NcResult, NoiseReport
 
 DEFAULT_STEPS = 200
-TOL_HELP = ("accuracy bound on the threshold mu_c, in (0, 1e-3]; the exact solve "
-            "for each prepared state always meets it (default 1e-6)")
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +87,7 @@ def _cmd_analyze(args) -> int:
         flags = tuple(order.n is not None and k >= order.n for k in range(1, args.cap + 1))
         report = NoiseReport(None, order, flags)
     else:
-        report = noise_report(channel, cap=args.cap, tol=args.tol)
+        report = noise_report(channel, cap=args.cap)
     print(json.dumps(report.to_json()))
     return 0
 
@@ -226,7 +224,7 @@ def _filter_from_name(name: str) -> FilterCandidate:
     raise ValueError(f"unknown filter name {name!r} (use s1 or r2r1)")
 
 
-def _rows_fig4(axes, fixed, cap, tol):
+def _rows_fig4(axes, fixed, cap):
     gamma = float(fixed["gamma"])
     filt = _filter_from_name(str(fixed["filter"]))
     for p in _linspace(*axes["p"]):
@@ -235,7 +233,7 @@ def _rows_fig4(axes, fixed, cap, tol):
         yield (
             float(p),
             gadforms.mu_c_gad_squared(float(p), gamma),
-            mu_c_search(filtered, tol=tol).value,
+            mu_c_search(filtered).value,
         )
 
 
@@ -302,7 +300,7 @@ def _cmd_sweep(args) -> int:
     elif figure == "fig3":
         rows = _rows_fig3(axes, fixed, args.cap)
     elif figure == "fig4":
-        rows = _rows_fig4(axes, fixed, args.cap, args.tol)
+        rows = _rows_fig4(axes, fixed, args.cap)
     else:
         rows = _rows_fig5(axes, fixed, args.cap, k_override)
 
@@ -366,7 +364,7 @@ def _verify_fixtures():
         ("trace norm, order-3 mixture cube", 1.0269, tn_power(_T3BAR, 3), 1e-2,
          "2 * 0.755^3 + 0.55^3"),
         ("isotropic-state threshold", 2.0 / 3.0,
-         lambda: mu_given_rho0(UnitalChannel(np.eye(3)), np.eye(2) / 2, 1e-6), 1e-5,
+         lambda: mu_given_rho0(UnitalChannel(np.eye(3)), np.eye(2) / 2), 1e-5,
          "exact root of the partial-transpose determinant along the mixing segment"),
         ("rotation-channel threshold", 2.0 / 3.0,
          lambda: mu_c_unital(UnitalChannel(np.eye(3))), 1e-12,
@@ -480,7 +478,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="noise report for one channel")
     p_an.add_argument("channel", help="channel JSON (inline, file path, or - for stdin)")
     p_an.add_argument("--cap", type=int, default=64)
-    p_an.add_argument("--tol", type=float, default=1e-6, help=TOL_HELP)
     p_an.set_defaults(func=_cmd_analyze)
 
     p_sw = sub.add_parser("sweep", help="CSV phase-diagram data")
@@ -490,8 +487,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--fixed", action="append", metavar="NAME=VALUE")
     p_sw.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     p_sw.add_argument("--cap", type=int, default=64)
-    p_sw.add_argument("--tol", type=float, default=1e-6, help=TOL_HELP)
-    p_sw.add_argument("--seed", type=int, default=42)
     p_sw.set_defaults(func=_cmd_sweep)
 
     p_ve = sub.add_parser("verify", help="run the built-in fixture table")

@@ -14,8 +14,6 @@ threshold solve along the mixing segment).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .report import NcResult
@@ -183,43 +181,6 @@ def n_c_gad(p: float, gamma: float, cap: int = 64) -> NcResult:
         if p >= p_n(g, n):
             return NcResult(n, cap)
     return NcResult(None, cap)
-
-
-@dataclass(frozen=True)
-class GadRegionPoint:
-    """A (p, gamma) point of the damping plane with its breaking order.
-
-    The order must be consistent with the band map: a finite n means
-    p_n(gamma) <= p <= p_(n-1)(gamma); an exceeded cap means p sits strictly
-    below the deepest band edge probed.
-    """
-
-    p: float
-    gamma: float
-    n_c: NcResult
-
-    def __post_init__(self):
-        _check_unit("p", self.p)
-        _check_unit("gamma", self.gamma)
-        slack = 1e-12
-        if self.n_c.n is not None:
-            low = p_n(self.gamma, self.n_c.n)
-            high = p_n(self.gamma, self.n_c.n - 1)
-            if not (low - slack <= self.p <= high + slack):
-                raise ValueError(
-                    f"order {self.n_c.n} inconsistent with band "
-                    f"[{low}, {high}] at p = {self.p}"
-                )
-        elif not self.n_c.proven_divergent:
-            if self.p >= p_n(self.gamma, self.n_c.cap) - slack:
-                raise ValueError(
-                    f"p = {self.p} reaches band {self.n_c.cap}; order cannot "
-                    "have exceeded the cap"
-                )
-
-    @classmethod
-    def at(cls, p: float, gamma: float, cap: int = 64) -> "GadRegionPoint":
-        return cls(float(p), float(gamma), n_c_gad(p, gamma, cap))
 
 
 def amend_boundary_s1(gamma: float) -> float:

@@ -181,27 +181,3 @@ def n_c_amplification(k: float, n0: float, cap: int = 64) -> NcResult:
 def n_c_iso(c: IsoChannel, cap: int = 64) -> NcResult:
     """Order of either isotropic family member."""
     return _n_c_iso(c.family, c.k, c.n0, cap)
-
-
-def n_c_iso_iterated(c: IsoChannel, cap: int = 64) -> NcResult:
-    """Order by explicit composition and split testing (oracle route).
-
-    Iterates ``compose_gaussian`` on the triplet form and applies the
-    split-feasibility test at each step; agrees with the closed-form bands.
-    Zero added noise is decided upfront: the n-fold composite then has zero
-    added noise as well and sits strictly below every split threshold, which
-    a tolerance-based test would eventually misclassify once the threshold
-    decays under the tolerance.
-    """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    if c.n0 == 0.0:
-        return NcResult(None, cap, proven_divergent=True)
-    base = to_triplet(c)
-    current = base
-    for n in range(1, cap + 1):
-        if eb_split_feasible(current):
-            return NcResult(n, cap)
-        if n < cap:
-            current = compose_gaussian(current, base)
-    return NcResult(None, cap)

@@ -24,7 +24,12 @@ serving as its accuracy oracle in the test suite.
 
 ``n_c`` is the smallest number of self-compositions after which the channel
 breaks entanglement; by monotonicity of the EB^n families a single upward
-scan suffices.
+scan suffices.  Damping channels read it off their closed-form bands.  Every
+other channel runs ``_order_scan``, which multiplies transfer matrices: the
+3x3 Bloch matrix of a ``UnitalChannel``, judged by trace norms, and the 4x4
+PTM otherwise, judged by the smallest eigenvalue of the partial transpose.
+The amendability search runs the same scan over a stack of filters, so a
+channel's order and its filtered orders come from one route.
 """
 
 from __future__ import annotations
@@ -39,21 +44,18 @@ from .channels import (
     Channel,
     GadParams,
     IDENTITY_2,
-    KrausChannel,
     PAULIS,
     UnitalChannel,
-    as_kraus,
     choi,
-    compose_kraus,
     density_to_bloch,
+    ptm,
     validate_density,
 )
 from .linalg import partial_transpose, trace_norm
 from .report import NcResult, NoiseReport
-from .separability import SEP_TOL, ChoiState, is_eb
+from .separability import SEP_TOL, ChoiState, ptm_min_pt_eigenvalues
 
 DEFAULT_CAP = 64
-DEFAULT_TOL = 1e-6
 EB_TOL = 1e-10
 
 
@@ -111,12 +113,7 @@ def _mu_threshold(table: np.ndarray, w: np.ndarray) -> float:
     return 1.0 / (1.0 - nu) if nu < 0.0 else 1.0
 
 
-def _check_tol(tol: float) -> None:
-    if not 0.0 < tol <= 1e-3:
-        raise ValueError(f"tolerance {tol} outside (0, 1e-3]")
-
-
-def mu_given_rho0(c: Channel, rho0, tol: float = DEFAULT_TOL) -> float:
+def mu_given_rho0(c: Channel, rho0) -> float:
     """Minimal mixing probability towards the fixed state rho0, solved exactly.
 
     With G the partial transpose of the Choi matrix and P = rho0 (x) 1/2, the
@@ -126,10 +123,8 @@ def mu_given_rho0(c: Channel, rho0, tol: float = DEFAULT_TOL) -> float:
     equals 1/(1 - nu_min) for the most negative eigenvalue nu_min of
     S G^-1 S, S = sqrt(rho0) (x) 1/sqrt(2), and 1 when there is none.
 
-    Returns 0 when the channel is already entanglement breaking.  `tol` must
-    lie in (0, 1e-3]; it is an accuracy bound, and the exact solve meets it.
+    Returns 0 when the channel is already entanglement breaking.
     """
-    _check_tol(tol)
     w = density_to_bloch(validate_density(rho0))
     table = _threshold_table(c)
     return 0.0 if table is None else _mu_threshold(table, w)
@@ -243,25 +238,18 @@ class MuSearchResult:
     evaluations: int
 
 
-def mu_c_search(
-    c: Channel,
-    tol: float = DEFAULT_TOL,
-    restarts: int = 3,
-    xatol: float = 1e-4,
-) -> MuSearchResult:
+def mu_c_search(c: Channel) -> MuSearchResult:
     """Minimize mu_given_rho0 over the Bloch ball, any channel with a valid
     Choi matrix.
 
     Coarse grid first, then a refinement by the local Nelder-Mead simplex
-    method ``nelder_mead`` from each of the `restarts` best grid points;
+    method ``nelder_mead`` (xatol 1e-4) from each of the 3 best grid points;
     points outside the ball are radially projected.  The spread between
     refined restarts is reported so callers can judge whether the landscape
     looked multimodal; the returned value is the minimum over every
     evaluation either way.  Each evaluation is the exact solve of
-    `mu_given_rho0`, with its 16x16 table built once per search; `tol` is
-    checked as there.
+    `mu_given_rho0`, with its 16x16 table built once per search.
     """
-    _check_tol(tol)
     table = _threshold_table(c)
     if table is None:
         return MuSearchResult(0.0, np.zeros(3), 0.0, 1)
@@ -279,14 +267,14 @@ def mu_c_search(
     best_value = min(values)
     best_point = grid[int(np.argmin(values))]
     refined = []
-    for idx in ranking[: max(0, restarts)]:
-        x, fun = nelder_mead(objective, grid[int(idx)], xatol=xatol, fatol=1e-12, maxiter=600)
+    for idx in ranking[:3]:
+        x, fun = nelder_mead(objective, grid[int(idx)], xatol=1e-4, fatol=1e-12, maxiter=600)
         refined.append(float(fun))
         if fun < best_value:
             best_value = float(fun)
             r = float(np.linalg.norm(x))
             best_point = x / r if r > 1.0 else x
-    spread = (max(refined) - min(refined)) if refined else 0.0
+    spread = max(refined) - min(refined)
     # rho0 = 1/2 meets the bound d/(1+d) for every channel (the partial
     # transpose of a two-qubit state has no eigenvalue below -1/2).  For a
     # unitary channel the minimum sits there; Nelder-Mead stops a few 1e-6
@@ -297,12 +285,7 @@ def mu_c_search(
     return MuSearchResult(best_value, best_point, spread, count[0])
 
 
-def mu_c(
-    c: Channel,
-    tol: float = DEFAULT_TOL,
-    restarts: int = 3,
-    xatol: float = 1e-4,
-) -> float:
+def mu_c(c: Channel) -> float:
     """Depolarizing threshold of a channel, never above d/(1+d) = 2/3.
 
     Closed forms for unital and damping channels; multistart search
@@ -312,28 +295,18 @@ def mu_c(
         return mu_c_unital(c)
     if isinstance(c, GadParams):
         return gadforms.mu_c_gad(c.p, c.gamma)
-    return mu_c_search(c, tol=tol, restarts=restarts, xatol=xatol).value
+    return mu_c_search(c).value
 
 
 def ebn_member(c: Channel, n: int) -> bool:
     """Does the n-fold self-composition break entanglement?
 
-    Boundary inclusive: for unital channels ||T^n||_1 = 1 counts as EB.
+    The EB^n families are nested, so this is n_c(c) <= n.  Boundary
+    inclusive: for unital channels ||T^n||_1 = 1 counts as EB.
     """
     if n < 1:
         raise ValueError("membership order n must be >= 1")
-    if isinstance(c, UnitalChannel):
-        return trace_norm(np.linalg.matrix_power(c.t, n)) <= 1.0 + EB_TOL
-    if isinstance(c, GadParams):
-        return c.p >= gadforms.p_n(c.gamma, n)
-    return is_eb(_kraus_power(as_kraus(c), n))
-
-
-def _kraus_power(base: KrausChannel, n: int) -> KrausChannel:
-    out = base
-    for _ in range(n - 1):
-        out = compose_kraus(base, out)
-    return out
+    return n_c(c, n).is_finite
 
 
 def n_c(c: Channel, cap: int = DEFAULT_CAP) -> NcResult:
@@ -341,33 +314,84 @@ def n_c(c: Channel, cap: int = DEFAULT_CAP) -> NcResult:
 
     Monotonicity of the EB^n families makes the upward scan exact.  Damping
     channels go through the closed-form band map, which also certifies
-    divergence on the zero-temperature edge.
+    divergence on the zero-temperature edge; every other channel through
+    ``_order_scan`` with the identity filter.  Both raise ``ValueError``
+    for a cap below 1.
+    """
+    if isinstance(c, GadParams):
+        return gadforms.n_c_gad(c.p, c.gamma, cap)
+    orders, _ = _order_scan(_scan_base(c), np.eye(3)[None], cap)
+    return _order_result(orders[0], cap)
+
+
+def _order_result(order, cap: int) -> NcResult:
+    return NcResult(None if order > cap else int(order), cap)
+
+
+def _scan_base(c: Channel) -> np.ndarray:
+    """What ``_order_scan`` iterates: the 3x3 Bloch matrix of a
+    ``UnitalChannel``, the 4x4 PTM of any other channel."""
+    return c.t if isinstance(c, UnitalChannel) else ptm(c)
+
+
+def _filter_ptms(rotations: np.ndarray) -> np.ndarray:
+    """PTMs blockdiag(1, O) of a stack of filter rotations O.  An improper O
+    has no unitary realization, so it raises ``ValueError``."""
+    if np.any(np.linalg.det(rotations) < 0):
+        raise ValueError("improper orthogonal Bloch action has no unitary realization")
+    filters = np.zeros((len(rotations), 4, 4))
+    filters[:, 0, 0] = 1.0
+    filters[:, 1:, 1:] = rotations
+    return filters
+
+
+def _order_scan(base: np.ndarray, rotations: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orders of the filtered channels O . c for a stack of Bloch rotations O
+    and `base` = ``_scan_base(c)``, each with a tie-break margin in [-1, 0].
+
+    An order above ``cap`` reads cap + 1 with margin 0, so ``orders + margins``
+    ranks ExceedsCap first and, within one order, the iterate that turned
+    entanglement breaking nearest the boundary.  The margin is the trace norm
+    minus one on the 3x3 route, which takes improper rotations, and minus
+    twice the smallest partial-transpose eigenvalue on the PTM route, which
+    rejects them.  Finished candidates drop out after each composition.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if isinstance(c, GadParams):
-        return gadforms.n_c_gad(c.p, c.gamma, cap)
-    if isinstance(c, UnitalChannel):
+    unital = base.shape == (3, 3)
+    if unital:
+        step = rotations @ base
         power = np.eye(3)
-        for n in range(1, cap + 1):
-            power = power @ c.t
-            if trace_norm(power) <= 1.0 + EB_TOL:
-                return NcResult(n, cap)
-        return NcResult(None, cap)
-    base = as_kraus(c)
-    current = base
-    for n in range(1, cap + 1):
-        if is_eb(current):
-            return NcResult(n, cap)
-        if n < cap:
-            current = compose_kraus(base, current)
-    return NcResult(None, cap)
+    else:
+        step = _filter_ptms(rotations) @ base
+        power = np.eye(4)
+    orders = np.full(len(rotations), cap + 1)
+    margins = np.zeros(len(rotations))
+    active = np.arange(len(rotations))
+    for m in range(1, cap + 1):
+        power = power @ step
+        if unital:
+            tn = np.linalg.svd(power, compute_uv=False).sum(axis=-1)
+            done = tn <= 1.0 + EB_TOL
+            margin = np.maximum(-1.0, tn - 1.0)
+        else:
+            low = ptm_min_pt_eigenvalues(power)
+            done = low >= -EB_TOL
+            margin = -np.minimum(1.0, 2.0 * np.maximum(0.0, low))
+        if done.any():
+            orders[active[done]] = m
+            margins[active[done]] = margin[done]
+            keep = ~done
+            active, power, step = active[keep], power[keep], step[keep]
+            if not active.size:
+                break
+    return orders, margins
 
 
-def noise_report(c: Channel, cap: int = DEFAULT_CAP, tol: float = DEFAULT_TOL) -> NoiseReport:
+def noise_report(c: Channel, cap: int = DEFAULT_CAP) -> NoiseReport:
     """Assemble threshold, order and EB^n flags for a qubit channel."""
     order = n_c(c, cap)
     flags = tuple(order.n is not None and k >= order.n for k in range(1, cap + 1))
     # The EB decision carries a tolerance; inside it the threshold is zero.
-    value = 0.0 if flags[0] else mu_c(c, tol=tol)
+    value = 0.0 if flags[0] else mu_c(c)
     return NoiseReport(value, order, flags)

@@ -2,12 +2,14 @@
 
 For 2 (x) 2 systems positivity of the partial transpose is necessary and
 sufficient for separability, so the separability decision reduces to the
-minimum eigenvalue of the partially transposed state.  The determinant of the
-partial transpose carries the same information away from the boundary (a
-two-qubit partial transpose has at most one negative eigenvalue) and is kept
-available as an independent cross-check, but the eigenvalue bound is the
-canonical decision: it degrades linearly near the boundary where the
-determinant degrades quartically.
+minimum eigenvalue of the partially transposed state.  For a channel that
+partial transpose is a fixed linear image of its Pauli transfer matrix
+(``ptm_partial_transpose``), so entanglement-breaking decisions never build a
+Choi matrix.  The eigenvalue bound is the decision rather than the sign of the
+determinant (a two-qubit partial transpose has at most one negative
+eigenvalue, so both carry the same information away from the boundary): it
+degrades linearly near the boundary where the determinant degrades
+quartically.  The test suite keeps the determinant as a cross-check.
 """
 
 from __future__ import annotations
@@ -16,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    Channel,
-    IDENTITY_2,
-    PAULIS,
-    UnitalChannel,
-    choi,
-    validate_density,
-)
+from .channels import Channel, PAULIS, UnitalChannel, choi, ptm
 from .linalg import as_hermitian4, partial_transpose, trace_norm
 
 SEP_TOL = 1e-10
@@ -79,13 +74,6 @@ def ptm_min_pt_eigenvalues(r) -> np.ndarray:
     return np.linalg.eigvalsh(ptm_partial_transpose(r))[..., 0]
 
 
-def pt_determinant(g) -> float:
-    """Determinant of the partial transpose (negative iff entangled, for
-    valid states away from the boundary)."""
-    m = g.g if isinstance(g, ChoiState) else g
-    return float(np.real(np.linalg.det(partial_transpose(m))))
-
-
 def is_separable(s: ChoiState, tol: float | None = None) -> bool:
     """PPT decision: separable iff min PT eigenvalue >= -tol.
 
@@ -98,28 +86,15 @@ def is_separable(s: ChoiState, tol: float | None = None) -> bool:
     return min_pt_eigenvalue(s) >= -tol
 
 
-def noisy_choi(c: Channel, rho0, mu: float) -> ChoiState:
-    """Choi matrix of the convex mixture with a state-preparation channel.
-
-    Returns (1 - mu) * (Phi (x) I)[psi+] + mu * rho0 (x) 1/2, the Choi matrix
-    of the channel mixed with probability mu into the map sending everything
-    to rho0.
-    """
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError(f"mixing probability mu = {mu} outside [0, 1]")
-    r = validate_density(rho0)
-    g = (1.0 - mu) * choi(c) + mu * np.kron(r, IDENTITY_2 / 2)
-    return ChoiState((g + g.conj().T) / 2)
-
-
-def is_eb(c: Channel, tol: float = SEP_TOL) -> bool:
+def is_eb(c: Channel) -> bool:
     """Is the channel entanglement breaking?
 
     Unital channels are decided by the trace norm of their Bloch matrix,
-    ||T||_1 <= 1 (boundary inclusive); everything else goes through PPT
-    separability of the Choi matrix.  The two routes agree on unital channels
-    that are completely positive.
+    ||T||_1 <= 1 (boundary inclusive); everything else by the smallest
+    partial-transpose eigenvalue of the Choi matrix, computed from the Pauli
+    transfer matrix.  The two routes agree on unital channels that are
+    completely positive.
     """
     if isinstance(c, UnitalChannel):
-        return trace_norm(c.t) <= 1.0 + tol
-    return is_separable(choi_state(c), tol)
+        return trace_norm(c.t) <= 1.0 + SEP_TOL
+    return bool(ptm_min_pt_eigenvalues(ptm(c)) >= -SEP_TOL)

@@ -6,12 +6,22 @@ import numpy as np
 from scipy.optimize import minimize
 
 from noisegauge import UnitalChannel
-from noisegauge.amend import SCORE_TIE, AmendReport, FilterCandidate, apply_filter
-from noisegauge.channels import IDENTITY_2, as_kraus, choi, compose_kraus, validate_density
+from noisegauge.amend import SCORE_TIE, AmendReport, FilterCandidate, apply_filter, sandwich
+from noisegauge.channels import (
+    IDENTITY_2,
+    GadParams,
+    as_kraus,
+    choi,
+    compose_kraus,
+    gad_kraus,
+    validate_density,
+)
+from noisegauge.gad import p_n
+from noisegauge.gaussian import compose_gaussian, eb_split_feasible, to_triplet
 from noisegauge.linalg import partial_transpose, polar_decompose, trace_norm
-from noisegauge.measures import EB_TOL, ebn_member, n_c
+from noisegauge.measures import EB_TOL, n_c
 from noisegauge.report import NcResult
-from noisegauge.separability import SEP_TOL, choi_state, min_pt_eigenvalue
+from noisegauge.separability import SEP_TOL, ChoiState, choi_state, is_separable, min_pt_eigenvalue
 
 
 def rotation_from_quaternion(q) -> np.ndarray:
@@ -200,5 +210,104 @@ def loop_search_filter(c, cap: int, budget: int, seed: int) -> AmendReport:
     if -res.fun > best_score + SCORE_TIE:
         best_filter = FilterCandidate.euler(*(float(a) for a in res.x))
         best_result = score(best_filter)[0]
-    amendable = ebn_member(c, 2) and best_result.order_key() > 2
-    return AmendReport(n_c(c, cap), best_result, best_filter, amendable)
+    base_nc = n_c(c, cap)
+    amendable = base_nc.is_finite and base_nc.n <= 2 < best_result.order_key()
+    return AmendReport(base_nc, best_result, best_filter, amendable)
+
+
+def apply_kraus(c, rho) -> np.ndarray:
+    """Apply a Kraus channel to a density matrix: sum_i E_i rho E_i^dag."""
+    r = validate_density(rho)
+    return np.asarray(sum(e @ r @ e.conj().T for e in c.ops))
+
+
+def kraus_choi(c) -> np.ndarray:
+    """Choi matrix (1/2) sum_i vec(E_i) vec(E_i)^dag of a Kraus channel, vec()
+    flattening row-major; built from the operators, not from the PTM."""
+    v = np.array([e.reshape(4) for e in c.ops])
+    return 0.5 * v.T @ v.conj()
+
+
+def channel_power(c, n: int):
+    """n-fold self-composition: the Bloch matrix power of a unital channel,
+    the pruned Kraus composition otherwise."""
+    if n < 1:
+        raise ValueError("channel power requires n >= 1")
+    if isinstance(c, UnitalChannel):
+        return UnitalChannel(np.linalg.matrix_power(c.t, n))
+    base = as_kraus(c)
+    out = base
+    for _ in range(n - 1):
+        out = compose_kraus(base, out)
+    return out
+
+
+def loop_n_c(c, cap: int) -> NcResult:
+    """Order one use at a time: powers of the Bloch matrix judged by trace
+    norms for a unital channel, otherwise Kraus sets composed and judged by
+    the PPT test on their Choi matrices; an oracle for the transfer-matrix
+    scan behind ``measures.n_c``."""
+    if isinstance(c, UnitalChannel):
+        power = np.eye(3)
+        for n in range(1, cap + 1):
+            power = power @ c.t
+            if trace_norm(power) <= 1.0 + EB_TOL:
+                return NcResult(n, cap)
+        return NcResult(None, cap)
+    base = as_kraus(c)
+    current = base
+    for n in range(1, cap + 1):
+        if is_separable(ChoiState(kraus_choi(current))):
+            return NcResult(n, cap)
+        if n < cap:
+            current = compose_kraus(base, current)
+    return NcResult(None, cap)
+
+
+def kraus_gad_amendable(p: float, gamma: float, f) -> bool:
+    """``amend.gad_amendable`` through the Kraus sandwich and its Choi
+    matrix; an oracle for the transfer-matrix product R F R."""
+    if p >= p_n(gamma, 2):
+        return False
+    two_use = sandwich(gad_kraus(GadParams(p, gamma)), f)
+    return is_separable(ChoiState(kraus_choi(two_use)))
+
+
+def noisy_choi(c, rho0, mu: float) -> ChoiState:
+    """Choi matrix (1 - mu) Gamma + mu rho0 (x) 1/2 of the channel mixed with
+    probability mu into the map that prepares rho0."""
+    if not (0.0 <= mu <= 1.0):
+        raise ValueError(f"mixing probability mu = {mu} outside [0, 1]")
+    r = validate_density(rho0)
+    g = (1.0 - mu) * choi(c) + mu * np.kron(r, IDENTITY_2 / 2)
+    return ChoiState((g + g.conj().T) / 2)
+
+
+def pt_determinant(g) -> float:
+    """Determinant of the partial transpose: negative iff entangled, for
+    valid states away from the boundary."""
+    m = g.g if isinstance(g, ChoiState) else g
+    return float(np.real(np.linalg.det(partial_transpose(m))))
+
+
+def n_c_iso_iterated(c, cap: int = 64) -> NcResult:
+    """Order of an isotropic Gaussian channel by explicit composition and
+    split testing; an oracle for the closed-form bands of ``n_c_iso``.
+
+    Zero added noise is decided upfront: the n-fold composite then has zero
+    added noise as well and sits strictly below every split threshold, which
+    a tolerance-based test would eventually misclassify once the threshold
+    decays under the tolerance.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    if c.n0 == 0.0:
+        return NcResult(None, cap, proven_divergent=True)
+    base = to_triplet(c)
+    current = base
+    for n in range(1, cap + 1):
+        if eb_split_feasible(current):
+            return NcResult(n, cap)
+        if n < cap:
+            current = compose_gaussian(current, base)
+    return NcResult(None, cap)

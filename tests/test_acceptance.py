@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from helpers import random_cp_unital, random_density, random_rotation
+from helpers import channel_power, n_c_iso_iterated, random_cp_unital, random_density, random_rotation
 from noisegauge import (
     FilterCandidate,
     GadParams,
@@ -30,7 +30,6 @@ from noisegauge import (
     mu_vs_vz,
     n_c,
     n_c_iso,
-    n_c_iso_iterated,
     p_n,
     pauli_decompose,
     pbar,
@@ -70,7 +69,7 @@ def test_criterion_01_trace_norm_fixtures():
 
 
 def test_criterion_02_isotropic_threshold_exact_solve():
-    got = mu_given_rho0(UnitalChannel(np.eye(3)), np.eye(2) / 2, tol=1e-6)
+    got = mu_given_rho0(UnitalChannel(np.eye(3)), np.eye(2) / 2)
     assert abs(got - 2 / 3) <= 1e-5
     _done(2, "identity-channel threshold 2/3 via the partial-transpose route")
 
@@ -81,7 +80,7 @@ def test_criterion_03_unital_closed_form_vs_search():
     for _ in range(200):
         c = random_cp_unital(rng)
         expected = mu_c_unital(c)
-        got = mu_c_search(as_kraus(c), tol=1e-6).value
+        got = mu_c_search(as_kraus(c)).value
         worst = max(worst, abs(got - expected))
     assert worst <= 1e-3, worst
     _done(3, f"closed form vs multistart search on 200 channels (worst {worst:.2e})")
@@ -96,7 +95,7 @@ def test_criterion_04_upper_bound():
         assert mu_c_gad(rng.uniform(), rng.uniform()) <= bound
     for _ in range(20):
         c = random_cp_unital(rng)
-        assert mu_c_search(as_kraus(c), tol=1e-6).value <= bound
+        assert mu_c_search(as_kraus(c)).value <= bound
     for _ in range(50):
         rotation = UnitalChannel(random_rotation(rng))
         assert abs(mu_c_unital(rotation) - 2 / 3) <= 1e-5
@@ -155,7 +154,7 @@ def test_criterion_07_damping_closed_forms_vs_oracles():
             closed = mu_c_gad(float(p), float(gamma))
             grid_min = min(mu_vs_vz(float(p), float(gamma), float(v)) for v in vz)
             worst_grid = max(worst_grid, abs(grid_min - closed))
-            got = mu_c_search(as_kraus(GadParams(float(p), float(gamma))), tol=1e-6).value
+            got = mu_c_search(as_kraus(GadParams(float(p), float(gamma)))).value
             worst_search = max(worst_search, abs(got - closed))
     assert worst_search <= 1e-3, worst_search
     assert worst_grid <= 1e-4, worst_grid
@@ -174,7 +173,7 @@ def test_criterion_07_damping_closed_forms_vs_oracles():
 
 
 def test_criterion_08_damping_band_map():
-    from noisegauge import channel_power, choi
+    from noisegauge import choi
     from noisegauge.separability import SEP_TOL, min_pt_eigenvalue
 
     disagreements = 0
@@ -237,7 +236,7 @@ def test_criterion_09_amendability():
     for gamma, filt in ((0.1, s1), (0.4, r2r1)):
         for p in np.linspace(0.0, 1.0, 21):
             filtered_channel = sandwich(gad_kraus(GadParams(float(p), gamma)), filt)
-            lhs = mu_c_search(filtered_channel, tol=1e-6).value
+            lhs = mu_c_search(filtered_channel).value
             rhs = mu_c_gad_squared(float(p), gamma)
             assert lhs <= rhs + slack, (gamma, p, lhs, rhs)
     _done(
@@ -275,9 +274,9 @@ def test_criterion_11a_threshold_convex_in_prepared_state():
         done += 1
         rho_a, rho_b = random_density(rng), random_density(rng)
         w = rng.uniform()
-        lhs = mu_given_rho0(c, w * rho_a + (1 - w) * rho_b, tol=1e-5)
-        rhs = w * mu_given_rho0(c, rho_a, tol=1e-5) + (1 - w) * mu_given_rho0(
-            c, rho_b, tol=1e-5
+        lhs = mu_given_rho0(c, w * rho_a + (1 - w) * rho_b)
+        rhs = w * mu_given_rho0(c, rho_a) + (1 - w) * mu_given_rho0(
+            c, rho_b
         )
         assert lhs <= rhs + 3e-5
     _done("11a", "threshold convex in the prepared state on 100 instances")
@@ -326,7 +325,7 @@ def test_criterion_11c_ensemble_bounds():
 
 def test_criterion_12_determinism(tmp_path, capsys):
     sweep_args = [
-        "sweep", "fig3", "--out", "", "--steps", "8", "--seed", "42",
+        "sweep", "fig3", "--out", "", "--steps", "8",
     ]
     outputs = []
     for tag in ("a", "b"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    channel_power,
     loop_search_filter,
     order_and_margin,
     random_cp_unital,
@@ -350,7 +351,7 @@ class TestInvariance:
 def test_sandwich_matches_power_when_filter_is_identity():
     c = gad_kraus(GadParams(0.4, 0.3))
     identity = FilterCandidate.euler(0.0, 0.0, 0.0)
-    from noisegauge import channel_power, choi
+    from noisegauge import choi
 
     direct = choi(channel_power(c, 2))
     viafilter = choi(sandwich(c, identity))

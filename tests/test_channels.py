@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from helpers import in_cpt_tetrahedron, random_cp_unital, random_density
+from helpers import apply_kraus, channel_power, in_cpt_tetrahedron, random_cp_unital, random_density
 from noisegauge import (
     GadParams,
     KrausChannel,
     UnitalChannel,
-    apply_kraus,
-    apply_unital,
     as_kraus,
+    bloch_vector,
     channel_from_json,
-    channel_power,
     channel_to_json,
     choi,
     compose_kraus,
@@ -52,22 +52,27 @@ class TestInvariants:
 
     def test_bloch_vector_outside_ball(self):
         with pytest.raises(ValueError):
-            apply_unital(UnitalChannel(np.eye(3)), [1.0, 1.0, 0.0])
+            bloch_vector([1.0, 1.0, 0.0])
+
+
+def bloch_action(c, v) -> np.ndarray:
+    """Bloch vector t + T v read off the PTM of the channel."""
+    return (ptm(c) @ np.concatenate(([1.0], bloch_vector(v))))[1:]
 
 
 class TestApplyCompose:
     def test_identity_action(self):
         v = np.array([0.2, -0.4, 0.1])
-        assert np.allclose(apply_unital(UnitalChannel(np.eye(3)), v), v)
+        assert np.allclose(bloch_action(UnitalChannel(np.eye(3)), v), v)
 
     def test_total_depolarizing_action(self):
         assert np.allclose(
-            apply_unital(UnitalChannel(np.zeros((3, 3))), [0.3, 0.1, -0.7]), 0.0
+            bloch_action(UnitalChannel(np.zeros((3, 3))), [0.3, 0.1, -0.7]), 0.0
         )
 
     def test_swap_fixture_action(self):
         assert np.allclose(
-            apply_unital(UnitalChannel(T), [1.0, 0, 0]), [0.0, 0.73, 0.0]
+            bloch_action(UnitalChannel(T), [1.0, 0, 0]), [0.0, 0.73, 0.0]
         )
 
     def test_compose_identity(self):
@@ -179,6 +184,12 @@ class TestPtm:
         expected = np.diag([1.0, np.sqrt(1 - p), np.sqrt(1 - p), 1 - p])
         expected[3, 0] = p * (2 * gamma - 1)
         assert np.abs(r - expected).max() < 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_gad_closed_form_matches_kraus_form(self, p, gamma):
+        c = GadParams(p, gamma)
+        assert np.abs(ptm(c) - ptm(gad_kraus(c))).max() <= 1e-15
 
     def test_kraus_form_of_unital_channel(self):
         rng = np.random.default_rng(60)

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import noisegauge
+from helpers import kraus_gad_amendable
+from noisegauge.amend import FilterCandidate
 from noisegauge.cli import main
 
 NEWT_JSON = json.dumps(
@@ -148,12 +150,26 @@ class TestSweep:
         assert by_point[("0.5", "0.2")] == "2"
         assert by_point[("0.5", "0.25")] == "1"
 
+    def test_fig3_matches_kraus_oracle(self, capsys, tmp_path):
+        out_path = tmp_path / "f3.csv"
+        code, _, _ = run(capsys, "sweep", "fig3", "--out", str(out_path), "--steps", "40")
+        assert code == 0
+        rows = list(csv.reader(out_path.open()))[1:]
+        assert len(rows) == 40 * 40
+        s1, r2r1 = FilterCandidate.pauli(1), FilterCandidate.r2r1()
+        for p_s, g_s, amendable, kind in rows:
+            p, g = float(p_s), float(g_s)
+            by_s1 = kraus_gad_amendable(p, g, s1)
+            by_pair = not by_s1 and kraus_gad_amendable(p, g, r2r1)
+            expected = "s1" if by_s1 else ("r2r1" if by_pair else "")
+            assert (amendable, kind) == (str(by_s1 or by_pair).lower(), expected)
+
     def test_deterministic_output(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
             code, _, _ = run(
                 capsys, "sweep", "fig3", "--out", str(path),
-                "--steps", "6", "--seed", "42",
+                "--steps", "6",
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
@@ -192,6 +208,16 @@ class TestAmend:
         assert data["base_nc"] == 2
         assert data["filtered_nc"] >= 3
         assert data["amendable"] is True
+
+    def test_cap_below_the_order(self, capsys):
+        # order 2 at cap 1: the channel's order exceeds the cap, so no report
+        # can claim that a filter raised it
+        channel = json.dumps({"kind": "unital", "t": [0, 0.73, 0, 0.5, 0, 0, 0, 0, 0.5]})
+        code, out, _ = run(capsys, "amend", channel, "--cap", "1", "--budget", "8")
+        assert code == 0
+        data = json.loads(out)
+        assert data["base_nc"] == "exceeds_cap"
+        assert data["amendable"] is False
 
     def test_depolarizing_not_amendable(self, capsys):
         channel = json.dumps({"kind": "unital", "t": [0.0] * 9})

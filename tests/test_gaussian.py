@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import n_c_iso_iterated
 from noisegauge import (
     GaussianChannel,
     IsoChannel,
@@ -14,7 +15,6 @@ from noisegauge import (
     n_c_amplification,
     n_c_attenuation,
     n_c_iso,
-    n_c_iso_iterated,
     to_triplet,
 )
 

@@ -6,7 +6,9 @@ from scipy.optimize import minimize
 
 from helpers import (
     bisect_threshold,
+    channel_power,
     kron_threshold,
+    loop_n_c,
     random_cp_unital,
     random_density,
     random_rotation,
@@ -20,10 +22,11 @@ from noisegauge import (
     UnitalChannel,
     as_kraus,
     bloch_to_density,
-    channel_power,
     compose_unital,
     ebn_member,
+    gad_amendable,
     gad_kraus,
+    is_eb,
     mu_c,
     mu_c_gad,
     mu_c_search,
@@ -60,7 +63,7 @@ def _seeded_channel(kind, rng):
 
 class TestMuGivenRho0:
     def test_isotropic_threshold(self):
-        got = mu_given_rho0(IDENTITY_CH, MIXED, tol=1e-6)
+        got = mu_given_rho0(IDENTITY_CH, MIXED)
         assert got == pytest.approx(2 / 3, abs=1e-5)
 
     def test_eb_channel_returns_zero(self):
@@ -69,14 +72,8 @@ class TestMuGivenRho0:
 
     def test_matches_damping_closed_form(self):
         rho0 = np.diag([0.6, 0.4]).astype(complex)
-        got = mu_given_rho0(GadParams(0.4, 0.3), rho0, tol=1e-7)
+        got = mu_given_rho0(GadParams(0.4, 0.3), rho0)
         assert got == pytest.approx(mu_vs_vz(0.4, 0.3, 0.2), abs=1e-5)
-
-    def test_tolerance_domain(self):
-        with pytest.raises(ValueError):
-            mu_given_rho0(IDENTITY_CH, MIXED, tol=0.0)
-        with pytest.raises(ValueError):
-            mu_given_rho0(IDENTITY_CH, MIXED, tol=0.01)
 
     def test_isotropic_threshold_is_exact(self):
         assert mu_given_rho0(IDENTITY_CH, MIXED) == pytest.approx(2 / 3, abs=1e-12)
@@ -99,7 +96,7 @@ class TestMuGivenRho0:
                 rho0 = bloch_to_density(v / np.linalg.norm(v))
             else:
                 rho0 = MIXED
-            got = mu_given_rho0(c, rho0, tol=1e-10)
+            got = mu_given_rho0(c, rho0)
             assert got == pytest.approx(bisect_threshold(c, rho0, 1e-10, sep_tol), abs=1e-8)
 
 
@@ -318,6 +315,38 @@ class TestRepresentationIndependence:
         assert got == pytest.approx(mu_c_unital(c), abs=1e-9)
 
 
+class TestThresholdVanishesAtOrderOne:
+    """mu_c_search reads 0.0 exactly when n_c reads 1: both decide EB by the
+    same partial-transpose eigenvalue of the channel's transfer matrix, so
+    they agree even within the tolerance of the boundary."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans(), st.floats(-1e-9, 1e-9))
+    def test_damping_kraus(self, p, gamma, near_edge, shift):
+        if near_edge:
+            p = min(1.0, max(0.0, p_n(gamma, 1) + shift))
+        c = gad_kraus(GadParams(p, gamma))
+        assert (mu_c_search(c).value == 0.0) == (n_c(c).n == 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        QUATERNIONS,
+        QUATERNIONS,
+        st.floats(-1e-9, 1e-9),
+    )
+    def test_unital_kraus(self, weights, q1, q2, shift):
+        assume(sum(weights) > 1e-3)
+        assume(np.linalg.norm(q1) > 1e-3 and np.linalg.norm(q2) > 1e-3)
+        lam = np.asarray(weights) @ TestRepresentationIndependence.VERTICES / sum(weights)
+        t = rotation_from_quaternion(q1) @ np.diag(lam) @ rotation_from_quaternion(q2)
+        tn = trace_norm(t)
+        if tn > 1.0 + 1e-6:
+            t = t * ((1.0 + shift) / tn)  # onto the EB boundary, within 1e-9
+        c = as_kraus(UnitalChannel(t))
+        assert (mu_c_search(c).value == 0.0) == (n_c(c).n == 1)
+
+
 class TestEbnMember:
     def test_swap_fixture(self):
         assert ebn_member(UnitalChannel(T), 2)
@@ -390,11 +419,68 @@ class TestNc:
         result = n_c(GadParams(0.5, 0.0), cap=16)
         assert result.n is None and result.proven_divergent
 
+    @pytest.mark.parametrize("kind,seed", [("unital", 71), ("damping", 72), ("filtered", 73)])
+    def test_matches_loop_oracle(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        orders = []
+        for _ in range(30):
+            c = _seeded_channel(kind, rng)
+            result = n_c(c)
+            assert result == loop_n_c(c, 64)
+            orders.append(result.n)
+        assert any(n != 1 for n in orders)
+
+    def test_eb_at_one_use_matches_loop_oracle(self):
+        channels = [
+            as_kraus(UnitalChannel(np.diag(lam)))
+            for lam in ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.3, 0.2], [0.4, -0.3, 0.1])
+        ]
+        s1 = FilterCandidate.pauli(1)
+        for gamma in (0.1, 0.3, 0.5, 0.8):
+            for p in (p_n(gamma, 1), (p_n(gamma, 1) + 1.0) / 2, 1.0):
+                channels += [gad_kraus(GadParams(p, gamma)), sandwich(gad_kraus(GadParams(p, gamma)), s1)]
+        for c in channels:
+            assert n_c(c) == loop_n_c(c, 64) == NcResult(1, 64)
+
+    def test_unital_matches_loop_oracle(self):
+        rng = np.random.default_rng(74)
+        for cap in (1, 2, 64):
+            for _ in range(30):
+                c = random_cp_unital(rng)
+                assert n_c(c, cap) == loop_n_c(c, cap)
+
+    def test_dephasing_kraus_matches_loop_oracle(self):
+        # ||T^n||_1 = 1 + 2 (0.7)^n never reaches 1, but falls inside the
+        # absolute tolerance at n = 63 on the Kraus route (ROADMAP item 3).
+        c = as_kraus(UnitalChannel(np.diag([1.0, 0.7, 0.7])))
+        assert n_c(c) == loop_n_c(c, 64) == NcResult(63, 64)
+
     def test_kraus_route_matches_unital_route(self):
         rng = np.random.default_rng(40)
         for _ in range(10):
             c = random_cp_unital(rng)
             assert n_c(c, cap=10).n == n_c(as_kraus(c), cap=10).n
+
+
+def test_orders_and_eb_decisions_never_compose_kraus_sets(monkeypatch):
+    import noisegauge.amend
+    import noisegauge.channels
+    import noisegauge.separability
+
+    c = gad_kraus(GadParams(0.3, 0.2))
+
+    def forbidden(*args):
+        raise AssertionError("a Kraus set was composed or extracted")
+
+    for module in (noisegauge.amend, noisegauge.channels, noisegauge.separability):
+        for name in ("compose_kraus", "kraus_from_choi"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert n_c(c) == n_c(GadParams(0.3, 0.2)) == NcResult(6, 64)
+    assert not ebn_member(c, 2)
+    assert not is_eb(c)
+    assert gad_amendable(0.65, 0.1, FilterCandidate.pauli(1))
+    assert not gad_amendable(0.55, 0.1, FilterCandidate.pauli(1))
 
 
 class TestUpperBound:
@@ -484,9 +570,9 @@ class TestStructuralProperties:
             rho_a, rho_b = random_density(rng), random_density(rng)
             w = rng.uniform(0.1, 0.9)
             mixed_rho = w * rho_a + (1 - w) * rho_b
-            lhs = mu_given_rho0(c, mixed_rho, tol=1e-5)
-            rhs = w * mu_given_rho0(c, rho_a, tol=1e-5) + (1 - w) * mu_given_rho0(
-                c, rho_b, tol=1e-5
+            lhs = mu_given_rho0(c, mixed_rho)
+            rhs = w * mu_given_rho0(c, rho_a) + (1 - w) * mu_given_rho0(
+                c, rho_b
             )
             assert lhs <= rhs + 3e-5
 

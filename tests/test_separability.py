@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import random_cp_unital, random_density, random_two_qubit_state
+from helpers import (
+    noisy_choi,
+    pt_determinant,
+    random_cp_unital,
+    random_density,
+    random_two_qubit_state,
+)
 from noisegauge import (
     ChoiState,
     GadParams,
@@ -11,8 +17,6 @@ from noisegauge import (
     is_eb,
     is_separable,
     min_pt_eigenvalue,
-    noisy_choi,
-    pt_determinant,
 )
 from noisegauge.channels import PSI_PLUS, as_kraus, gad_kraus, ptm
 from noisegauge.gad import p_n
