@@ -21,7 +21,6 @@ from .amend import (
     is_amendable2,
     sandwich,
     search_filter,
-    su2_from_so3,
 )
 from .channels import (
     Channel,

@@ -9,11 +9,12 @@ rotation candidates plus a seeded Euler-angle grid.  The channel's own order
 and every filtered order come from one batched scan over a stack of filter
 rotations, ``measures._order_scan``.
 
-Filters are unitary channels given by their Bloch rotation.  Improper
-orthogonal Bloch actions (determinant -1) are accepted for compositions with
-unital channels, where everything reduces to trace norms of 3x3 matrices;
-they do not correspond to any Kraus form and are rejected whenever a
-channel is composed through its Kraus operators or its Pauli transfer matrix.
+Filters are unitary channels given by their Bloch rotation O, with PTM
+F = blockdiag(1, O).  Every filtered map is a product of transfer matrices:
+O T and T O T for a ``UnitalChannel`` with Bloch matrix T, F R and R F R for
+any other channel with PTM R.  Improper orthogonal Bloch actions
+(determinant -1) are accepted on the 3x3 route, where everything reduces to
+trace norms; they have no unitary realization, so the PTM route rejects them.
 """
 
 from __future__ import annotations
@@ -26,14 +27,9 @@ import numpy as np
 from .channels import (
     Channel,
     GadParams,
-    IDENTITY_2,
-    KrausChannel,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     UnitalChannel,
-    as_kraus,
-    compose_kraus,
+    choi_from_ptm,
+    kraus_from_choi,
     ptm,
 )
 from .gad import p_n
@@ -49,9 +45,7 @@ from .measures import (
     nelder_mead,
 )
 from .report import NcResult
-from .separability import SEP_TOL, is_eb, ptm_min_pt_eigenvalues
-
-_PAULI_VECTOR = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+from .separability import decide_eb
 
 # Filter scores this close count as equal.  A channel that is entanglement
 # breaking at one use gives every filter the same score in exact arithmetic,
@@ -85,35 +79,6 @@ def _euler_lattice(alphas, betas, thetas) -> np.ndarray:
     outer = _axis_rotations(2, alphas)[:, None] @ _axis_rotations(1, betas)[None, :]
     inner = _axis_rotations(2, thetas)[None, None, :]
     return (outer[:, :, None] @ inner).reshape(-1, 3, 3)
-
-
-def _su2(axis: int, angle: float) -> np.ndarray:
-    """exp(-i angle/2 sigma_axis); conjugation rotates Bloch vectors by angle."""
-    return math.cos(angle / 2) * IDENTITY_2 - 1j * math.sin(angle / 2) * _PAULI_VECTOR[axis]
-
-
-def su2_from_so3(r: np.ndarray) -> np.ndarray:
-    """Unitary whose conjugation action realizes a proper rotation r.
-
-    Quaternion extraction stable for all rotation angles including pi.
-    """
-    t = float(np.trace(r))
-    if t >= max(r[0, 0], r[1, 1], r[2, 2]):
-        w = math.sqrt(max(0.0, 1.0 + t)) / 2
-        x = (r[2, 1] - r[1, 2]) / (4 * w)
-        y = (r[0, 2] - r[2, 0]) / (4 * w)
-        z = (r[1, 0] - r[0, 1]) / (4 * w)
-    else:
-        i = int(np.argmax([r[0, 0], r[1, 1], r[2, 2]]))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = math.sqrt(max(0.0, 1.0 + r[i, i] - r[j, j] - r[k, k])) / 2
-        axis = [0.0, 0.0, 0.0]
-        axis[i] = s
-        w = (r[k, j] - r[j, k]) / (4 * s)
-        axis[j] = (r[j, i] + r[i, j]) / (4 * s)
-        axis[k] = (r[k, i] + r[i, k]) / (4 * s)
-        x, y, z = axis
-    return w * IDENTITY_2 - 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
 
 @dataclass(frozen=True)
@@ -176,22 +141,6 @@ class FilterCandidate:
             return _euler_lattice([a], [b], [t])[0]
         return np.asarray(self.params, dtype=float).reshape(3, 3)
 
-    def unitary(self) -> np.ndarray:
-        """2x2 unitary realizing the filter; fails for improper rotations."""
-        if self.kind in ("s1", "s2", "s3"):
-            return _PAULI_VECTOR[int(self.kind[1]) - 1].copy()
-        if self.kind == "r2r1":
-            return _su2(1, math.pi / 2) @ _su2(0, math.pi / 2)
-        if self.kind == "euler":
-            a, b, t = self.params
-            return _su2(2, a) @ _su2(1, b) @ _su2(2, t)
-        m = self.bloch_matrix()
-        if np.linalg.det(m) < 0:
-            raise ValueError(
-                "improper orthogonal Bloch action has no unitary realization"
-            )
-        return su2_from_so3(m)
-
     def inverse(self) -> "FilterCandidate":
         """Filter realizing the inverse Bloch action."""
         return FilterCandidate.orthogonal(self.bloch_matrix().T)
@@ -204,23 +153,30 @@ class FilterCandidate:
         return cls(data["kind"], tuple(data.get("params", ())))
 
 
+def _filtered(c: Channel, f: FilterCandidate, uses: int) -> np.ndarray:
+    """Transfer matrix of f . c (one use) or c . f . c (two uses): O T or
+    T O T for a ``UnitalChannel``, F R or R F R otherwise (module docstring).
+    ``ValueError`` for an improper f on the PTM route."""
+    base = _scan_base(c)
+    o = f.bloch_matrix()
+    mid = o if base.shape == (3, 3) else _filter_ptms(o[None])[0]
+    return mid @ base if uses == 1 else base @ mid @ base
+
+
+def _as_channel(m: np.ndarray) -> Channel:
+    """A ``UnitalChannel`` for a 3x3 Bloch matrix, otherwise the Kraus set
+    extracted once from the Choi matrix of the PTM."""
+    return UnitalChannel(m) if m.shape == (3, 3) else kraus_from_choi(choi_from_ptm(m))
+
+
 def apply_filter(f: FilterCandidate, c: Channel) -> Channel:
     """The filtered channel f . c (channel first, filter after)."""
-    if isinstance(c, UnitalChannel):
-        return UnitalChannel(f.bloch_matrix() @ c.t)
-    u = f.unitary()
-    base = as_kraus(c)
-    return KrausChannel(tuple(u @ e for e in base.ops))
+    return _as_channel(_filtered(c, f, 1))
 
 
 def sandwich(c: Channel, f: FilterCandidate) -> Channel:
     """The two-use composition c . f . c."""
-    if isinstance(c, UnitalChannel):
-        return UnitalChannel(c.t @ f.bloch_matrix() @ c.t)
-    base = as_kraus(c)
-    u = f.unitary()
-    mid = KrausChannel(tuple(u @ e for e in base.ops))
-    return compose_kraus(base, mid)
+    return _as_channel(_filtered(c, f, 2))
 
 
 @dataclass(frozen=True)
@@ -248,9 +204,10 @@ class AmendReport:
 def is_amendable2(c: Channel, f: FilterCandidate) -> bool:
     """Does the filter rescue the two-use composition?
 
-    True when c is in EB^2 but c . f . c is not entanglement breaking.
+    True when c is in EB^2 but c . f . c is not entanglement breaking,
+    decided on its transfer matrix without building a channel.
     """
-    return ebn_member(c, 2) and not is_eb(sandwich(c, f))
+    return ebn_member(c, 2) and not decide_eb(_filtered(c, f, 2))[0]
 
 
 def amend_order(c: Channel, f: FilterCandidate, cap: int = DEFAULT_CAP) -> NcResult:
@@ -373,6 +330,4 @@ def gad_amendable(p: float, gamma: float, f: FilterCandidate) -> bool:
     channel = GadParams(p, gamma)
     if channel.p >= p_n(channel.gamma, 2):
         return False
-    r = ptm(channel)
-    two_use = r @ _filter_ptms(f.bloch_matrix()[None])[0] @ r
-    return bool(ptm_min_pt_eigenvalues(two_use) >= -SEP_TOL)
+    return bool(decide_eb(_filtered(channel, f, 2))[0])

@@ -9,8 +9,9 @@ Three input formats are accepted:
 Each converts to its real 4x4 Pauli transfer matrix (``ptm``), the affine Bloch
 map R = [[1, 0], [t, T]] of King and Ruskai, and the algebra runs on it:
 composition is the matrix product, and the Choi matrix is a fixed linear
-image of R.  Kraus sets are still composed and extracted (``compose_kraus``,
-``kraus_from_choi``) where a caller needs a channel in Kraus form.
+image of R (``choi_from_ptm``).  Kraus form is an input and output format
+only: a caller that needs a product back as a channel gets one Kraus set
+extracted from that Choi matrix (``kraus_from_choi``).
 
 The Choi matrix convention used throughout: the channel acts on the FIRST
 tensor factor of the maximally entangled state, Gamma = (Phi (x) I)[psi+],
@@ -89,16 +90,17 @@ def density_to_bloch(rho) -> np.ndarray:
     return np.array([np.real(np.trace(s @ r)) for s in PAULIS[1:]])
 
 
-def validate_density(rho, tol: float = DENSITY_TOL) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a 2x2 density matrix."""
+def validate_density(rho) -> np.ndarray:
+    """Check Hermiticity, unit trace and positivity of a 2x2 density matrix,
+    each within ``DENSITY_TOL``."""
     r = np.asarray(rho, dtype=complex)
     if r.shape != (2, 2):
         raise ValueError(f"expected a 2x2 density matrix, got shape {r.shape}")
-    if np.abs(r - r.conj().T).max() > tol:
+    if np.abs(r - r.conj().T).max() > DENSITY_TOL:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(r).real - 1.0) > tol or abs(np.trace(r).imag) > tol:
+    if abs(np.trace(r).real - 1.0) > DENSITY_TOL or abs(np.trace(r).imag) > DENSITY_TOL:
         raise ValueError("density matrix does not have unit trace")
-    if np.linalg.eigvalsh(r).min() < -tol:
+    if np.linalg.eigvalsh(r).min() < -DENSITY_TOL:
         raise ValueError("density matrix has a negative eigenvalue")
     return r
 
@@ -187,13 +189,17 @@ def gad_kraus(g: GadParams) -> KrausChannel:
 def choi(c: Channel) -> np.ndarray:
     """Choi matrix (Phi (x) I)[psi+], channel acting on the first factor.
 
-    With psi+ = (1/4) sum_j sigma_j (x) sigma_j^T it is the fixed linear image
-    (1/4) sum_ij R_ij sigma_i (x) sigma_j^T of the transfer matrix R = ptm(c).
     Always Hermitian with unit trace; positive semidefinite exactly when the
     channel is completely positive (see the module docstring caveat for
     unital channels that only satisfy the contraction condition).
     """
-    return (ptm(c).reshape(16) @ _CHOI_BASIS).reshape(4, 4)
+    return choi_from_ptm(ptm(c))
+
+
+def choi_from_ptm(r: np.ndarray) -> np.ndarray:
+    """Choi matrix of the channel with PTM R: as psi+ = (1/4) sum_j sigma_j (x)
+    sigma_j^T, it is the linear image (1/4) sum_ij R_ij sigma_i (x) sigma_j^T."""
+    return (r.reshape(16) @ _CHOI_BASIS).reshape(4, 4)
 
 
 def kraus_from_choi(g) -> KrausChannel:
@@ -222,7 +228,11 @@ def kraus_from_choi(g) -> KrausChannel:
 
 
 def compose_kraus(c1: KrausChannel, c2: KrausChannel) -> KrausChannel:
-    """Composition c1 after c2 as Kraus sets, pruned back to <= 4 operators."""
+    """Composition c1 after c2 as Kraus sets, pruned back to <= 4 operators.
+
+    No code in the package calls it: products run on ``ptm``.  The name is
+    kept because the benchmark tracer (``perfbench/tracer.py``) requires it.
+    """
     ops = tuple(a @ b for a in c1.ops for b in c2.ops)
     if len(ops) > 4:
         return kraus_from_choi(choi(KrausChannel(ops)))

@@ -14,6 +14,8 @@ threshold solve along the mixing segment).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .report import NcResult
@@ -118,13 +120,17 @@ def mu_c_gad(p: float, gamma: float) -> float:
 
     Two branches meeting continuously at pbar: below it the minimum over v_z
     is interior (and gamma drops out), above it the minimum sits at vz = 1.
-    Inside the entanglement-breaking region the branch values go negative and
-    are clamped to zero.
+    The upper branch vanishes on the first band edge p_1 = p_n(gamma, 1), so
+    the threshold is zero exactly when p >= p_1, the comparison that gives
+    ``n_c_gad`` its order 1.  Within a few ulps below p_1 the branch value
+    can round to zero or below; it then reads as the smallest positive float.
     """
     p = _check_unit("p", p)
+    if p >= p_n(gamma, 1):
+        return 0.0
     g = _reflect(gamma)
     value = _mu_down(p) if p <= pbar(g) else _mu_up(p, g)
-    return max(0.0, float(value))
+    return max(math.ulp(0.0), float(value))
 
 
 def _mu2_down(p: float) -> float:
@@ -168,8 +174,9 @@ def p_n(gamma: float, n: int) -> float:
 def n_c_gad(p: float, gamma: float, cap: int = 64) -> NcResult:
     """Entanglement-breaking order of the damping channel via the p_n bands.
 
-    gamma in {0, 1} with p < 1 is certified divergent (the band boundaries
-    are identically 1 there); any other exhausted cap is merely inconclusive.
+    Order 1 is p >= p_1, where ``mu_c_gad`` reads zero.  gamma in {0, 1} with
+    p < 1 is certified divergent (the band boundaries are identically 1
+    there); any other exhausted cap is merely inconclusive.
     """
     p = _check_unit("p", p)
     g = _check_unit("gamma", gamma)

@@ -46,17 +46,15 @@ from .channels import (
     IDENTITY_2,
     PAULIS,
     UnitalChannel,
-    choi,
+    choi_from_ptm,
     density_to_bloch,
     ptm,
     validate_density,
 )
-from .linalg import partial_transpose, trace_norm
 from .report import NcResult, NoiseReport
-from .separability import SEP_TOL, ChoiState, ptm_min_pt_eigenvalues
+from .separability import ChoiState, decide_eb, ptm_partial_transpose
 
 DEFAULT_CAP = 64
-EB_TOL = 1e-10
 
 
 def mu_c_upper_bound(d: int) -> float:
@@ -67,11 +65,11 @@ def mu_c_upper_bound(d: int) -> float:
 
 
 def mu_c_unital(c: UnitalChannel) -> float:
-    """Exact threshold for unital channels: max(0, (||T||_1 - 1) / ||T||_1)."""
-    tn = trace_norm(c.t)
-    if tn <= 1.0:
-        return 0.0
-    return (tn - 1.0) / tn
+    """Exact threshold for unital channels: (||T||_1 - 1) / ||T||_1, and 0
+    exactly when ``decide_eb`` finds the channel entanglement breaking.
+    Otherwise its margin m is ||T||_1 - 1, so the threshold is m / (1 + m)."""
+    eb, margin = decide_eb(c.t)
+    return 0.0 if eb else float(margin / (1.0 + margin))
 
 
 # sigma_j (x) 1 for j = 0..3, with sigma_0 = 1.
@@ -80,11 +78,13 @@ _SIGMA_1 = np.array([np.kron(s, IDENTITY_2) for s in PAULIS])
 
 def _threshold_table(c: Channel) -> np.ndarray | None:
     """The 16x16 table with row 4j + k holding Q_jk / 2 (module docstring),
-    or None when the channel is entanglement breaking (threshold 0)."""
-    gpt = partial_transpose(ChoiState(choi(c)).g)
-    if float(np.linalg.eigvalsh(gpt).min()) >= -SEP_TOL:
+    or None when the channel is entanglement breaking (threshold 0); a map
+    that is not completely positive raises ``ValueError``."""
+    r = ptm(c)
+    ChoiState(choi_from_ptm(r))
+    if decide_eb(r)[0]:
         return None
-    q = (_SIGMA_1 @ np.linalg.inv(gpt))[:, None] @ _SIGMA_1
+    q = (_SIGMA_1 @ np.linalg.inv(ptm_partial_transpose(r)))[:, None] @ _SIGMA_1
     return 0.5 * q.reshape(16, 16)
 
 
@@ -337,7 +337,7 @@ def _scan_base(c: Channel) -> np.ndarray:
 def _filter_ptms(rotations: np.ndarray) -> np.ndarray:
     """PTMs blockdiag(1, O) of a stack of filter rotations O.  An improper O
     has no unitary realization, so it raises ``ValueError``."""
-    if np.any(np.linalg.det(rotations) < 0):
+    if (np.linalg.det(rotations) < 0).any():
         raise ValueError("improper orthogonal Bloch action has no unitary realization")
     filters = np.zeros((len(rotations), 4, 4))
     filters[:, 0, 0] = 1.0
@@ -351,33 +351,21 @@ def _order_scan(base: np.ndarray, rotations: np.ndarray, cap: int) -> tuple[np.n
 
     An order above ``cap`` reads cap + 1 with margin 0, so ``orders + margins``
     ranks ExceedsCap first and, within one order, the iterate that turned
-    entanglement breaking nearest the boundary.  The margin is the trace norm
-    minus one on the 3x3 route, which takes improper rotations, and minus
-    twice the smallest partial-transpose eigenvalue on the PTM route, which
+    entanglement breaking nearest the boundary.  The margin is the one
+    of ``decide_eb``.  The 3x3 route takes improper rotations; the PTM route
     rejects them.  Finished candidates drop out after each composition.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    unital = base.shape == (3, 3)
-    if unital:
-        step = rotations @ base
-        power = np.eye(3)
-    else:
-        step = _filter_ptms(rotations) @ base
-        power = np.eye(4)
+    filters = rotations if base.shape == (3, 3) else _filter_ptms(rotations)
+    step = filters @ base
+    power = np.eye(len(base))
     orders = np.full(len(rotations), cap + 1)
     margins = np.zeros(len(rotations))
     active = np.arange(len(rotations))
     for m in range(1, cap + 1):
         power = power @ step
-        if unital:
-            tn = np.linalg.svd(power, compute_uv=False).sum(axis=-1)
-            done = tn <= 1.0 + EB_TOL
-            margin = np.maximum(-1.0, tn - 1.0)
-        else:
-            low = ptm_min_pt_eigenvalues(power)
-            done = low >= -EB_TOL
-            margin = -np.minimum(1.0, 2.0 * np.maximum(0.0, low))
+        done, margin = decide_eb(power)
         if done.any():
             orders[active[done]] = m
             margins[active[done]] = margin[done]
@@ -392,6 +380,4 @@ def noise_report(c: Channel, cap: int = DEFAULT_CAP) -> NoiseReport:
     """Assemble threshold, order and EB^n flags for a qubit channel."""
     order = n_c(c, cap)
     flags = tuple(order.n is not None and k >= order.n for k in range(1, cap + 1))
-    # The EB decision carries a tolerance; inside it the threshold is zero.
-    value = 0.0 if flags[0] else mu_c(c)
-    return NoiseReport(value, order, flags)
+    return NoiseReport(mu_c(c), order, flags)

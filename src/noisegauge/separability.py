@@ -1,4 +1,4 @@
-"""Two-qubit separability decisions on Choi matrices.
+"""Two-qubit separability and the one entanglement-breaking rule.
 
 For 2 (x) 2 systems positivity of the partial transpose is necessary and
 sufficient for separability, so the separability decision reduces to the
@@ -10,6 +10,8 @@ determinant (a two-qubit partial transpose has at most one negative
 eigenvalue, so both carry the same information away from the boundary): it
 degrades linearly near the boundary where the determinant degrades
 quartically.  The test suite keeps the determinant as a cross-check.
+Every entanglement-breaking decision on a channel is ``decide_eb``, with the
+one slack ``EB_TOL``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, PAULIS, UnitalChannel, choi, ptm
-from .linalg import as_hermitian4, partial_transpose, trace_norm
+from .linalg import as_hermitian4, partial_transpose
 
-SEP_TOL = 1e-10
+EB_TOL = 1e-10
 
 # sigma_i (x) sigma_j / 4 in row 4i + j.
 _PT_BASIS = np.array([np.kron(a, b) for a in PAULIS for b in PAULIS]).reshape(16, 16) / 4
@@ -29,25 +31,24 @@ _PT_BASIS = np.array([np.kron(a, b) for a in PAULIS for b in PAULIS]).reshape(16
 
 @dataclass(frozen=True)
 class ChoiState:
-    """Validated two-qubit state: Hermitian, unit trace, PSD within tol."""
+    """Validated two-qubit state: Hermitian, unit trace, PSD within EB_TOL."""
 
     g: np.ndarray
-    tol: float = SEP_TOL
 
     def __post_init__(self):
         g = as_hermitian4(self.g)
         tr = complex(np.trace(g))
-        if abs(tr - 1.0) > self.tol:
+        if abs(tr - 1.0) > EB_TOL:
             raise ValueError(f"state trace is {tr}, expected 1")
         low = float(np.linalg.eigvalsh(g).min())
-        if low < -self.tol:
+        if low < -EB_TOL:
             raise ValueError(f"state has negative eigenvalue {low:.3e}")
         object.__setattr__(self, "g", g)
 
 
-def choi_state(c: Channel, tol: float = SEP_TOL) -> ChoiState:
+def choi_state(c: Channel) -> ChoiState:
     """Choi matrix of a channel wrapped as a validated state."""
-    return ChoiState(choi(c), tol)
+    return ChoiState(choi(c))
 
 
 def min_pt_eigenvalue(g) -> float:
@@ -74,27 +75,36 @@ def ptm_min_pt_eigenvalues(r) -> np.ndarray:
     return np.linalg.eigvalsh(ptm_partial_transpose(r))[..., 0]
 
 
-def is_separable(s: ChoiState, tol: float | None = None) -> bool:
-    """PPT decision: separable iff min PT eigenvalue >= -tol.
+def decide_eb(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """EB flags and tie-break margins for a (stack of) channel matrices.
+
+    A 3x3 Bloch matrix T is EB when ||T||_1 <= 1 + EB_TOL, margin
+    ||T||_1 - 1; a 4x4 PTM when its smallest partial-transpose eigenvalue is
+    >= -EB_TOL, margin minus twice that eigenvalue.  Boundary inclusive.  On
+    EB channels the margin lies in [-1, 0] and nears 0 at the boundary.
+    """
+    if stack.shape[-1] == 3:
+        tn = np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
+        return tn <= 1.0 + EB_TOL, np.maximum(-1.0, tn - 1.0)
+    low = ptm_min_pt_eigenvalues(stack)
+    return low >= -EB_TOL, -np.minimum(1.0, 2.0 * np.maximum(0.0, low))
+
+
+def is_separable(s: ChoiState) -> bool:
+    """PPT decision: separable iff min PT eigenvalue >= -EB_TOL.
 
     The boundary counts as separable (closed inequality).
     """
     if not isinstance(s, ChoiState):
         s = ChoiState(s)
-    if tol is None:
-        tol = s.tol
-    return min_pt_eigenvalue(s) >= -tol
+    return min_pt_eigenvalue(s) >= -EB_TOL
 
 
 def is_eb(c: Channel) -> bool:
     """Is the channel entanglement breaking?
 
-    Unital channels are decided by the trace norm of their Bloch matrix,
-    ||T||_1 <= 1 (boundary inclusive); everything else by the smallest
-    partial-transpose eigenvalue of the Choi matrix, computed from the Pauli
-    transfer matrix.  The two routes agree on unital channels that are
-    completely positive.
+    ``decide_eb`` on the Bloch matrix of a unital channel (trace norm) and on
+    the Pauli transfer matrix of any other (partial-transpose eigenvalue).
+    The two routes agree on unital channels that are completely positive.
     """
-    if isinstance(c, UnitalChannel):
-        return trace_norm(c.t) <= 1.0 + SEP_TOL
-    return bool(ptm_min_pt_eigenvalues(ptm(c)) >= -SEP_TOL)
+    return bool(decide_eb(c.t if isinstance(c, UnitalChannel) else ptm(c))[0])

@@ -6,10 +6,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from noisegauge import UnitalChannel
-from noisegauge.amend import SCORE_TIE, AmendReport, FilterCandidate, apply_filter, sandwich
+from noisegauge.amend import SCORE_TIE, AmendReport, FilterCandidate
 from noisegauge.channels import (
     IDENTITY_2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     GadParams,
+    KrausChannel,
     as_kraus,
     choi,
     compose_kraus,
@@ -19,9 +23,11 @@ from noisegauge.channels import (
 from noisegauge.gad import p_n
 from noisegauge.gaussian import compose_gaussian, eb_split_feasible, to_triplet
 from noisegauge.linalg import partial_transpose, polar_decompose, trace_norm
-from noisegauge.measures import EB_TOL, n_c
+from noisegauge.measures import n_c
 from noisegauge.report import NcResult
-from noisegauge.separability import SEP_TOL, ChoiState, choi_state, is_separable, min_pt_eigenvalue
+from noisegauge.separability import EB_TOL, ChoiState, choi_state, is_separable, min_pt_eigenvalue
+
+PAULI_VECTOR = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def rotation_from_quaternion(q) -> np.ndarray:
@@ -120,7 +126,7 @@ def kron_threshold(ginv: np.ndarray, rho0) -> float:
     return 1.0 / (1.0 - nu) if nu < 0.0 else 1.0
 
 
-def bisect_threshold(c, rho0, tol: float, sep_tol: float = SEP_TOL) -> float:
+def bisect_threshold(c, rho0, tol: float, sep_tol: float = EB_TOL) -> float:
     """Separability onset along (1-mu) G + mu rho0 (x) 1/2 by bisection over
     the PPT decision; an oracle for the exact solve in ``mu_given_rho0``.
 
@@ -132,7 +138,7 @@ def bisect_threshold(c, rho0, tol: float, sep_tol: float = SEP_TOL) -> float:
     """
     gpt = partial_transpose(choi_state(c).g)
     ppt = np.kron(validate_density(rho0), IDENTITY_2 / 2)
-    if float(np.linalg.eigvalsh(gpt).min()) >= -SEP_TOL:
+    if float(np.linalg.eigvalsh(gpt).min()) >= -EB_TOL:
         return 0.0
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
@@ -145,13 +151,77 @@ def bisect_threshold(c, rho0, tol: float, sep_tol: float = SEP_TOL) -> float:
     return 0.5 * (lo + hi)
 
 
+def su2(axis: int, angle: float) -> np.ndarray:
+    """exp(-i angle/2 sigma_axis); conjugation rotates Bloch vectors by angle."""
+    return math.cos(angle / 2) * IDENTITY_2 - 1j * math.sin(angle / 2) * PAULI_VECTOR[axis]
+
+
+def su2_from_so3(r: np.ndarray) -> np.ndarray:
+    """Unitary whose conjugation action realizes a proper rotation r.
+
+    Quaternion extraction stable for all rotation angles including pi.
+    """
+    t = float(np.trace(r))
+    if t >= max(r[0, 0], r[1, 1], r[2, 2]):
+        w = math.sqrt(max(0.0, 1.0 + t)) / 2
+        x = (r[2, 1] - r[1, 2]) / (4 * w)
+        y = (r[0, 2] - r[2, 0]) / (4 * w)
+        z = (r[1, 0] - r[0, 1]) / (4 * w)
+    else:
+        i = int(np.argmax([r[0, 0], r[1, 1], r[2, 2]]))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        s = math.sqrt(max(0.0, 1.0 + r[i, i] - r[j, j] - r[k, k])) / 2
+        axis = [0.0, 0.0, 0.0]
+        axis[i] = s
+        w = (r[k, j] - r[j, k]) / (4 * s)
+        axis[j] = (r[j, i] + r[i, j]) / (4 * s)
+        axis[k] = (r[k, i] + r[i, k]) / (4 * s)
+        x, y, z = axis
+    return w * IDENTITY_2 - 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
+
+
+def filter_unitary(f: FilterCandidate) -> np.ndarray:
+    """2x2 unitary realizing a filter, built from its kind and angles rather
+    than its Bloch matrix; fails for improper rotations."""
+    if f.kind in ("s1", "s2", "s3"):
+        return PAULI_VECTOR[int(f.kind[1]) - 1].copy()
+    if f.kind == "r2r1":
+        return su2(1, math.pi / 2) @ su2(0, math.pi / 2)
+    if f.kind == "euler":
+        a, b, t = f.params
+        return su2(2, a) @ su2(1, b) @ su2(2, t)
+    m = f.bloch_matrix()
+    if np.linalg.det(m) < 0:
+        raise ValueError("improper orthogonal Bloch action has no unitary realization")
+    return su2_from_so3(m)
+
+
+def kraus_filtered(f, c):
+    """The filtered channel f . c: the Bloch product O T for a unital channel,
+    each Kraus operator multiplied by the filter's unitary otherwise; an
+    oracle for the transfer-matrix product in ``amend.apply_filter``."""
+    if isinstance(c, UnitalChannel):
+        return UnitalChannel(f.bloch_matrix() @ c.t)
+    u = filter_unitary(f)
+    return KrausChannel(tuple(u @ e for e in as_kraus(c).ops))
+
+
+def kraus_sandwich(c, f):
+    """The two-use composition c . f . c: the Bloch product T O T for a
+    unital channel, the pruned Kraus composition otherwise; an oracle for the
+    transfer-matrix product in ``amend.sandwich``."""
+    if isinstance(c, UnitalChannel):
+        return UnitalChannel(c.t @ f.bloch_matrix() @ c.t)
+    return compose_kraus(as_kraus(c), kraus_filtered(f, c))
+
+
 def order_and_margin(c, f, cap: int) -> tuple:
     """Order of f . c plus its tie-break margin, one filter at a time: the
     trace-norm scan of the filtered Bloch matrix for unital channels, Kraus
     composition and the Choi matrix's partial transpose otherwise.  An oracle
     for the batched scan ``amend._order_scan``.
     """
-    filtered = apply_filter(f, c)
+    filtered = kraus_filtered(f, c)
     if isinstance(filtered, UnitalChannel):
         power = np.eye(3)
         for m in range(1, cap + 1):
@@ -269,7 +339,7 @@ def kraus_gad_amendable(p: float, gamma: float, f) -> bool:
     matrix; an oracle for the transfer-matrix product R F R."""
     if p >= p_n(gamma, 2):
         return False
-    two_use = sandwich(gad_kraus(GadParams(p, gamma)), f)
+    two_use = kraus_sandwich(gad_kraus(GadParams(p, gamma)), f)
     return is_separable(ChoiState(kraus_choi(two_use)))
 
 

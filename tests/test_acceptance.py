@@ -174,7 +174,7 @@ def test_criterion_07_damping_closed_forms_vs_oracles():
 
 def test_criterion_08_damping_band_map():
     from noisegauge import choi
-    from noisegauge.separability import SEP_TOL, min_pt_eigenvalue
+    from noisegauge.separability import EB_TOL, min_pt_eigenvalue
 
     disagreements = 0
     for p in np.linspace(0.0, 1.0, 25):
@@ -192,7 +192,7 @@ def test_criterion_08_damping_band_map():
                 # admissible only as a boundary call inside the tolerance.
                 low = min_pt_eigenvalue(choi(channel_power(
                     GadParams(float(p), float(gamma)), brute.n)))
-                if -SEP_TOL <= low < 0.0:
+                if -EB_TOL <= low < 0.0:
                     continue
             disagreements += 1
     assert disagreements == 0

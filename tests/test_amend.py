@@ -5,10 +5,14 @@ import pytest
 
 from helpers import (
     channel_power,
+    filter_unitary,
+    kraus_filtered,
+    kraus_sandwich,
     loop_search_filter,
     order_and_margin,
     random_cp_unital,
     random_rotation,
+    su2_from_so3,
 )
 from noisegauge import (
     FilterCandidate,
@@ -23,10 +27,9 @@ from noisegauge import (
     n_c,
     sandwich,
     search_filter,
-    su2_from_so3,
 )
 from noisegauge.amend import _cube_root_floor, _euler_lattice, _order_scan, _rot, _scan_base
-from noisegauge.channels import PAULIS, as_kraus
+from noisegauge.channels import PAULIS, as_kraus, ptm
 from noisegauge.gad import amend_boundary_s1, p_n
 from noisegauge.linalg import polar_decompose
 
@@ -57,7 +60,7 @@ class TestFilterCandidate:
         ],
     )
     def test_unitary_matches_bloch_action(self, filt):
-        assert np.abs(bloch_of_unitary(filt.unitary()) - filt.bloch_matrix()).max() < 1e-12
+        assert np.abs(bloch_of_unitary(filter_unitary(filt)) - filt.bloch_matrix()).max() < 1e-12
 
     def test_r2r1_composition_order(self):
         # x quarter turn applied first, then y quarter turn
@@ -68,7 +71,7 @@ class TestFilterCandidate:
         rng = np.random.default_rng(51)
         r = random_rotation(rng)
         filt = FilterCandidate.orthogonal(r)
-        assert np.abs(bloch_of_unitary(filt.unitary()) - r).max() < 1e-12
+        assert np.abs(bloch_of_unitary(filter_unitary(filt)) - r).max() < 1e-12
 
     def test_su2_from_so3_random(self):
         rng = np.random.default_rng(52)
@@ -80,7 +83,11 @@ class TestFilterCandidate:
 
     def test_improper_orthogonal_has_no_unitary(self):
         with pytest.raises(ValueError):
-            SWAP_FILTER.unitary()
+            filter_unitary(SWAP_FILTER)
+        kraus = as_kraus(UnitalChannel(LAM))
+        for build in (lambda: apply_filter(SWAP_FILTER, kraus), lambda: sandwich(kraus, SWAP_FILTER)):
+            with pytest.raises(ValueError, match="improper"):
+                build()
 
     def test_improper_composes_with_unital(self):
         out = apply_filter(SWAP_FILTER, UnitalChannel(T))
@@ -124,7 +131,7 @@ class TestIsAmendable2:
             for _ in range(25):
                 p, gamma = rng.uniform(0, 1), rng.uniform(0, 1)
                 base = gad_kraus(GadParams(p, gamma))
-                u = filt.unitary()
+                u = filter_unitary(filt)
                 precomposed = KrausChannel(tuple(e @ u for e in base.ops))
                 assert gad_amendable(p, gamma, filt) == is_amendable2(
                     precomposed, filt.inverse()
@@ -153,7 +160,7 @@ class TestAmendOrder:
         p, gamma = 0.63, 0.05
         assert amend_boundary_s1(gamma) < p < p_n(gamma, 2)
         base = gad_kraus(GadParams(p, gamma))
-        u = FilterCandidate.pauli(1).unitary()
+        u = filter_unitary(FilterCandidate.pauli(1))
         precomposed = KrausChannel(tuple(e @ u for e in base.ops))
         filtered = amend_order(precomposed, FilterCandidate.pauli(1), cap=8)
         assert n_c(precomposed, cap=8).n == 2
@@ -211,9 +218,9 @@ class TestSearchFilter:
         [
             GadParams(0.0, 0.3),
             KrausChannel((np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.eye(2))),
-            UnitalChannel(bloch_of_unitary(FilterCandidate.euler(0.4, 1.2, 2.5).unitary())),
+            UnitalChannel(bloch_of_unitary(filter_unitary(FilterCandidate.euler(0.4, 1.2, 2.5)))),
             KrausChannel(
-                tuple(np.sqrt(0.5) * FilterCandidate.euler(0.4, 1.2, 2.5).unitary() for _ in range(2))
+                tuple(np.sqrt(0.5) * filter_unitary(FilterCandidate.euler(0.4, 1.2, 2.5)) for _ in range(2))
             ),
         ],
         ids=["gad-p0", "kraus2-identity", "unital-rotation", "kraus2-rotation"],
@@ -356,3 +363,45 @@ def test_sandwich_matches_power_when_filter_is_identity():
     direct = choi(channel_power(c, 2))
     viafilter = choi(sandwich(c, identity))
     assert np.abs(direct - viafilter).max() < 1e-10
+
+
+def _filter_oracle_cases():
+    """Seeded damping, unital and random Kraus channels, each with the named
+    filters and seeded Euler filters."""
+    rng = np.random.default_rng(60)
+    channels = [gad_kraus(GadParams(rng.uniform(), rng.uniform())) for _ in range(3)]
+    channels += [as_kraus(random_cp_unital(rng)) for _ in range(3)]
+    for _ in range(3):
+        ops = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        w, v = np.linalg.eigh(sum(e.conj().T @ e for e in ops))
+        norm = v @ np.diag(w ** -0.5) @ v.conj().T
+        channels.append(KrausChannel(tuple(e @ norm for e in ops)))
+    filters = [FilterCandidate.pauli(k) for k in (1, 2, 3)] + [FilterCandidate.r2r1()]
+    filters += [FilterCandidate.euler(*rng.uniform(0, 2 * np.pi, 3)) for _ in range(3)]
+    return [(c, f) for c in channels for f in filters]
+
+
+@pytest.mark.parametrize("c, f", _filter_oracle_cases())
+def test_filtered_channels_match_kraus_oracle(c, f):
+    assert np.abs(ptm(apply_filter(f, c)) - ptm(kraus_filtered(f, c))).max() <= 1e-14
+    assert np.abs(ptm(sandwich(c, f)) - ptm(kraus_sandwich(c, f))).max() <= 1e-14
+
+
+def test_filters_never_compose_kraus_sets(monkeypatch):
+    import noisegauge.amend
+    import noisegauge.channels
+
+    def forbidden(*args):
+        raise AssertionError("Kraus sets were composed")
+
+    for module in (noisegauge.amend, noisegauge.channels):
+        if hasattr(module, "compose_kraus"):
+            monkeypatch.setattr(module, "compose_kraus", forbidden)
+    s1 = FilterCandidate.pauli(1)
+    c = gad_kraus(GadParams(0.61, 0.25))
+    rescued = KrausChannel(tuple(e @ filter_unitary(s1) for e in c.ops))
+    assert isinstance(sandwich(c, s1), KrausChannel)
+    assert isinstance(apply_filter(s1, c), KrausChannel)
+    assert is_amendable2(rescued, s1.inverse())
+    assert gad_amendable(0.61, 0.25, s1)
+    assert search_filter(rescued, cap=8, budget=8, seed=1).amendable

@@ -18,6 +18,11 @@ NEWT_JSON = json.dumps(
 )
 
 
+def read_rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -38,6 +43,13 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", '{"kind":"gad","p":0.9,"gamma":0.5}')
         assert code == 0
         assert json.loads(out)["n_c"] == 1
+
+    def test_damping_one_ulp_below_first_edge(self, capsys):
+        channel = '{"kind":"gad","p":0.8763216380804028,"gamma":0.7982411825512649}'
+        code, out, _ = run(capsys, "analyze", channel)
+        assert code == 0
+        data = json.loads(out)
+        assert data["n_c"] == 2 and data["mu_c"] > 0.0
 
     def test_rotation_channel(self, capsys):
         channel = json.dumps({"kind": "unital", "t": list(np.eye(3).ravel())})
@@ -76,7 +88,7 @@ class TestSweep:
             "--grid", "lambda1=0.3:0.6:2", "--grid", "lambda2=0.3:0.6:2",
         )
         assert code == 0
-        rows = list(csv.reader(out_path.open()))
+        rows = read_rows(out_path)
         assert rows[0] == ["lambda1", "lambda2", "ebn_order"]
         first = rows[1]
         assert first[0] == "0.3" and first[1] == "0.3" and first[2] == "2"
@@ -88,7 +100,7 @@ class TestSweep:
             "--grid", "p=0.8:0.86:4", "--grid", "gamma=0.5:0.6:2",
         )
         assert code == 0
-        rows = list(csv.reader(out_path.open()))
+        rows = read_rows(out_path)
         assert rows[0] == ["p", "gamma", "n_c"]
         by_point = {(r[0], r[1]): r[2] for r in rows[1:]}
         assert by_point[("0.8", "0.5")] == "2"
@@ -98,7 +110,7 @@ class TestSweep:
         out_path = tmp_path / "f2big.csv"
         code, _, _ = run(capsys, "sweep", "fig2", "--out", str(out_path), "--steps", "21")
         assert code == 0
-        rows = list(csv.reader(out_path.open()))[1:]
+        rows = read_rows(out_path)[1:]
         series = {}
         for p, gamma, order in rows:
             series.setdefault(gamma, []).append((float(p), order))
@@ -110,7 +122,7 @@ class TestSweep:
         out_path = tmp_path / "inset.csv"
         code, _, _ = run(capsys, "sweep", "fig2-inset", "--out", str(out_path), "--steps", "11")
         assert code == 0
-        rows = list(csv.reader(out_path.open()))
+        rows = read_rows(out_path)
         assert rows[0] == ["p", "mu_c", "mu_c_sq"]
         for _, mu, mu_sq in rows[1:]:
             assert float(mu_sq) <= float(mu) + 1e-12
@@ -122,7 +134,7 @@ class TestSweep:
             "--grid", "p=0.61:0.7:2", "--grid", "gamma=0.25:0.3:2",
         )
         assert code == 0
-        rows = list(csv.reader(out_path.open()))
+        rows = read_rows(out_path)
         assert rows[0] == ["p", "gamma", "amendable", "filter_kind"]
         by_point = {(r[0], r[1]): (r[2], r[3]) for r in rows[1:]}
         assert by_point[("0.61", "0.25")] == ("true", "s1")
@@ -132,7 +144,7 @@ class TestSweep:
         out_path = tmp_path / "f4.csv"
         code, _, _ = run(capsys, "sweep", "fig4", "--out", str(out_path), "--steps", "4")
         assert code == 0
-        rows = list(csv.reader(out_path.open()))
+        rows = read_rows(out_path)
         assert rows[0] == ["p", "mu_c_sq", "mu_c_filtered"]
         assert len(rows) == 5
 
@@ -144,7 +156,7 @@ class TestSweep:
             "--grid", "k=0.5:0.6:2", "--grid", "n0=0.2:0.25:2",
         )
         assert code == 0
-        rows = list(csv.reader(out_path.open()))
+        rows = read_rows(out_path)
         assert rows[0] == ["k", "n0", "family", "n_c"]
         by_point = {(r[0], r[1]): r[3] for r in rows[1:] if r[2] == "attenuation"}
         assert by_point[("0.5", "0.2")] == "2"
@@ -154,7 +166,7 @@ class TestSweep:
         out_path = tmp_path / "f3.csv"
         code, _, _ = run(capsys, "sweep", "fig3", "--out", str(out_path), "--steps", "40")
         assert code == 0
-        rows = list(csv.reader(out_path.open()))[1:]
+        rows = read_rows(out_path)[1:]
         assert len(rows) == 40 * 40
         s1, r2r1 = FilterCandidate.pauli(1), FilterCandidate.r2r1()
         for p_s, g_s, amendable, kind in rows:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -42,7 +44,7 @@ from noisegauge.amend import _euler_lattice, _order_scan, _scan_base
 from noisegauge.gad import p_n
 from noisegauge.linalg import partial_transpose, polar_decompose, trace_norm
 from noisegauge.measures import _mu_threshold, _threshold_table, coarse_bloch_grid, nelder_mead
-from noisegauge.separability import SEP_TOL, choi_state
+from noisegauge.separability import EB_TOL, choi_state
 
 LAM = np.diag([0.73, 0.5, 0.5])
 SWAP_XY = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
@@ -86,7 +88,7 @@ class TestMuGivenRho0:
         # of the onset by about sep_tol / slope.  For a pure rho0 the product
         # state is singular and the slope can fall to ~1e-5, which puts the
         # default oracle up to ~1e-5 low; there it decides by the exact sign.
-        sep_tol = 0.0 if state == "pure" else SEP_TOL
+        sep_tol = 0.0 if state == "pure" else EB_TOL
         for _ in range(12):
             c = _seeded_channel(kind, rng)
             if state == "mixed":
@@ -147,6 +149,12 @@ class TestMuCUnital:
 
     def test_diagonal_fixture(self):
         assert mu_c_unital(UnitalChannel(LAM)) == pytest.approx(0.73 / 1.73, abs=1e-12)
+
+    def test_zero_inside_the_eb_tolerance(self):
+        # ||T||_1 = 1 + 5e-11 lies inside the EB slack: EB, so threshold 0
+        c = UnitalChannel(np.diag([0.5, 0.25, 0.25 + 5e-11]))
+        assert is_eb(c) and n_c(c).n == 1
+        assert mu_c(c) == 0.0
 
 
 class TestMuCDispatch:
@@ -316,9 +324,9 @@ class TestRepresentationIndependence:
 
 
 class TestThresholdVanishesAtOrderOne:
-    """mu_c_search reads 0.0 exactly when n_c reads 1: both decide EB by the
-    same partial-transpose eigenvalue of the channel's transfer matrix, so
-    they agree even within the tolerance of the boundary."""
+    """mu_c reads 0.0 exactly when n_c reads 1, even within the tolerance of
+    the boundary: on the Kraus and unital routes both call ``decide_eb`` on
+    the same matrix, and for damping parameters both compare p with p_1."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans(), st.floats(-1e-9, 1e-9))
@@ -345,6 +353,48 @@ class TestThresholdVanishesAtOrderOne:
             t = t * ((1.0 + shift) / tn)  # onto the EB boundary, within 1e-9
         c = as_kraus(UnitalChannel(t))
         assert (mu_c_search(c).value == 0.0) == (n_c(c).n == 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        QUATERNIONS,
+        QUATERNIONS,
+        st.booleans(),
+        st.floats(-1e-9, 1e-9) | st.floats(-2 * EB_TOL, 2 * EB_TOL),
+    )
+    def test_unital_closed_form(self, lam, q1, q2, near_edge, shift):
+        # not necessarily completely positive: the unital route needs only
+        # the Bloch contraction condition
+        assume(np.linalg.norm(q1) > 1e-3 and np.linalg.norm(q2) > 1e-3)
+        t = rotation_from_quaternion(q1) @ np.diag(lam) @ rotation_from_quaternion(q2)
+        if near_edge:
+            tn = trace_norm(t)
+            assume(tn > 1e-3)
+            t = t * ((1.0 + shift) / tn)  # onto the EB boundary, within 1e-9
+            assume(np.linalg.norm(t, 2) <= 1.0)
+        c = UnitalChannel(t)
+        assert (mu_c(c) == 0.0) == is_eb(c) == (n_c(c).n == 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    def test_damping_closed_form_near_first_edge(self, gamma):
+        # every p within 16 ulps of p_1 on either side
+        edge = p_n(gamma, 1)
+        for direction in (-2.0, 2.0):
+            p = edge
+            for _ in range(17):
+                c = GadParams(p, gamma)
+                report = noise_report(c, cap=4)
+                assert (mu_c(c) == 0.0) == (report.mu_c == 0.0) == report.ebn[0]
+                p = min(1.0, math.nextafter(p, direction))
+
+    def test_damping_closed_form_below_first_edge(self):
+        # one ulp below p_1, where mu_c_gad once rounded to 0 at order 2
+        c = GadParams(0.8763216380804028, 0.7982411825512649)
+        assert c.p == math.nextafter(p_n(c.gamma, 1), 0.0)
+        report = noise_report(c)
+        assert 0.0 < report.mu_c == mu_c(c) < 1e-12
+        assert report.n_c.n == 2
 
 
 class TestEbnMember:
