@@ -7,7 +7,9 @@ given filter, ``amend_order`` computes the order of the filtered iteration,
 and ``search_filter`` looks for a good filter among the named Pauli /
 rotation candidates plus a seeded Euler-angle grid.  The channel's own order
 and every filtered order come from one batched scan over a stack of filter
-rotations, ``measures._order_scan``.
+rotations, ``measures._order_scan``.  ``gad_amendable`` decides the
+damping-channel amendable region on scalars or on whole (p, gamma) arrays,
+with one stacked product R F R for all points of an array.
 
 Filters are unitary channels given by their Bloch rotation O, with PTM
 F = blockdiag(1, O).  Every filtered map is a product of transfer matrices:
@@ -26,9 +28,10 @@ import numpy as np
 
 from .channels import (
     Channel,
-    GadParams,
     UnitalChannel,
+    check_unit_square,
     choi_from_ptm,
+    gad_ptm,
     kraus_from_choi,
     ptm,
 )
@@ -316,7 +319,7 @@ def search_filter(
     return AmendReport(base_nc, best_result, best_filter, amendable)
 
 
-def gad_amendable(p: float, gamma: float, f: FilterCandidate) -> bool:
+def gad_amendable(p, gamma, f: FilterCandidate):
     """Membership test for the damping-channel amendable region.
 
     The rescued channel at point (p, gamma) is the damping channel composed
@@ -324,10 +327,22 @@ def gad_amendable(p: float, gamma: float, f: FilterCandidate) -> bool:
     (equivalently ``is_amendable2`` on that pair).  Written out: the
     interleaved two-use map (damping . f . damping), with PTM R F R, breaks
     entanglement while the plain two-fold composition does not, the latter
-    decided through the closed-form band edge.  An improper f raises
-    ``ValueError``.
+    decided through the closed-form band edge p < p_n(gamma, 2).
+
+    p and gamma are scalars or arrays that broadcast together, and a whole
+    grid is decided in one pass: one range check, the band edge evaluated
+    once per distinct gamma by the scalar ``p_n`` (so it keeps its bits),
+    and one ``decide_eb`` over the stack of R F R for the points below it.
+    Two scalars give a Python bool, anything else a bool array of the
+    broadcast shape.  A point outside the unit square or an improper f
+    raises ``ValueError``.
     """
-    channel = GadParams(p, gamma)
-    if channel.p >= p_n(channel.gamma, 2):
-        return False
-    return bool(decide_eb(_filtered(channel, f, 2))[0])
+    ps, gs = check_unit_square(p, gamma)
+    mid = _filter_ptms(f.bloch_matrix()[None])[0]
+    distinct, index = np.unique(gs, return_inverse=True)
+    edge = np.array([p_n(g, 2) for g in distinct])[index.reshape(gs.shape)]
+    below = ps < edge
+    amendable = np.zeros(ps.shape, dtype=bool)
+    r = gad_ptm(ps[below], gs[below])
+    amendable[below] = decide_eb(r @ mid @ r)[0]
+    return bool(amendable) if amendable.ndim == 0 else amendable

@@ -27,7 +27,6 @@ unital channels therefore runs on trace norms of T, never on Choi positivity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,10 +151,23 @@ class GadParams:
 
     def __post_init__(self):
         p, gamma = float(self.p), float(self.gamma)
-        if not (0.0 <= p <= 1.0 and 0.0 <= gamma <= 1.0):
-            raise ValueError(f"(p, gamma) = ({p}, {gamma}) outside the unit square")
+        check_unit_square(p, gamma)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "gamma", gamma)
+
+
+def check_unit_square(p, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """p and gamma, scalars or arrays that broadcast together, as broadcast
+    float arrays; ``ValueError`` naming the first pair outside the unit
+    square."""
+    p, gamma = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(gamma, dtype=float))
+    inside = (0.0 <= p) & (p <= 1.0) & (0.0 <= gamma) & (gamma <= 1.0)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise ValueError(
+            f"(p, gamma) = ({float(p.flat[i])}, {float(gamma.flat[i])}) outside the unit square"
+        )
+    return p, gamma
 
 
 Channel = UnitalChannel | KrausChannel | GadParams
@@ -253,24 +265,31 @@ def ptm(c: Channel) -> np.ndarray:
 
     R = [[1, 0], [t, T]] maps (1, v) to (1, t + T v), so the PTM of a
     composition c1 after c2 is R1 @ R2.  Unital channels give t = 0 exactly;
-    the damping channel has the closed form t = (0, 0, p (2 gamma - 1)),
-    T = diag(sqrt(1-p), sqrt(1-p), 1-p).
+    the damping channel has the closed form ``gad_ptm``.
     """
     if isinstance(c, UnitalChannel):
         r = np.eye(4)
         r[1:, 1:] = c.t
         return r
     if isinstance(c, GadParams):
-        s = math.sqrt(1.0 - c.p)
-        return np.array([
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, s, 0.0, 0.0],
-            [0.0, 0.0, s, 0.0],
-            [c.p * (2.0 * c.gamma - 1.0), 0.0, 0.0, 1.0 - c.p],
-        ])
+        return gad_ptm(c.p, c.gamma)
     ops = np.array(c.ops)
     images = np.einsum("kab,jbc,kdc->jad", ops, _PAULI_STACK, ops.conj())
     return 0.5 * np.einsum("iab,jba->ij", _PAULI_STACK, images).real
+
+
+def gad_ptm(p, gamma) -> np.ndarray:
+    """PTM of the (p, gamma) damping channel: t = (0, 0, p (2 gamma - 1)),
+    T = diag(sqrt(1-p), sqrt(1-p), 1-p).  Scalars give one 4x4 matrix and
+    arrays that broadcast together a stack (..., 4, 4); the points are
+    assumed to lie in the unit square."""
+    p, gamma = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(gamma, dtype=float))
+    r = np.zeros(p.shape + (4, 4))
+    r[..., 0, 0] = 1.0
+    r[..., 1, 1] = r[..., 2, 2] = np.sqrt(1.0 - p)
+    r[..., 3, 0] = p * (2.0 * gamma - 1.0)
+    r[..., 3, 3] = 1.0 - p
+    return r
 
 
 def pauli_decompose(lam) -> np.ndarray:

@@ -25,6 +25,7 @@ from .channels import (
     GadParams,
     UnitalChannel,
     channel_from_json,
+    check_unit_square,
     gad_kraus,
     pauli_decompose,
 )
@@ -206,14 +207,15 @@ _R2R1 = FilterCandidate.r2r1()
 
 
 def _rows_fig3(axes, fixed, cap):
-    ps = _linspace(*axes["p"])
-    gs = _linspace(*axes["gamma"])
-    for p in ps:
-        for g in gs:
-            by_s1 = gad_amendable(float(p), float(g), _S1)
-            by_pair = False if by_s1 else gad_amendable(float(p), float(g), _R2R1)
-            kind = "s1" if by_s1 else ("r2r1" if by_pair else "")
-            yield (float(p), float(g), by_s1 or by_pair, kind)
+    """The whole grid in two stacked calls: s1 on every point, then r2r1 on
+    the points s1 leaves."""
+    ps, gs = np.meshgrid(_linspace(*axes["p"]), _linspace(*axes["gamma"]), indexing="ij")
+    ps, gs = ps.ravel(), gs.ravel()
+    by_s1 = gad_amendable(ps, gs, _S1)
+    by_pair = np.zeros_like(by_s1)
+    by_pair[~by_s1] = gad_amendable(ps[~by_s1], gs[~by_s1], _R2R1)
+    for p, g, s1, pair in zip(ps.tolist(), gs.tolist(), by_s1.tolist(), by_pair.tolist()):
+        yield (p, g, s1 or pair, "s1" if s1 else ("r2r1" if pair else ""))
 
 
 def _filter_from_name(name: str) -> FilterCandidate:
@@ -240,20 +242,26 @@ def _rows_fig4(axes, fixed, cap):
 _FIG5_K_DEFAULT = {"attenuation": (0.02, 0.98), "amplification": (1.02, 3.0)}
 
 
-def _rows_fig5(axes, fixed, cap, k_override):
-    families = ("attenuation", "amplification")
+def _fig5_families(fixed) -> tuple:
     chosen = str(fixed["family"])
-    if chosen != "both":
-        if chosen not in families:
-            raise ValueError(f"unknown family {chosen!r}")
-        families = (chosen,)
+    if chosen == "both":
+        return ("attenuation", "amplification")
+    if chosen not in _FIG5_K_DEFAULT:
+        raise ValueError(f"unknown family {chosen!r}")
+    return (chosen,)
+
+
+def _fig5_ks(family: str, axes, k_override) -> np.ndarray:
+    """The k axis of one family: the --grid k flag, else the family's default
+    range at the n0 axis's step count."""
+    lo, hi = _FIG5_K_DEFAULT[family]
+    return _linspace(*(k_override or (lo, hi, axes["n0"][2])))
+
+
+def _rows_fig5(axes, fixed, cap, k_override):
     n0s = _linspace(*axes["n0"])
-    for family in families:
-        lo, hi = _FIG5_K_DEFAULT[family]
-        steps = axes["n0"][2]
-        if k_override is not None:
-            lo, hi, steps = k_override
-        for k in _linspace(lo, hi, steps):
+    for family in _fig5_families(fixed):
+        for k in _fig5_ks(family, axes, k_override):
             for n0 in n0s:
                 if family == "attenuation":
                     order = n_c_attenuation(float(k), float(n0), cap)
@@ -283,13 +291,13 @@ def _cmd_sweep(args) -> int:
         if name not in fixed:
             raise ValueError(f"figure {figure} has no fixed parameter {name!r}")
         fixed[name] = value if name in ("filter", "family") else float(value)
-    _validate_fixed(figure, fixed)
 
     k_override = None
     for text in args.grid or ():
         name, lo, hi, steps = _parse_grid_flag(text)
         if figure == "fig5" and name == "k":
             k_override = (lo, hi, steps)
+    _check_domain(figure, axes, fixed, args.cap, k_override)
 
     if figure == "fig1":
         rows = _rows_fig1(axes, fixed, args.cap)
@@ -317,13 +325,27 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _validate_fixed(figure: str, fixed: dict) -> None:
-    if figure == "fig1" and not -1.0 <= float(fixed["lambda3"]) <= 1.0:
-        raise ValueError("lambda3 must lie in [-1, 1]")
-    if figure in ("fig2-inset", "fig4") and not 0.0 <= float(fixed["gamma"]) <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    if figure == "fig4":
-        _filter_from_name(str(fixed["filter"]))
+def _check_domain(figure: str, axes, fixed: dict, cap: int, k_override) -> None:
+    """``ValueError`` for an axis or fixed value outside the figure's domain,
+    raised by the checks its rows would run, so that a bad flag fails before
+    ``--out`` is opened.  Every grid value is checked."""
+    grids = {name: _linspace(*spec) for name, spec in axes.items()}
+    if figure in ("fig1", "fig2", "fig5") and cap < 1:
+        raise ValueError("cap must be >= 1")
+    if figure == "fig1":
+        if not -1.0 <= float(fixed["lambda3"]) <= 1.0:
+            raise ValueError("lambda3 must lie in [-1, 1]")
+    elif figure == "fig5":
+        for family in _fig5_families(fixed):
+            for k in _fig5_ks(family, axes, k_override):
+                IsoChannel(family, k, 0.0)
+            for n0 in grids["n0"]:
+                IsoChannel(family, _FIG5_K_DEFAULT[family][0], n0)
+    else:
+        gammas = grids["gamma"][:, None] if "gamma" in grids else fixed["gamma"]
+        check_unit_square(grids["p"], gammas)
+        if figure == "fig4":
+            _filter_from_name(str(fixed["filter"]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ eigenvalue, so both carry the same information away from the boundary): it
 degrades linearly near the boundary where the determinant degrades
 quartically.  The test suite keeps the determinant as a cross-check.
 Every entanglement-breaking decision on a channel is ``decide_eb``, with the
-one slack ``EB_TOL``.
+one slack ``EB_TOL``, except that ``is_eb`` decides a ``GadParams`` channel by
+its closed-form band edge, as the order and the threshold of that
+representation do.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, PAULIS, UnitalChannel, choi, ptm
+from .channels import Channel, GadParams, PAULIS, UnitalChannel, choi, ptm
+from .gad import p_n
 from .linalg import as_hermitian4, partial_transpose
 
 EB_TOL = 1e-10
@@ -103,8 +106,13 @@ def is_separable(s: ChoiState) -> bool:
 def is_eb(c: Channel) -> bool:
     """Is the channel entanglement breaking?
 
-    ``decide_eb`` on the Bloch matrix of a unital channel (trace norm) and on
-    the Pauli transfer matrix of any other (partial-transpose eigenvalue).
-    The two routes agree on unital channels that are completely positive.
+    A damping channel is when p >= p_n(gamma, 1), the exact band comparison
+    of ``gad.n_c_gad`` and ``gad.mu_c_gad``, so its three answers agree to the
+    last bit.  Any other channel goes through ``decide_eb``: on the Bloch
+    matrix of a unital channel (trace norm) and on the Pauli transfer matrix
+    otherwise (partial-transpose eigenvalue).  The two routes agree on unital
+    channels that are completely positive.
     """
+    if isinstance(c, GadParams):
+        return c.p >= p_n(c.gamma, 1)
     return bool(decide_eb(c.t if isinstance(c, UnitalChannel) else ptm(c))[0])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from helpers import (
     channel_power,
     filter_unitary,
     kraus_filtered,
+    kraus_gad_amendable,
     kraus_sandwich,
     loop_search_filter,
     order_and_margin,
@@ -144,6 +146,81 @@ class TestIsAmendable2:
         assert not gad_amendable(0.58, 0.4, FilterCandidate.pauli(1))
         assert not gad_amendable(0.57, 0.4, FilterCandidate.r2r1())
         assert not gad_amendable(0.595, 0.4, FilterCandidate.r2r1())
+
+
+class TestGadAmendableArrays:
+    FILTERS = (FilterCandidate.pauli(1), FilterCandidate.r2r1())
+
+    @staticmethod
+    def points():
+        ps, gs = [], []
+        for gamma in (0.0, 0.5, 1.0):
+            for p in (0.0, 1.0):
+                ps.append(p)
+                gs.append(gamma)
+        for gamma in (0.05, 0.25, 0.4, 0.5, 0.8):
+            edge = p_n(gamma, 2)
+            for p in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0)):
+                ps.append(p)
+                gs.append(gamma)
+        for gamma in (0.05, 0.25, 0.4, 0.6):
+            low = amend_boundary_s1(gamma)
+            for p in (math.nextafter(low, 0.0), low, math.nextafter(low, 2.0)):
+                ps.append(p)
+                gs.append(gamma)
+        return np.array(ps), np.array(gs)
+
+    @pytest.mark.parametrize("filt", FILTERS)
+    def test_matches_scalar_and_kraus_oracle(self, filt):
+        ps, gs = self.points()
+        stacked = gad_amendable(ps, gs, filt)
+        assert stacked.dtype == bool and stacked.shape == ps.shape
+        scalar = [gad_amendable(p, g, filt) for p, g in zip(ps.tolist(), gs.tolist())]
+        oracle = [kraus_gad_amendable(p, g, filt) for p, g in zip(ps.tolist(), gs.tolist())]
+        assert stacked.tolist() == scalar == oracle
+
+    def test_band_edges(self):
+        ps, gs = self.points()
+        amendable = gad_amendable(ps, gs, FilterCandidate.pauli(1))
+        edge = np.array([p_n(g, 2) for g in gs])
+        assert not amendable[ps >= edge].any()
+        assert not amendable[(gs == 0.0) | (gs == 1.0)].any()
+        # the s1 band [amend_boundary_s1, p_2) holds its lower edge
+        for gamma in (0.05, 0.25, 0.4, 0.6):
+            low = amend_boundary_s1(gamma)
+            assert gad_amendable(math.nextafter(low, 2.0), gamma, FilterCandidate.pauli(1))
+
+    def test_broadcast_shape(self):
+        ps = np.linspace(0.5, 0.7, 5)
+        gs = np.linspace(0.1, 0.4, 3)
+        grid = gad_amendable(ps[:, None], gs[None, :], FilterCandidate.pauli(1))
+        assert grid.shape == (5, 3)
+        for i, p in enumerate(ps.tolist()):
+            for j, g in enumerate(gs.tolist()):
+                assert grid[i, j] == gad_amendable(p, g, FilterCandidate.pauli(1))
+        assert gad_amendable(np.array([]), 0.3, FilterCandidate.pauli(1)).shape == (0,)
+
+    def test_scalar_returns_bool(self):
+        for p in (0.61, np.float64(0.61), np.array(0.61), 0.3, 1.0):
+            assert type(gad_amendable(p, 0.25, FilterCandidate.pauli(1))) is bool
+
+    @pytest.mark.parametrize("bad", [(1.0 + 1e-12, 0.3), (0.5, -1e-12), (0.5, 1.5), (math.nan, 0.3)])
+    def test_one_entry_out_of_range_raises(self, bad):
+        ps = np.array([0.2, 0.6, bad[0], 0.9])
+        gs = np.array([0.3, 0.3, bad[1], 0.3])
+        with pytest.raises(ValueError, match="outside the unit square") as array_err:
+            gad_amendable(ps, gs, FilterCandidate.pauli(1))
+        with pytest.raises(ValueError) as point_err:
+            GadParams(*bad)
+        assert str(array_err.value) == str(point_err.value)
+
+    @pytest.mark.parametrize("p", [0.3, 0.61, 0.99])
+    def test_improper_filter_raises(self, p):
+        improper = FilterCandidate.orthogonal(np.diag([1.0, 1.0, -1.0]))
+        with pytest.raises(ValueError, match="improper"):
+            gad_amendable(p, 0.25, improper)
+        with pytest.raises(ValueError, match="improper"):
+            gad_amendable(np.array([p, 0.5]), 0.25, improper)
 
 
 class TestAmendOrder:

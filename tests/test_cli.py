@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,9 @@ import noisegauge
 from helpers import kraus_gad_amendable
 from noisegauge.amend import FilterCandidate
 from noisegauge.cli import main
+
+# sha256 of `sweep fig3` at the default 200 x 200 grid
+FIG3_DEFAULT_SHA256 = "3ba8fd0a74b3eba2f0ea4922a65e6fd3166afd8eab57682aba0761a14b1c6e51"
 
 NEWT_JSON = json.dumps(
     {"kind": "unital", "t": [0, 0.5, 0, 0.73, 0, 0, 0, 0, 0.5]}
@@ -199,6 +203,45 @@ class TestSweep:
             "--grid", "p=1:0:5",
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fig1", "--fixed", "lambda3=1.5"),
+            ("fig1", "--cap", "0"),
+            ("fig1", "--steps", "-1"),
+            ("fig2", "--grid", "p=0.5:1.5:3"),
+            ("fig2", "--cap", "0"),
+            ("fig2-inset", "--grid", "p=-0.5:0.5:3"),
+            ("fig2-inset", "--fixed", "gamma=1.5"),
+            ("fig3", "--grid", "gamma=-0.5:0.5:3"),
+            ("fig4", "--grid", "p=0.5:1.5:3"),
+            ("fig4", "--fixed", "filter=s9"),
+            ("fig5", "--fixed", "family=attenuation", "--grid", "k=0.5:1.5:3"),
+            ("fig5", "--grid", "k=0.5:0.9:3"),  # both families: amplification needs k > 1
+            ("fig5", "--grid", "n0=-1:1:3"),
+            ("fig5", "--fixed", "family=squeezing"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_domain_error_leaves_out_untouched(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "keep.csv"
+        before = b"p,gamma,amendable,filter_kind\n0.5,0.5,false,\n"
+        out_path.write_bytes(before)
+        figure, *flags = argv
+        code, _, err = run(capsys, "sweep", figure, "--out", str(out_path), "--steps", "3", *flags)
+        assert code == 3 and err.startswith("error:")
+        assert out_path.read_bytes() == before
+
+    def test_fig3_default_grid_pinned(self, capsys, tmp_path):
+        out_path = tmp_path / "fig3.csv"
+        code, _, _ = run(capsys, "sweep", "fig3", "--out", str(out_path))
+        assert code == 0
+        data = out_path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == FIG3_DEFAULT_SHA256
+        rows = read_rows(out_path)[1:]
+        assert len(rows) == 200 * 200
+        assert sum(row[2] == "true" for row in rows) == 2868
 
 
 class TestVerify:

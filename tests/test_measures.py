@@ -396,6 +396,27 @@ class TestThresholdVanishesAtOrderOne:
         assert 0.0 < report.mu_c == mu_c(c) < 1e-12
         assert report.n_c.n == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(-1e-9, 1e-9), st.integers(-20, 20))
+    def test_damping_is_eb_agrees_near_first_edge(self, gamma, shift, ulps):
+        # p within 1e-9 of p_1, then a few ulps further either way
+        p = min(1.0, max(0.0, p_n(gamma, 1) + shift))
+        for _ in range(abs(ulps)):
+            p = min(1.0, math.nextafter(p, math.copysign(2.0, ulps)))
+        c = GadParams(p, gamma)
+        assert is_eb(c) == (n_c(c).n == 1) == (mu_c(c) == 0.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.3, 0.5, 0.7982411825512649, 1.0])
+    def test_damping_is_eb_at_first_edge(self, gamma):
+        edge = p_n(gamma, 1)
+        below = [edge - 1e-11, math.nextafter(edge, 0.0)]
+        above = [edge, math.nextafter(edge, 2.0)]
+        for p in below + above:
+            c = GadParams(min(1.0, p), gamma)
+            assert is_eb(c) == (n_c(c).n == 1) == (mu_c(c) == 0.0)
+        assert not any(is_eb(GadParams(p, gamma)) for p in below)
+        assert is_eb(GadParams(edge, gamma))
+
 
 class TestEbnMember:
     def test_swap_fixture(self):
