@@ -246,6 +246,16 @@ def _first_max(scores: np.ndarray) -> int:
     return int(np.argmax(scores >= scores.max() - SCORE_TIE))
 
 
+def _negated_score(base: np.ndarray, angles, cap: int) -> float:
+    """Minus the score (order plus margin) of the Euler filter with these
+    angles, what the refinement in ``search_filter`` minimizes.  Each point
+    gets a one-row scan: on the PTM route ``ptm_partial_transpose`` multiplies
+    a stack of rows as one matrix product, which rounds differently from a
+    single row, and the refinement must see the bits of a one-point scan."""
+    o, m = _order_scan(base, _euler_lattice(*np.reshape(angles, (3, 1))), cap)
+    return float(-(o[0] + m[0]))
+
+
 def search_filter(
     c: Channel,
     cap: int = DEFAULT_CAP,
@@ -258,7 +268,8 @@ def search_filter(
     quarter-turn pair), the inverse polar rotation for unital channels, and a
     seeded Euler-angle lattice of k^3 points, k^3 the largest cube not above
     `budget`, then refines the best lattice point with the local Nelder-Mead
-    simplex method ``measures.nelder_mead``.
+    simplex method ``measures.nelder_mead``, one start, each point it asks
+    for scored by its own one-row scan (``_negated_score``).
     All candidates are scored at once by one batched order scan over their
     stacked Bloch rotations.  Deterministic for a fixed seed.  Scores within
     ``SCORE_TIE`` of the maximum tie, and the first of them in evaluation
@@ -304,12 +315,11 @@ def search_filter(
     else:
         best_filter = FilterCandidate.euler(*lattice_point(best - len(named)))
 
-    def negated(angles: np.ndarray) -> float:
-        o, m = _order_scan(base, _euler_lattice(*angles[:, None]), cap)
-        return -(o[0] + m[0])
+    def negated(points) -> list[float]:
+        return [_negated_score(base, p, cap) for p in points]
 
     start = lattice_point(_first_max(scores[len(named):]))
-    x, fun = nelder_mead(negated, start, xatol=1e-4, fatol=1e-12, maxiter=200)
+    [(x, fun)] = nelder_mead(negated, [start], xatol=1e-4, fatol=1e-12, maxiter=200)
     if -fun > best_score + SCORE_TIE:
         best_filter = FilterCandidate.euler(*(float(a) for a in x))
         best_result = amend_order(c, best_filter, cap)

@@ -318,21 +318,30 @@ def channel_to_json(c: Channel) -> dict:
     return {"kind": "kraus", "ops": ops}
 
 
+def _json_field(data: dict, kind: str, name: str):
+    """data[name], or a ``ValueError`` naming the kind and the missing field."""
+    if name not in data:
+        raise ValueError(f"{kind} channel JSON is missing the field {name!r}")
+    return data[name]
+
+
 def channel_from_json(data: dict) -> Channel:
-    """Inverse of channel_to_json. Raises ValueError on malformed payloads."""
+    """Inverse of channel_to_json. Raises ValueError on malformed payloads,
+    naming the kind and the field when a field is missing."""
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError("channel JSON must be an object with a 'kind' field")
     kind = data["kind"]
     if kind == "unital":
-        t = np.asarray(data["t"], dtype=float)
+        t = np.asarray(_json_field(data, kind, "t"), dtype=float)
         if t.size != 9:
             raise ValueError("unital channel needs 9 row-major entries in 't'")
         return UnitalChannel(t.reshape(3, 3))
     if kind == "gad":
-        return GadParams(float(data["p"]), float(data["gamma"]))
+        p, gamma = (float(_json_field(data, kind, name)) for name in ("p", "gamma"))
+        return GadParams(p, gamma)
     if kind == "kraus":
         ops = []
-        for entry in data["ops"]:
+        for entry in _json_field(data, kind, "ops"):
             flat = np.asarray(entry, dtype=float)
             if flat.shape != (4, 2):
                 raise ValueError("each Kraus operator needs 4 [re, im] pairs")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import _json_field
 from .report import NcResult
 
 CPT_TOL = 1e-10
@@ -91,7 +92,11 @@ class IsoChannel:
 
     @classmethod
     def from_json(cls, data: dict) -> "IsoChannel":
-        return cls(str(data["family"]), float(data["k"]), float(data["n0"]))
+        """Inverse of to_json; a missing field raises ``ValueError`` naming
+        the family and the field."""
+        family = str(_json_field(data, "isotropic Gaussian", "family"))
+        k, n0 = (float(_json_field(data, family, name)) for name in ("k", "n0"))
+        return cls(family, k, n0)
 
 
 def attenuation(k: float, n0: float) -> IsoChannel:

@@ -15,12 +15,15 @@ matrix S G^-1 S, so the threshold is one 4x4 eigen-solve.
 For rho0 = (1 + w.sigma)/2, sqrt(rho0) = c0 1 + c.sigma with s = sqrt(1-|w|^2)/2,
 c0 = sqrt(1+2s)/2 and c = w / (2 sqrt(1+2s)), so S G^-1 S = (1/2) sum_jk c_j c_k
 Q_jk with Q_jk = (sigma_j (x) 1) G^-1 (sigma_k (x) 1), sigma_0 = 1: one 16x16
-table per channel, then one (c (x) c) @ table and one eigvalsh per state.
+table per channel, then (c (x) c) @ table and one eigvalsh per state.  The
+kernel ``_mu_thresholds`` takes a list of states and stacks both steps.
 
 ``mu_c`` minimizes that threshold over the prepared state rho0.  Unital and
 damping channels have exact closed forms; for everything else a multistart
 derivative-free search over the Bloch ball is used, with the closed forms
-serving as its accuracy oracle in the test suite.
+serving as its accuracy oracle in the test suite.  Its Nelder-Mead restarts
+run in lockstep (``nelder_mead``), so each step of all of them is one stacked
+solve.
 
 ``n_c`` is the smallest number of self-compositions after which the channel
 breaks entanglement; by monotonicity of the EB^n families a single upward
@@ -88,29 +91,38 @@ def _threshold_table(c: Channel) -> np.ndarray | None:
     return 0.5 * q.reshape(16, 16)
 
 
-def _mu_threshold(table: np.ndarray, w: np.ndarray) -> float:
-    """Separability onset along (1-mu) G + mu rho0 (x) 1/2 for the Bloch
-    vector w of rho0, given the table of ``_threshold_table``.
+def _mu_thresholds(table: np.ndarray, points) -> list[float]:
+    """Separability onsets along (1-mu) G + mu rho0 (x) 1/2, one per Bloch
+    vector w of rho0 in `points`, given the table of ``_threshold_table``.
 
     The roots of det((1-mu) G + mu P) are mu = 1/(1 - nu) for the negative
     eigenvalues nu of S G^-1 S with S S = P; the smallest root comes from the
     most negative nu.  Without a negative nu the segment meets no root before
     its PSD endpoint P, so the onset is 1.  S G^-1 S is (c (x) c) @ table for
     sqrt(rho0) = c0 1 + c.sigma, c0 = sqrt(1+2s)/2, c = w / (2 sqrt(1+2s)),
-    s = sqrt(1-|w|^2)/2.  A w outside the ball is projected radially onto it.
+    s = sqrt(1-|w|^2)/2.  A w outside the ball is projected radially onto it,
+    and a non-finite entry in any w raises ``ValueError``.
+
+    The coefficients come from ``math`` per point; then one (k,1,16) @ table
+    and one stacked eigvalsh serve all k points.  Each row keeps the bits of
+    a one-point call: the (k,1,16) stack multiplies row by row, as a single
+    (16,) vector does, where a (k,16) matrix product would round differently.
     """
-    x, y, z = w.tolist()
-    r = math.hypot(x, y, z)
-    if not math.isfinite(r):
-        raise ValueError("Bloch vector entries must be finite")
-    if r > 1.0:
-        x, y, z, r = x / r, y / r, z / r, 1.0
-    root = math.sqrt(1.0 + math.sqrt((1.0 - r) * (1.0 + r)))
-    k = 0.5 / root
-    coef = np.array([0.5 * root, k * x, k * y, k * z])
-    m = ((coef[:, None] * coef).reshape(16) @ table).reshape(4, 4)
-    nu = float(np.linalg.eigvalsh(m)[0])
-    return 1.0 / (1.0 - nu) if nu < 0.0 else 1.0
+    coefs = []
+    for w in points:
+        x, y, z = w
+        r = math.hypot(x, y, z)
+        if not math.isfinite(r):
+            raise ValueError("Bloch vector entries must be finite")
+        if r > 1.0:
+            x, y, z, r = x / r, y / r, z / r, 1.0
+        root = math.sqrt(1.0 + math.sqrt((1.0 - r) * (1.0 + r)))
+        k = 0.5 / root
+        coefs.append((0.5 * root, k * x, k * y, k * z))
+    c = np.array(coefs)
+    m = ((c[:, :, None] * c[:, None, :]).reshape(-1, 1, 16) @ table).reshape(-1, 4, 4)
+    return [1.0 / (1.0 - nu) if nu < 0.0 else 1.0
+            for nu in np.linalg.eigvalsh(m)[:, 0].tolist()]
 
 
 def mu_given_rho0(c: Channel, rho0) -> float:
@@ -127,7 +139,7 @@ def mu_given_rho0(c: Channel, rho0) -> float:
     """
     w = density_to_bloch(validate_density(rho0))
     table = _threshold_table(c)
-    return 0.0 if table is None else _mu_threshold(table, w)
+    return 0.0 if table is None else _mu_thresholds(table, [w.tolist()])[0]
 
 
 def coarse_bloch_grid() -> list[np.ndarray]:
@@ -153,50 +165,55 @@ def coarse_bloch_grid() -> list[np.ndarray]:
     return pts
 
 
-def nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int) -> tuple[np.ndarray, float]:
-    """Minimize f from x0 by the unbounded, non-adaptive Nelder-Mead simplex
-    method (Nelder & Mead 1965; Lagarias, Reeds, Wright & Wright 1998).
+def _by_value(sim: list, fsim: list) -> tuple[list, list]:
+    """Vertices and values in the order of ``np.argsort`` on the values."""
+    ind = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in ind], [fsim[i] for i in ind]
 
-    The initial simplex scales each coordinate of x0 by 1.05, or sets it to
-    0.00025 when it is zero.  The reflection, expansion, contraction and
-    shrink coefficients are 1, 2, 0.5 and 0.5.  The run stops once every
-    vertex lies within `xatol` of the best one in each coordinate and within
-    `fatol` of it in value, or after `maxiter` iterations.  Each step, down
-    to the argsort that orders the vertices, follows the reference
-    implementation the test suite holds this to, so f sees the same points
-    in the same order and the result agrees bit for bit.  f must leave its
-    argument unchanged.  Returns the best vertex and the smallest value.
+
+def _simplex(x0, xatol: float, fatol: float, maxiter: int):
+    """One Nelder-Mead run from x0 as a generator (see ``nelder_mead``).
+
+    It yields the list of points it needs next: the n + 1 start vertices,
+    one trial point, or the n shrink points, and takes their values by
+    ``send``.  Its return value is the best vertex and the smallest value.
+    The vertices are lists of floats, updated by the same operations in the
+    same order as the reference's arrays, so every point keeps its bits; the
+    vertex order comes from ``np.argsort``, as in the reference, because
+    ``sorted`` breaks exact ties differently.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = np.asarray(x0, dtype=float).flatten()
+    x0 = [float(v) for v in x0]
     n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
+    sim = [x0]
     for k in range(n):
-        y = np.array(x0, copy=True)
+        y = list(x0)
         y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.full((n + 1,), np.inf)
-    for k in range(n + 1):
-        fsim[k] = f(sim[k])
+        sim.append(y)
+    fsim = list((yield sim))
     # The reference sorts twice here; argsort need not be stable on ties.
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        sim, fsim = _by_value(sim, fsim)
 
     iterations = 1
     while iterations < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        best, fbest = sim[0], fsim[0]
+        if (all(abs(v - b) <= xatol for s in sim[1:] for v, b in zip(s, best))
+                and all(abs(fbest - f) <= fatol for f in fsim[1:])):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = f(xr)
+        worst = sim[-1]
+        # Summed vertex by vertex, as the reference does: from Python 3.12
+        # on, sum() compensates the rounding of a float sum.
+        xbar = sim[0]
+        for s in sim[1:-1]:
+            xbar = [m + v for m, v in zip(xbar, s)]
+        xbar = [m / n for m in xbar]
+        xr = [(1 + rho) * m - rho * v for m, v in zip(xbar, worst)]
+        (fxr,) = yield [xr]
         doshrink = False
         if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = f(xe)
+            xe = [(1 + rho * chi) * m - rho * chi * v for m, v in zip(xbar, worst)]
+            (fxe,) = yield [xe]
             if fxe < fxr:
                 sim[-1], fsim[-1] = xe, fxe
             else:
@@ -204,28 +221,65 @@ def nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int) -> tuple[np.nda
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         elif fxr < fsim[-1]:
-            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-            fxc = f(xc)
+            xc = [(1 + psi * rho) * m - psi * rho * v for m, v in zip(xbar, worst)]
+            (fxc,) = yield [xc]
             if fxc <= fxr:
                 sim[-1], fsim[-1] = xc, fxc
             else:
                 doshrink = True
         else:
-            xcc = (1 - psi) * xbar + psi * sim[-1]
-            fxcc = f(xcc)
+            xcc = [(1 - psi) * m + psi * v for m, v in zip(xbar, worst)]
+            (fxcc,) = yield [xcc]
             if fxcc < fsim[-1]:
                 sim[-1], fsim[-1] = xcc, fxcc
             else:
                 doshrink = True
         if doshrink:
-            for j in range(1, n + 1):
-                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                fsim[j] = f(sim[j])
+            sim[1:] = [[b + sigma * (v - b) for v, b in zip(s, best)] for s in sim[1:]]
+            fsim[1:] = yield sim[1:]
         iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim)
+        sim, fsim = _by_value(sim, fsim)
+    return np.array(sim[0]), min(fsim)
+
+
+def nelder_mead(
+    f, starts, xatol: float, fatol: float, maxiter: int
+) -> list[tuple[np.ndarray, float]]:
+    """Minimize from each start by the unbounded, non-adaptive Nelder-Mead
+    simplex method (Nelder & Mead 1965; Lagarias, Reeds, Wright & Wright 1998).
+
+    The initial simplex scales each coordinate of a start by 1.05, or sets it
+    to 0.00025 when it is zero.  The reflection, expansion, contraction and
+    shrink coefficients are 1, 2, 0.5 and 0.5.  A run stops once every
+    vertex lies within `xatol` of the best one in each coordinate and within
+    `fatol` of it in value, or after `maxiter` iterations.  Each step, down
+    to the argsort that orders the vertices, follows the reference
+    implementation the test suite holds this to, so every run sees the same
+    points in the same order and its result agrees bit for bit.
+
+    The runs advance in lockstep: f takes the list of points that every
+    live run needs next, start by start, and returns their values in that
+    order, so one call of f serves one step of all runs.  f must leave the
+    points unchanged and score each one independently of the others.
+    Returns the best vertex and the smallest value of each start, in order.
+    """
+    runs = [_simplex(x0, xatol, fatol, maxiter) for x0 in starts]
+    pending = [next(run) for run in runs]
+    results = [None] * len(runs)
+    live = list(range(len(runs)))
+    while live:
+        values = f([x for i in live for x in pending[i]])
+        pos, still = 0, []
+        for i in live:
+            count = len(pending[i])
+            try:
+                pending[i] = runs[i].send(values[pos:pos + count])
+                still.append(i)
+            except StopIteration as done:
+                results[i] = done.value
+            pos += count
+        live = still
+    return results
 
 
 @dataclass(frozen=True)
@@ -248,7 +302,11 @@ def mu_c_search(c: Channel) -> MuSearchResult:
     refined restarts is reported so callers can judge whether the landscape
     looked multimodal; the returned value is the minimum over every
     evaluation either way.  Each evaluation is the exact solve of
-    `mu_given_rho0`, with its 16x16 table built once per search.
+    `mu_given_rho0`, with its 16x16 table built once per search.  The grid
+    is one call of the stacked kernel, and the 3 restarts advance in
+    lockstep, one kernel call per step for all of them; the result is the
+    same, bit for bit, as scoring one point and running one restart at a
+    time.
     """
     table = _threshold_table(c)
     if table is None:
@@ -256,19 +314,19 @@ def mu_c_search(c: Channel) -> MuSearchResult:
 
     count = [0]
 
-    def objective(w: np.ndarray) -> float:
-        count[0] += 1
-        return _mu_threshold(table, w)
+    def objective(points) -> list[float]:
+        count[0] += len(points)
+        return _mu_thresholds(table, points)
 
     grid = coarse_bloch_grid()
-    values = [objective(w) for w in grid]
+    values = objective(grid)
     ranking = np.argsort(values, kind="stable")
 
     best_value = min(values)
     best_point = grid[int(np.argmin(values))]
+    starts = [grid[int(idx)] for idx in ranking[:3]]
     refined = []
-    for idx in ranking[:3]:
-        x, fun = nelder_mead(objective, grid[int(idx)], xatol=1e-4, fatol=1e-12, maxiter=600)
+    for x, fun in nelder_mead(objective, starts, xatol=1e-4, fatol=1e-12, maxiter=600):
         refined.append(float(fun))
         if fun < best_value:
             best_value = float(fun)

@@ -23,7 +23,13 @@ from noisegauge.channels import (
 from noisegauge.gad import p_n
 from noisegauge.gaussian import compose_gaussian, eb_split_feasible, to_triplet
 from noisegauge.linalg import partial_transpose, polar_decompose, trace_norm
-from noisegauge.measures import n_c
+from noisegauge.measures import (
+    MuSearchResult,
+    _threshold_table,
+    coarse_bloch_grid,
+    mu_c_upper_bound,
+    n_c,
+)
 from noisegauge.report import NcResult
 from noisegauge.separability import EB_TOL, ChoiState, choi_state, is_separable, min_pt_eigenvalue
 
@@ -124,6 +130,57 @@ def kron_threshold(ginv: np.ndarray, rho0) -> float:
     half = np.kron(_qubit_sqrt(validate_density(rho0)), IDENTITY_2)
     nu = 0.5 * float(np.linalg.eigvalsh(half @ ginv @ half).min())
     return 1.0 / (1.0 - nu) if nu < 0.0 else 1.0
+
+
+def point_threshold(table: np.ndarray, w) -> float:
+    """The one-point form of ``measures._mu_thresholds``: the same
+    coefficients, then a (16,) @ table product and one 4x4 eigvalsh for the
+    single Bloch vector w.  An oracle for the stacked kernel, row by row."""
+    x, y, z = np.asarray(w, dtype=float).tolist()
+    r = math.hypot(x, y, z)
+    if not math.isfinite(r):
+        raise ValueError("Bloch vector entries must be finite")
+    if r > 1.0:
+        x, y, z, r = x / r, y / r, z / r, 1.0
+    root = math.sqrt(1.0 + math.sqrt((1.0 - r) * (1.0 + r)))
+    k = 0.5 / root
+    coef = np.array([0.5 * root, k * x, k * y, k * z])
+    m = ((coef[:, None] * coef).reshape(16) @ table).reshape(4, 4)
+    nu = float(np.linalg.eigvalsh(m)[0])
+    return 1.0 / (1.0 - nu) if nu < 0.0 else 1.0
+
+
+def restart_search(c) -> MuSearchResult:
+    """``mu_c_search`` one point and one restart at a time: the grid scored
+    point by point with ``point_threshold``, then scipy's Nelder-Mead from
+    each of the 3 best grid points in turn.  An oracle for the lockstep
+    restarts and the stacked kernel."""
+    table = _threshold_table(c)
+    if table is None:
+        return MuSearchResult(0.0, np.zeros(3), 0.0, 1)
+    count = [0]
+
+    def objective(w) -> float:
+        count[0] += 1
+        return point_threshold(table, w)
+
+    grid = coarse_bloch_grid()
+    values = [objective(w) for w in grid]
+    best_value = min(values)
+    best_point = grid[int(np.argmin(values))]
+    refined = []
+    for idx in np.argsort(values, kind="stable")[:3]:
+        res = minimize(objective, grid[int(idx)], method="Nelder-Mead",
+                       options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 600})
+        refined.append(float(res.fun))
+        if res.fun < best_value:
+            best_value = float(res.fun)
+            r = float(np.linalg.norm(res.x))
+            best_point = res.x / r if r > 1.0 else res.x
+    bound = mu_c_upper_bound(2)
+    if best_value > bound:
+        best_value, best_point = bound, np.zeros(3)
+    return MuSearchResult(best_value, best_point, max(refined) - min(refined), count[0])
 
 
 def bisect_threshold(c, rho0, tol: float, sep_tol: float = EB_TOL) -> float:

@@ -79,6 +79,24 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "{broken")
         assert code == 2 and "malformed" in err
 
+    @pytest.mark.parametrize("payload,kind,field", [
+        ({"kind": "unital"}, "unital", "t"),
+        ({"kind": "gad", "gamma": 0.1}, "gad", "p"),
+        ({"kind": "gad", "p": 0.1}, "gad", "gamma"),
+        ({"kind": "kraus"}, "kraus", "ops"),
+        ({"family": "attenuation", "n0": 0.5}, "attenuation", "k"),
+        ({"family": "attenuation", "k": 0.5}, "attenuation", "n0"),
+        ({"family": "amplification", "k": 1.5}, "amplification", "n0"),
+    ])
+    def test_missing_field_is_named(self, capsys, payload, kind, field):
+        code, _, err = run(capsys, "analyze", json.dumps(payload))
+        assert code == 3
+        assert err.strip() == f"error: {kind} channel JSON is missing the field {field!r}"
+
+    def test_missing_family_is_named(self):
+        with pytest.raises(ValueError, match="Gaussian channel JSON is missing the field 'family'"):
+            noisegauge.IsoChannel.from_json({"k": 0.5, "n0": 0.1})
+
     def test_invariant_violation_exits_3(self, capsys):
         code, _, err = run(capsys, "analyze", '{"kind":"gad","p":2.0,"gamma":0.1}')
         assert code == 3 and "unit square" in err

@@ -11,10 +11,12 @@ from helpers import (
     channel_power,
     kron_threshold,
     loop_n_c,
+    point_threshold,
     random_cp_unital,
     random_density,
     random_rotation,
     random_tetra_lambda,
+    restart_search,
     rotation_from_quaternion,
 )
 from noisegauge import (
@@ -40,10 +42,10 @@ from noisegauge import (
     noise_report,
     sandwich,
 )
-from noisegauge.amend import _euler_lattice, _order_scan, _scan_base
+from noisegauge.amend import _negated_score, _scan_base
 from noisegauge.gad import p_n
 from noisegauge.linalg import partial_transpose, polar_decompose, trace_norm
-from noisegauge.measures import _mu_threshold, _threshold_table, coarse_bloch_grid, nelder_mead
+from noisegauge.measures import _mu_thresholds, _threshold_table, coarse_bloch_grid, nelder_mead
 from noisegauge.separability import EB_TOL, choi_state
 
 LAM = np.diag([0.73, 0.5, 0.5])
@@ -102,8 +104,22 @@ class TestMuGivenRho0:
             assert got == pytest.approx(bisect_threshold(c, rho0, 1e-10, sep_tol), abs=1e-8)
 
 
+def _bloch_point(state, rng):
+    """A Bloch vector inside the ball (mixed), on it (pure), at its centre or
+    beyond it (outside)."""
+    v = rng.normal(size=3)
+    if state == "mixed":
+        return v * rng.uniform() / np.linalg.norm(v)
+    if state == "pure":
+        return v / np.linalg.norm(v)
+    if state == "centre":
+        return np.zeros(3)
+    return v * rng.uniform(1.0, 3.0) / np.linalg.norm(v)
+
+
 class TestThresholdKernel:
-    """The table kernel against the direct S G^-1 S construction."""
+    """The stacked table kernel against its one-point form and the direct
+    S G^-1 S construction."""
 
     @pytest.mark.parametrize("kind,seed", [("unital", 51), ("damping", 52), ("filtered", 53)])
     @pytest.mark.parametrize("state", ["mixed", "pure", "centre", "outside"])
@@ -117,24 +133,34 @@ class TestThresholdKernel:
                 continue
             checked += 1
             ginv = np.linalg.inv(partial_transpose(choi_state(c).g))
-            v = rng.normal(size=3)
-            if state == "mixed":
-                w = v * rng.uniform() / np.linalg.norm(v)
-            elif state == "pure":
-                w = v / np.linalg.norm(v)
-            elif state == "centre":
-                w = np.zeros(3)
-            else:
-                w = v * rng.uniform(1.0, 3.0) / np.linalg.norm(v)
-            projected = w / max(1.0, np.linalg.norm(w))
-            expected = kron_threshold(ginv, bloch_to_density(projected))
-            assert _mu_threshold(table, w) == pytest.approx(expected, abs=1e-12)
+            points = [_bloch_point(state, rng) for _ in range(3)]
+            rows = _mu_thresholds(table, points)
+            for w, got in zip(points, rows):
+                assert got == _mu_thresholds(table, [w])[0] == point_threshold(table, w)
+                projected = w / max(1.0, np.linalg.norm(w))
+                expected = kron_threshold(ginv, bloch_to_density(projected))
+                assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_rows_keep_their_bits_in_a_mixed_stack(self):
+        rng = np.random.default_rng(54)
+        states = ["mixed", "pure", "centre", "outside"]
+        for kind in ("unital", "damping", "filtered"):
+            table = _threshold_table(_non_eb_channel(kind, rng))
+            points = [_bloch_point(states[i % 4], rng) for i in range(26)]
+            points += [points[3] * 2.0, points[3] * 4.0]  # one ray beyond the ball
+            rows = _mu_thresholds(table, points)
+            assert rows[-1] == rows[-2] == rows[3]
+            for w, got in zip(points, rows):
+                assert np.float64(got).tobytes() == np.float64(point_threshold(table, w)).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_bloch_entry(self, bad):
         table = _threshold_table(IDENTITY_CH)
-        with pytest.raises(ValueError, match="finite"):
-            _mu_threshold(table, np.array([0.1, bad, 0.2]))
+        for row in range(3):
+            points = [[0.1, 0.2, 0.3] for _ in range(3)]
+            points[row] = [0.1, bad, 0.2]
+            with pytest.raises(ValueError, match="finite"):
+                _mu_thresholds(table, points)
 
 
 class TestMuCUnital:
@@ -215,19 +241,14 @@ class TestMuCSearch:
 def _mu_objective(c):
     table = _threshold_table(c)
     assert table is not None
-    return lambda w: _mu_threshold(table, w)
+    return lambda points: _mu_thresholds(table, points)
 
 
 def _negated_filter_score(c, cap=16):
     """The objective that ``search_filter`` refines: minus the order plus
-    margin of the Euler filter, flat between the integer orders."""
+    margin of each Euler filter, flat between the integer orders."""
     base = _scan_base(c)
-
-    def negated(angles):
-        o, m = _order_scan(base, _euler_lattice(*angles[:, None]), cap)
-        return -(o[0] + m[0])
-
-    return negated
+    return lambda points: [_negated_score(base, p, cap) for p in points]
 
 
 def _non_eb_channel(kind, rng):
@@ -237,29 +258,39 @@ def _non_eb_channel(kind, rng):
             return c
 
 
+def _traced(f, calls):
+    """f, recording the bytes of the points of each call in `calls`."""
+    def g(points):
+        calls.append([np.asarray(x, dtype=float).tobytes() for x in points])
+        return f(points)
+    return g
+
+
 class TestNelderMead:
-    """The local simplex method against scipy's, bit for bit."""
+    """The local simplex method against scipy's, bit for bit, and its
+    lockstep runs against single runs."""
 
     @staticmethod
     def _both(f, x0, xatol=1e-4, fatol=1e-12, maxiter=600):
-        """Run the port and scipy from x0; require the same points evaluated
-        in the same order and the same result.  Returns scipy's result."""
-        seen = ([], [])
+        """Run the port and scipy from x0, scipy scoring one point per call of
+        the batch objective f; require the same points evaluated in the same
+        order and the same result.  Returns scipy's result and the points."""
+        calls, seen = [], []
 
-        def traced(k):
-            def g(x):
-                seen[k].append(np.asarray(x, dtype=float).tobytes())
-                return f(x)
-            return g
+        def single(x):
+            seen.append(np.asarray(x, dtype=float).tobytes())
+            return f([x])[0]
 
-        x, fun = nelder_mead(traced(0), x0, xatol=xatol, fatol=fatol, maxiter=maxiter)
-        res = minimize(traced(1), x0, method="Nelder-Mead",
+        [(x, fun)] = nelder_mead(_traced(f, calls), [x0], xatol=xatol, fatol=fatol,
+                                 maxiter=maxiter)
+        res = minimize(single, x0, method="Nelder-Mead",
                        options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})
-        assert seen[0] == seen[1]
-        assert len(seen[0]) == res.nfev
+        points = [b for call in calls for b in call]
+        assert points == seen
+        assert len(points) == res.nfev
         assert x.tobytes() == res.x.tobytes()
         assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
-        return res, seen[0]
+        return res, points
 
     @pytest.mark.parametrize("kind", ["damping", "unital"])
     def test_threshold_search_restarts(self, kind):
@@ -267,7 +298,7 @@ class TestNelderMead:
         grid = coarse_bloch_grid()
         for _ in range(5):
             f = _mu_objective(_non_eb_channel(kind, rng))
-            ranking = np.argsort([f(w) for w in grid], kind="stable")
+            ranking = np.argsort(f(grid), kind="stable")
             for idx in ranking[:3]:
                 self._both(f, grid[int(idx)])
 
@@ -297,6 +328,79 @@ class TestNelderMead:
         f = _mu_objective(gad_kraus(GadParams(0.3, 0.2)))
         res, _ = self._both(f, coarse_bloch_grid()[7], xatol=0.0, fatol=0.0, maxiter=9)
         assert res.nit == 9 and res.status == 2
+
+    @pytest.mark.parametrize("kind,seed", [("damping", 64), ("unital", 65), ("filtered", 66)])
+    def test_lockstep_matches_single_runs(self, kind, seed):
+        """Three starts in one call: each start's points, in order, and its
+        result equal those of its single run, and call r of f holds the r-th
+        request of every run still going, start by start.  The third start
+        lies beyond the ball, where points on one ray score exactly equal."""
+        rng = np.random.default_rng(seed)
+        grid = coarse_bloch_grid()
+        for _ in range(3):
+            f = _mu_objective(_non_eb_channel(kind, rng))
+            ranking = np.argsort(f(grid), kind="stable")
+            starts = [grid[int(ranking[0])], grid[int(ranking[1])], 3.0 * grid[int(ranking[2])]]
+            single_calls, single_results = [], []
+            for x0 in starts:
+                calls = []
+                single_results += nelder_mead(_traced(f, calls), [x0], 1e-4, 1e-12, 600)
+                single_calls.append(calls)
+            lockstep_calls = []
+            results = nelder_mead(_traced(f, lockstep_calls), starts, 1e-4, 1e-12, 600)
+            rounds = max(len(calls) for calls in single_calls)
+            assert len(lockstep_calls) == rounds
+            for r, call in enumerate(lockstep_calls):
+                assert call == [b for calls in single_calls if r < len(calls) for b in calls[r]]
+            for (x, fun), (x1, fun1) in zip(results, single_results, strict=True):
+                assert x.tobytes() == x1.tobytes()
+                assert np.float64(fun).tobytes() == np.float64(fun1).tobytes()
+
+    def test_start_beyond_the_ball_matches_scipy(self):
+        """Outside the ball the objective is constant along each ray, so the
+        simplex meets exact ties; the vertex order must still be scipy's."""
+        rng = np.random.default_rng(67)
+        grid = coarse_bloch_grid()
+        ties = 0
+        for kind in ("damping", "unital", "filtered"):
+            f = _mu_objective(_non_eb_channel(kind, rng))
+            for idx in (0, 6, 14):
+                _, points = self._both(f, 3.0 * grid[idx])
+                start = f([np.frombuffer(b) for b in points[:4]])
+                ties += len(set(start)) < 4
+        assert ties > 0
+
+
+class TestMuCSearchOracle:
+    """``mu_c_search`` against the one-point, one-restart-at-a-time search
+    of ``helpers.restart_search``: every field of the result, bit for bit."""
+
+    @pytest.mark.parametrize("kind,seed", [("damping", 71), ("unital", 72), ("filtered", 73)])
+    def test_matches_restart_oracle(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            c = _non_eb_channel(kind, rng)
+            got, want = mu_c_search(c), restart_search(c)
+            assert float(got.value).hex() == float(want.value).hex()
+            assert got.bloch.tobytes() == want.bloch.tobytes()
+            assert float(got.restart_spread).hex() == float(want.restart_spread).hex()
+            assert got.evaluations == want.evaluations
+
+    def test_stacks_the_eigen_solves(self, monkeypatch):
+        """One stacked eigvalsh serves the grid and each lockstep step of the
+        restarts, so there are far fewer solves than evaluations."""
+        c = _non_eb_channel("damping", np.random.default_rng(74))
+        calls = [0]
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls[0] += 1
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        res = mu_c_search(c)
+        assert res.evaluations > 100
+        assert calls[0] <= res.evaluations / 2
 
 
 QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
