@@ -9,7 +9,12 @@ Two complementary functionals gauge how disruptive a channel is:
 
 Both come with closed forms for unital and generalized amplitude-damping
 qubit channels and for isotropic one-mode Gaussian attenuation and
-amplification, plus oracle-grade numeric routes used to validate them.
+amplification; every other qubit channel takes one numeric route on its
+Pauli transfer matrix.  ``search_filter`` looks for a unitary filter between
+uses that raises the order, in closed form for unital channels.  The
+package exports only what these answers use; the independent routes that
+validate them (Kraus loops, Choi-matrix separability, Gaussian triplets)
+live in the test suite.
 """
 
 from .amend import (
@@ -34,7 +39,6 @@ from .channels import (
     channel_to_json,
     choi,
     compose_kraus,
-    compose_unital,
     density_to_bloch,
     gad_kraus,
     kraus_from_choi,
@@ -53,21 +57,15 @@ from .gad import (
     vbar,
 )
 from .gaussian import (
-    GaussianChannel,
     IsoChannel,
     amplification,
     attenuation,
-    compose_gaussian,
-    eb_split_feasible,
     is_eb_iso,
     n_c_amplification,
     n_c_attenuation,
     n_c_iso,
-    to_triplet,
 )
 from .linalg import (
-    canonical_decompose,
-    hermitian_eigenvalues,
     partial_transpose,
     polar_decompose,
     trace_norm,
@@ -86,9 +84,7 @@ from .measures import (
 from .report import NcResult, NoiseReport
 from .separability import (
     ChoiState,
-    choi_state,
     is_eb,
-    is_separable,
     min_pt_eigenvalue,
 )
 

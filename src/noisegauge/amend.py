@@ -5,9 +5,11 @@ be rescued: interposing a fixed unitary filter between uses keeps the
 composition non-entanglement-breaking for longer.  ``is_amendable2`` tests a
 given filter, ``amend_order`` computes the order of the filtered iteration,
 and ``search_filter`` looks for a good filter among the named Pauli /
-rotation candidates plus a seeded Euler-angle grid.  The channel's own order
-and every filtered order come from one batched scan over a stack of filter
-rotations, ``measures._order_scan``.  ``gad_amendable`` decides the
+rotation candidates.  For a unital channel its inverse polar rotation is
+provably optimal (Horn's inequality), so the search stops there; any other
+channel adds a seeded Euler-angle grid and a simplex refinement.  The
+channel's own order and every filtered order come from one batched scan over
+a stack of filter rotations, ``measures._order_scan``.  ``gad_amendable`` decides the
 damping-channel amendable region on scalars or on whole (p, gamma) arrays,
 with one stacked product R F R for all points of an array.
 
@@ -264,17 +266,29 @@ def search_filter(
 ) -> AmendReport:
     """Look for the filter that maximally delays entanglement breaking.
 
-    Tries the named filters (three Pauli conjugations and the x-then-y
-    quarter-turn pair), the inverse polar rotation for unital channels, and a
-    seeded Euler-angle lattice of k^3 points, k^3 the largest cube not above
-    `budget`, then refines the best lattice point with the local Nelder-Mead
-    simplex method ``measures.nelder_mead``, one start, each point it asks
-    for scored by its own one-row scan (``_negated_score``).
-    All candidates are scored at once by one batched order scan over their
-    stacked Bloch rotations.  Deterministic for a fixed seed.  Scores within
-    ``SCORE_TIE`` of the maximum tie, and the first of them in evaluation
-    order wins; the same rule picks the lattice point the refinement starts
-    from, and the refined filter wins only by more than ``SCORE_TIE``.
+    Scores the named filters (three Pauli conjugations and the x-then-y
+    quarter-turn pair) by one batched order scan over their stacked Bloch
+    rotations.  Scores within ``SCORE_TIE`` of the maximum tie, and the first
+    of them in evaluation order wins.
+
+    A ``UnitalChannel`` adds one more named filter, its inverse polar
+    rotation, and stops there.  With T = O_p P its polar decomposition, the
+    filter O_p^T gives (O_p^T T)^m = P^m, whose trace norm is sum_i s_i^m
+    for the singular values s_i of T.  For every orthogonal O the singular
+    values of (O T)^m are weakly majorized by the products of the singular
+    values of its factors (A. Horn, PNAS 1950), so ||(O T)^m||_1 <= sum_i
+    s_i^m.  No filter therefore turns entanglement breaking later, nor at
+    the same use with a larger trace norm, so none scores higher; `budget`
+    is only checked, and `seed` is not used.
+
+    Any other channel also scores a seeded Euler-angle lattice of k^3 points,
+    k^3 the largest cube not above `budget`, in the same scan after the
+    named filters, then refines the first best lattice point with the local
+    Nelder-Mead simplex method ``measures.nelder_mead``, one start, each
+    point it asks for scored by its own one-row scan (``_negated_score``).
+    The refined filter wins only by more than ``SCORE_TIE``.  Deterministic
+    for a fixed seed.
+
     The report is amendable when the channel's order, found within `cap`,
     is at most 2 and the winning filter's order exceeds 2.
     """
@@ -284,21 +298,21 @@ def search_filter(
         raise ValueError("unitary channels never break entanglement; nothing to amend")
 
     named = [FilterCandidate.pauli(k) for k in (1, 2, 3)] + [FilterCandidate.r2r1()]
-    if isinstance(c, UnitalChannel):
+    unital = isinstance(c, UnitalChannel)
+    if unital:
         rotation, _ = polar_decompose(c.t)
         named.append(FilterCandidate.orthogonal(rotation.T))
-
-    rng = np.random.default_rng(seed)
-    per_axis = _cube_root_floor(budget)
-    spans = (2 * math.pi, math.pi, 2 * math.pi)
-    offsets = [rng.uniform(0.0, span / per_axis) for span in spans]
-    axes = [
-        offsets[k] + np.arange(per_axis) * (spans[k] / per_axis)
-        for k in range(3)
-    ]
-    rotations = np.concatenate(
-        [np.array([f.bloch_matrix() for f in named]), _euler_lattice(*axes)]
-    )
+    rotations = np.array([f.bloch_matrix() for f in named])
+    if not unital:
+        rng = np.random.default_rng(seed)
+        per_axis = _cube_root_floor(budget)
+        spans = (2 * math.pi, math.pi, 2 * math.pi)
+        offsets = [rng.uniform(0.0, span / per_axis) for span in spans]
+        axes = [
+            offsets[k] + np.arange(per_axis) * (spans[k] / per_axis)
+            for k in range(3)
+        ]
+        rotations = np.concatenate([rotations, _euler_lattice(*axes)])
     base = _scan_base(c)
     orders, margins = _order_scan(base, rotations, cap)
     scores = orders + margins
@@ -315,14 +329,15 @@ def search_filter(
     else:
         best_filter = FilterCandidate.euler(*lattice_point(best - len(named)))
 
-    def negated(points) -> list[float]:
-        return [_negated_score(base, p, cap) for p in points]
+    if not unital:
+        def negated(points) -> list[float]:
+            return [_negated_score(base, p, cap) for p in points]
 
-    start = lattice_point(_first_max(scores[len(named):]))
-    [(x, fun)] = nelder_mead(negated, [start], xatol=1e-4, fatol=1e-12, maxiter=200)
-    if -fun > best_score + SCORE_TIE:
-        best_filter = FilterCandidate.euler(*(float(a) for a in x))
-        best_result = amend_order(c, best_filter, cap)
+        start = lattice_point(_first_max(scores[len(named):]))
+        [(x, fun)] = nelder_mead(negated, [start], xatol=1e-4, fatol=1e-12, maxiter=200)
+        if -fun > best_score + SCORE_TIE:
+            best_filter = FilterCandidate.euler(*(float(a) for a in x))
+            best_result = amend_order(c, best_filter, cap)
 
     base_nc = n_c(c, cap)
     amendable = base_nc.is_finite and base_nc.n <= 2 < best_result.order_key()

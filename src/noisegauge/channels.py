@@ -173,11 +173,6 @@ def check_unit_square(p, gamma) -> tuple[np.ndarray, np.ndarray]:
 Channel = UnitalChannel | KrausChannel | GadParams
 
 
-def compose_unital(c1: UnitalChannel, c2: UnitalChannel) -> UnitalChannel:
-    """Composition c1 after c2 (c2 acts first); Bloch matrix T1 T2."""
-    return UnitalChannel(c1.t @ c2.t)
-
-
 def gad_kraus(g: GadParams) -> KrausChannel:
     """The four Kraus operators of the (p, gamma) damping channel.
 

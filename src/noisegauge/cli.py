@@ -84,9 +84,7 @@ def _nc_cell(result: NcResult) -> str:
 def _cmd_analyze(args) -> int:
     channel = _parse_channel(args.channel)
     if isinstance(channel, IsoChannel):
-        order = n_c_iso(channel, args.cap)
-        flags = tuple(order.n is not None and k >= order.n for k in range(1, args.cap + 1))
-        report = NoiseReport(None, order, flags)
+        report = NoiseReport(None, n_c_iso(channel, args.cap))
     else:
         report = noise_report(channel, cap=args.cap)
     print(json.dumps(report.to_json()))
@@ -292,11 +290,7 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"figure {figure} has no fixed parameter {name!r}")
         fixed[name] = value if name in ("filter", "family") else float(value)
 
-    k_override = None
-    for text in args.grid or ():
-        name, lo, hi, steps = _parse_grid_flag(text)
-        if figure == "fig5" and name == "k":
-            k_override = (lo, hi, steps)
+    k_override = axes.pop("k", None)
     _check_domain(figure, axes, fixed, args.cap, k_override)
 
     if figure == "fig1":

@@ -59,30 +59,6 @@ def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     return orthogonal, psd
 
 
-def canonical_decompose(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor m = o1 @ diag(d) @ o2 with o1, o2 proper rotations.
-
-    The entries of d carry the singular values of m ordered by descending
-    magnitude.  Improper SVD factors are repaired by flipping the sign of the
-    last (smallest-magnitude) diagonal entry, so sign(prod(d)) == sign(det m).
-
-    Returns:
-        (o1, d, o2) with d a length-3 array, det(o1) == det(o2) == +1.
-    """
-    a = as_real3(m)
-    u, s, vt = np.linalg.svd(a)
-    d = s.copy()
-    if np.linalg.det(u) < 0:
-        u = u.copy()
-        u[:, 2] *= -1.0
-        d[2] *= -1.0
-    if np.linalg.det(vt) < 0:
-        vt = vt.copy()
-        vt[2, :] *= -1.0
-        d[2] *= -1.0
-    return u, d, vt
-
-
 def partial_transpose(g) -> np.ndarray:
     """Transpose the second tensor factor of a 4x4 operator on C^2 (x) C^2.
 
@@ -92,13 +68,3 @@ def partial_transpose(g) -> np.ndarray:
     """
     a = as_hermitian4(g)
     return a.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-
-
-def hermitian_eigenvalues(g) -> np.ndarray:
-    """Real eigenvalues of a 4x4 Hermitian matrix, ascending.
-
-    Raises ValueError when the input fails the Hermiticity tolerance; that is
-    a contract violation, not a numerical condition to paper over.
-    """
-    a = as_hermitian4(g)
-    return np.linalg.eigvalsh(a)

@@ -437,5 +437,4 @@ def _order_scan(base: np.ndarray, rotations: np.ndarray, cap: int) -> tuple[np.n
 def noise_report(c: Channel, cap: int = DEFAULT_CAP) -> NoiseReport:
     """Assemble threshold, order and EB^n flags for a qubit channel."""
     order = n_c(c, cap)
-    flags = tuple(order.n is not None and k >= order.n for k in range(1, cap + 1))
-    return NoiseReport(mu_c(c), order, flags)
+    return NoiseReport(mu_c(c), order)

@@ -11,7 +11,7 @@ exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -53,25 +53,22 @@ class NoiseReport:
     """Joint noise summary: depolarizing threshold, order, EB^n flags.
 
     ``ebn[i]`` answers whether the (i+1)-fold self-composition is
-    entanglement breaking; monotone by set inclusion of the EB^n families.
-    ``mu_c`` is None only for channels where the mixing functional is not
-    defined (one-mode Gaussian families).
+    entanglement breaking, for i < cap; the EB^n families are nested, so the
+    flags follow from the order.  ``mu_c`` is None only for channels where
+    the mixing functional is not defined (one-mode Gaussian families).
     """
 
     mu_c: float | None
     n_c: NcResult
-    ebn: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        flags = tuple(bool(b) for b in self.ebn)
-        for a, b in zip(flags, flags[1:]):
-            if a and not b:
-                raise ValueError("EB^n flags must be monotone non-decreasing")
-        if flags and self.n_c.is_finite != any(flags):
-            raise ValueError("n_c and EB^n flags disagree")
-        if flags and self.mu_c is not None and (self.mu_c == 0.0) != flags[0]:
+        if self.mu_c is not None and (self.mu_c == 0.0) != (self.n_c.n == 1):
             raise ValueError("mu_c vanishes exactly when the channel is EB")
-        object.__setattr__(self, "ebn", flags)
+
+    @property
+    def ebn(self) -> tuple:
+        n = self.n_c.n
+        return tuple(n is not None and k >= n for k in range(1, self.n_c.cap + 1))
 
     def to_json(self) -> dict:
         return {

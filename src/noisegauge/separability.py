@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, GadParams, PAULIS, UnitalChannel, choi, ptm
+from .channels import Channel, GadParams, PAULIS, UnitalChannel, ptm
 from .gad import p_n
 from .linalg import as_hermitian4, partial_transpose
 
@@ -47,11 +47,6 @@ class ChoiState:
         if low < -EB_TOL:
             raise ValueError(f"state has negative eigenvalue {low:.3e}")
         object.__setattr__(self, "g", g)
-
-
-def choi_state(c: Channel) -> ChoiState:
-    """Choi matrix of a channel wrapped as a validated state."""
-    return ChoiState(choi(c))
 
 
 def min_pt_eigenvalue(g) -> float:
@@ -91,16 +86,6 @@ def decide_eb(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return tn <= 1.0 + EB_TOL, np.maximum(-1.0, tn - 1.0)
     low = ptm_min_pt_eigenvalues(stack)
     return low >= -EB_TOL, -np.minimum(1.0, 2.0 * np.maximum(0.0, low))
-
-
-def is_separable(s: ChoiState) -> bool:
-    """PPT decision: separable iff min PT eigenvalue >= -EB_TOL.
-
-    The boundary counts as separable (closed inequality).
-    """
-    if not isinstance(s, ChoiState):
-        s = ChoiState(s)
-    return min_pt_eigenvalue(s) >= -EB_TOL
 
 
 def is_eb(c: Channel) -> bool:

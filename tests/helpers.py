@@ -1,6 +1,7 @@
 """Shared random generators and independent oracles for the test suite."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -21,7 +22,7 @@ from noisegauge.channels import (
     validate_density,
 )
 from noisegauge.gad import p_n
-from noisegauge.gaussian import compose_gaussian, eb_split_feasible, to_triplet
+from noisegauge.gaussian import BOUNDARY_TOL, IsoChannel
 from noisegauge.linalg import partial_transpose, polar_decompose, trace_norm
 from noisegauge.measures import (
     MuSearchResult,
@@ -31,7 +32,7 @@ from noisegauge.measures import (
     n_c,
 )
 from noisegauge.report import NcResult
-from noisegauge.separability import EB_TOL, ChoiState, choi_state, is_separable, min_pt_eigenvalue
+from noisegauge.separability import EB_TOL, ChoiState, min_pt_eigenvalue
 
 PAULI_VECTOR = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
@@ -90,29 +91,6 @@ def random_two_qubit_state(rng) -> np.ndarray:
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
-
-
-def charpoly_coefficients(a: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial coefficients by Faddeev-LeVerrier.
-
-    Returns [1, c1, ..., cn] with p(x) = x^n + c1 x^(n-1) + ... + cn,
-    computed from traces alone; no eigensolver involved.
-    """
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    coeffs = [1.0 + 0j]
-    m = np.zeros_like(a)
-    for k in range(1, n + 1):
-        m = a @ m + coeffs[-1] * a
-        coeffs.append(-np.trace(m) / k)
-    return np.asarray(coeffs)
-
-
-def eigenvalues_by_charpoly(a: np.ndarray) -> np.ndarray:
-    """Hermitian eigenvalues via companion-matrix roots of the
-    characteristic polynomial; independent of eigvalsh."""
-    roots = np.roots(charpoly_coefficients(a))
-    return np.sort(roots.real)
 
 
 def _qubit_sqrt(r: np.ndarray) -> np.ndarray:
@@ -181,6 +159,19 @@ def restart_search(c) -> MuSearchResult:
     if best_value > bound:
         best_value, best_point = bound, np.zeros(3)
     return MuSearchResult(best_value, best_point, max(refined) - min(refined), count[0])
+
+
+def choi_state(c) -> ChoiState:
+    """Choi matrix of a channel wrapped as a validated state."""
+    return ChoiState(choi(c))
+
+
+def is_separable(s) -> bool:
+    """PPT decision on a two-qubit state: separable iff its smallest
+    partial-transpose eigenvalue is >= -EB_TOL (boundary inclusive)."""
+    if not isinstance(s, ChoiState):
+        s = ChoiState(s)
+    return min_pt_eigenvalue(s) >= -EB_TOL
 
 
 def bisect_threshold(c, rho0, tol: float, sep_tol: float = EB_TOL) -> float:
@@ -355,6 +346,11 @@ def kraus_choi(c) -> np.ndarray:
     return 0.5 * v.T @ v.conj()
 
 
+def compose_unital(c1, c2) -> UnitalChannel:
+    """Composition c1 after c2 (c2 acts first); Bloch matrix T1 T2."""
+    return UnitalChannel(c1.t @ c2.t)
+
+
 def channel_power(c, n: int):
     """n-fold self-composition: the Bloch matrix power of a unital channel,
     the pruned Kraus composition otherwise."""
@@ -415,6 +411,80 @@ def pt_determinant(g) -> float:
     valid states away from the boundary."""
     m = g.g if isinstance(g, ChoiState) else g
     return float(np.real(np.linalg.det(partial_transpose(m))))
+
+
+# One-mode Gaussian channels as triplets (K, l, beta) acting on Weyl
+# operators, hbar = 1, symplectic form DELTA, vacuum quadrature variance 1/2.
+CPT_TOL = 1e-10
+DELTA = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+@dataclass(frozen=True)
+class GaussianChannel:
+    """Gaussian channel triplet (k_mat, l_vec, beta), CPT-validated: complete
+    positivity requires beta -/+ (i/2) (DELTA - K^T DELTA K) >= 0."""
+
+    k_mat: np.ndarray
+    l_vec: np.ndarray
+    beta: np.ndarray
+
+    def __post_init__(self):
+        k = np.asarray(self.k_mat, dtype=float)
+        l = np.asarray(self.l_vec, dtype=float)
+        b = np.asarray(self.beta, dtype=float)
+        if k.shape != (2, 2) or l.shape != (2,) or b.shape != (2, 2):
+            raise ValueError("expected shapes (2,2), (2,), (2,2) for (K, l, beta)")
+        if not (np.all(np.isfinite(k)) and np.all(np.isfinite(l)) and np.all(np.isfinite(b))):
+            raise ValueError("Gaussian triplet entries must be finite")
+        if np.abs(b - b.T).max() > CPT_TOL:
+            raise ValueError("noise matrix beta must be symmetric")
+        m = DELTA - k.T @ DELTA @ k
+        for sign in (+1.0, -1.0):
+            h = b.astype(complex) - sign * 0.5j * m
+            low = float(np.linalg.eigvalsh(h).min())
+            if low < -CPT_TOL:
+                raise ValueError(
+                    f"triplet violates complete positivity (eigenvalue {low:.3e})"
+                )
+        object.__setattr__(self, "k_mat", k)
+        object.__setattr__(self, "l_vec", l)
+        object.__setattr__(self, "beta", b)
+
+
+def to_triplet(c: IsoChannel) -> GaussianChannel:
+    """Triplet form K = k 1, l = 0, beta = (N0 + |1 - k^2| / 2) 1."""
+    scale = c.n0 + abs(1.0 - c.k * c.k) / 2.0
+    return GaussianChannel(c.k * np.eye(2), np.zeros(2), scale * np.eye(2))
+
+
+def compose_gaussian(first: GaussianChannel, second: GaussianChannel) -> GaussianChannel:
+    """Gaussian channel equivalent to applying `first`, then `second`:
+
+        K = K1 K2,   l = K2^T l1 + l2,   beta = K2^T beta1 K2 + beta2,
+
+    where the subscript 1 denotes the channel applied first.
+    """
+    k = first.k_mat @ second.k_mat
+    l = second.k_mat.T @ first.l_vec + second.l_vec
+    b = second.k_mat.T @ first.beta @ second.k_mat + second.beta
+    return GaussianChannel(k, l, (b + b.T) / 2)
+
+
+def eb_split_feasible(c: GaussianChannel) -> bool:
+    """Entanglement-breaking split test with the isotropic ansatz alpha = a 1:
+    the channel is EB when beta splits as alpha + nu with alpha >= (i/2) DELTA
+    and nu >= (i/2) K^T DELTA K.
+
+    Exact for isotropic beta (where it reduces to b >= (1 + |det K|) / 2);
+    merely sufficient for anisotropic beta, since the ansatz restricts alpha.
+    The optimal a is the smallest admissible one, a = 1/2, because the
+    remaining condition only tightens as a grows.
+    """
+    d = float(np.linalg.det(c.k_mat))
+    b11, b22, b12 = c.beta[0, 0], c.beta[1, 1], c.beta[0, 1]
+    if b11 < 0.5 - BOUNDARY_TOL or b22 < 0.5 - BOUNDARY_TOL:
+        return False
+    return (b11 - 0.5) * (b22 - 0.5) - b12 * b12 - d * d / 4.0 >= -BOUNDARY_TOL
 
 
 def n_c_iso_iterated(c, cap: int = 64) -> NcResult:

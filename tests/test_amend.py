@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     channel_power,
@@ -14,6 +16,7 @@ from helpers import (
     order_and_margin,
     random_cp_unital,
     random_rotation,
+    rotation_from_quaternion,
     su2_from_so3,
 )
 from noisegauge import (
@@ -315,7 +318,28 @@ class TestSearchFilter:
     def test_budget_rounds_to_a_cube(self, budget, per_axis):
         assert _cube_root_floor(budget) == per_axis
 
-    @pytest.mark.parametrize("budget", [8, 27])
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-1, 1), min_size=3, max_size=3),
+        st.lists(st.floats(-1, 1), min_size=8, max_size=8),
+    )
+    def test_unital_order_is_the_horn_order(self, lam, quaternions):
+        # Horn: ||(O T)^m||_1 <= sum_i s_i^m for every orthogonal O, with
+        # equality at the inverse polar rotation, so the best filtered order
+        # is the smallest m with sum_i s_i^m <= 1.  The draws cover CP
+        # channels and non-CP contractions; unitary ones are rejected.
+        q1, q2 = np.reshape(quaternions, (2, 4))
+        assume(min(np.linalg.norm(q1), np.linalg.norm(q2)) > 0.1)
+        assume(np.abs(np.abs(lam) - 1.0).max() > 1e-9)
+        t = rotation_from_quaternion(q1) @ np.diag(lam) @ rotation_from_quaternion(q2)
+        s = np.linalg.svd(t, compute_uv=False)
+        cap = 64
+        sums = [float((s ** m).sum()) for m in range(1, cap + 1)]
+        assume(all(abs(v - 1.0) >= 1e-9 for v in sums))
+        horn = next((m for m, v in enumerate(sums, start=1) if v <= 1.0), None)
+        assert search_filter(UnitalChannel(t), cap=cap).filtered_nc.n == horn
+
+    @pytest.mark.parametrize("budget", [8, 27, 64])
     def test_json_matches_loop_oracle(self, budget):
         rng = np.random.default_rng(57)
         kraus_unital = as_kraus(

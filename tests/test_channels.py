@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from helpers import apply_kraus, channel_power, in_cpt_tetrahedron, random_cp_unital, random_density
+from helpers import (
+    apply_kraus,
+    channel_power,
+    compose_unital,
+    in_cpt_tetrahedron,
+    random_cp_unital,
+    random_density,
+)
 from noisegauge import (
     GadParams,
     KrausChannel,
@@ -15,7 +22,6 @@ from noisegauge import (
     channel_to_json,
     choi,
     compose_kraus,
-    compose_unital,
     gad_kraus,
     kraus_from_choi,
     pauli_decompose,

@@ -101,6 +101,16 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", '{"kind":"gad","p":2.0,"gamma":0.1}')
         assert code == 3 and "unit square" in err
 
+    @pytest.mark.parametrize("payload", [
+        '{"family":"attenuation","k":0.5,"n0":NaN}',
+        '{"family":"amplification","k":Infinity,"n0":0.3}',
+        '{"family":"amplification","k":2.0,"n0":Infinity}',
+    ])
+    def test_non_finite_gaussian_exits_3(self, capsys, payload):
+        code, out, err = run(capsys, "analyze", payload)
+        assert code == 3 and out == ""
+        assert "must be finite" in err
+
 
 class TestSweep:
     def test_fig1_interior_point(self, capsys, tmp_path):

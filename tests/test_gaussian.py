@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from helpers import n_c_iso_iterated
-from noisegauge import (
+from helpers import (
     GaussianChannel,
+    compose_gaussian,
+    eb_split_feasible,
+    n_c_iso_iterated,
+    to_triplet,
+)
+from noisegauge import (
     IsoChannel,
     amplification,
     attenuation,
-    compose_gaussian,
-    eb_split_feasible,
     is_eb_iso,
     n_c_amplification,
     n_c_attenuation,
     n_c_iso,
-    to_triplet,
 )
 
 SQRT2 = math.sqrt(2.0)

@@ -4,14 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import eigenvalues_by_charpoly, random_rotation
-from noisegauge import (
-    canonical_decompose,
-    hermitian_eigenvalues,
-    partial_transpose,
-    polar_decompose,
-    trace_norm,
-)
+from helpers import random_rotation
+from noisegauge import partial_transpose, polar_decompose, trace_norm
 from noisegauge.channels import PSI_PLUS
 
 LAM = np.diag([0.73, 0.5, 0.5])
@@ -80,37 +74,6 @@ class TestPolarDecompose:
         assert np.linalg.eigvalsh(psd).min() > -1e-10
 
 
-class TestCanonicalDecompose:
-    def test_sorted_diagonal(self):
-        o1, d, o2 = canonical_decompose(np.diag([0.9, 0.5, 0.2]))
-        assert np.allclose(d, [0.9, 0.5, 0.2], atol=1e-14)
-        assert np.abs(o1 @ np.diag(d) @ o2 - np.diag([0.9, 0.5, 0.2])).max() < 1e-12
-
-    def test_swap_fixture_magnitudes(self):
-        o1, d, o2 = canonical_decompose(T)
-        assert np.allclose(np.abs(d), [0.73, 0.5, 0.5], atol=1e-12)
-        # det(T) < 0, and the sign convention puts it on the last entry
-        assert d[2] < 0
-        assert np.abs(o1 @ np.diag(d) @ o2 - T).max() < 1e-12
-
-    def test_random_rotations(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            o = random_rotation(rng)
-            o1, d, o2 = canonical_decompose(o)
-            assert np.allclose(np.abs(d), 1.0, atol=1e-12)
-            assert np.prod(d) == pytest.approx(np.linalg.det(o), abs=1e-10)
-
-    @settings(max_examples=60, deadline=None)
-    @given(arrays(np.float64, (3, 3), elements=st.floats(-5, 5)))
-    def test_reconstruction_and_rotations(self, m):
-        o1, d, o2 = canonical_decompose(m)
-        assert np.abs(o1 @ np.diag(d) @ o2 - m).max() < 1e-10
-        assert np.linalg.det(o1) == pytest.approx(1.0, abs=1e-10)
-        assert np.linalg.det(o2) == pytest.approx(1.0, abs=1e-10)
-        assert np.all(np.abs(d)[:-1] >= np.abs(d)[1:] - 1e-12)
-
-
 class TestPartialTranspose:
     def test_max_entangled_eigenvalues(self):
         # oracle: PT of psi+ is half the swap operator
@@ -147,33 +110,3 @@ class TestPartialTranspose:
             assert np.abs(partial_transpose(pt) - h).max() == 0.0
             assert np.trace(pt) == np.trace(h)
             assert np.abs(pt - pt.conj().T).max() == 0.0
-
-
-class TestHermitianEigenvalues:
-    def test_fixtures(self):
-        assert np.allclose(hermitian_eigenvalues(np.eye(4) / 4), [0.25] * 4)
-        assert np.allclose(hermitian_eigenvalues(PSI_PLUS), [0, 0, 0, 1], atol=1e-12)
-        assert np.allclose(hermitian_eigenvalues(np.diag([1, 2, 3, 4])), [1, 2, 3, 4])
-
-    def test_sum_equals_trace(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = (a + a.conj().T) / 2
-        assert hermitian_eigenvalues(h).sum() == pytest.approx(
-            np.trace(h).real, abs=1e-10
-        )
-
-    def test_against_charpoly_roots(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            h = (a + a.conj().T) / 2
-            assert np.allclose(
-                hermitian_eigenvalues(h), eigenvalues_by_charpoly(h), atol=1e-9
-            )
-
-    def test_rejects_non_hermitian(self):
-        bad = np.eye(4, dtype=complex)
-        bad[0, 1] = 1e-6
-        with pytest.raises(ValueError):
-            hermitian_eigenvalues(bad)

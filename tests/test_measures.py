@@ -9,6 +9,8 @@ from scipy.optimize import minimize
 from helpers import (
     bisect_threshold,
     channel_power,
+    choi_state,
+    compose_unital,
     kron_threshold,
     loop_n_c,
     point_threshold,
@@ -26,7 +28,6 @@ from noisegauge import (
     UnitalChannel,
     as_kraus,
     bloch_to_density,
-    compose_unital,
     ebn_member,
     gad_amendable,
     gad_kraus,
@@ -46,7 +47,7 @@ from noisegauge.amend import _negated_score, _scan_base
 from noisegauge.gad import p_n
 from noisegauge.linalg import partial_transpose, polar_decompose, trace_norm
 from noisegauge.measures import _mu_thresholds, _threshold_table, coarse_bloch_grid, nelder_mead
-from noisegauge.separability import EB_TOL, choi_state
+from noisegauge.separability import EB_TOL
 
 LAM = np.diag([0.73, 0.5, 0.5])
 SWAP_XY = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
@@ -803,9 +804,3 @@ class TestNoiseReport:
     def test_flag_invariants_enforced(self):
         with pytest.raises(ValueError):
             NcResult(5, 4)
-        from noisegauge import NoiseReport
-
-        with pytest.raises(ValueError):
-            NoiseReport(0.1, NcResult(2, 4), (True, False, True, True))
-        with pytest.raises(ValueError):
-            NoiseReport(0.1, NcResult(1, 2), (True, True))

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    choi_state,
+    is_separable,
     noisy_choi,
     pt_determinant,
     random_cp_unital,
@@ -13,9 +15,7 @@ from noisegauge import (
     GadParams,
     UnitalChannel,
     choi,
-    choi_state,
     is_eb,
-    is_separable,
     min_pt_eigenvalue,
 )
 from noisegauge.channels import PSI_PLUS, as_kraus, gad_kraus, ptm
