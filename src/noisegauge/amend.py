@@ -284,8 +284,8 @@ def search_filter(
     Any other channel also scores a seeded Euler-angle lattice of k^3 points,
     k^3 the largest cube not above `budget`, in the same scan after the
     named filters, then refines the first best lattice point with the local
-    Nelder-Mead simplex method ``measures.nelder_mead``, one start, each
-    point it asks for scored by its own one-row scan (``_negated_score``).
+    Nelder-Mead simplex method ``measures.nelder_mead``, each point it asks
+    for scored by its own one-row scan (``_negated_score``).
     The refined filter wins only by more than ``SCORE_TIE``.  Deterministic
     for a fixed seed.
 
@@ -334,7 +334,7 @@ def search_filter(
             return [_negated_score(base, p, cap) for p in points]
 
         start = lattice_point(_first_max(scores[len(named):]))
-        [(x, fun)] = nelder_mead(negated, [start], xatol=1e-4, fatol=1e-12, maxiter=200)
+        x, fun = nelder_mead(negated, start, xatol=1e-4, fatol=1e-12, maxiter=200)
         if -fun > best_score + SCORE_TIE:
             best_filter = FilterCandidate.euler(*(float(a) for a in x))
             best_result = amend_order(c, best_filter, cap)

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import gad as gadforms
-from .amend import FilterCandidate, gad_amendable, sandwich, search_filter
+from .amend import FilterCandidate, apply_filter, gad_amendable, sandwich, search_filter
 from .channels import (
     GadParams,
     UnitalChannel,
@@ -385,6 +385,10 @@ def _verify_fixtures():
         ("rotation-channel threshold", 2.0 / 3.0,
          lambda: mu_c_unital(UnitalChannel(np.eye(3))), 1e-12,
          "closed form at trace norm 3"),
+        ("rotated damping threshold search", gadforms.mu_c_gad(0.8, 0.2),
+         lambda: mu_c_search(apply_filter(FilterCandidate.euler(0.4, 1.1, 2.3),
+                                          gad_kraus(GadParams(0.8, 0.2)))).value, 1e-10,
+         "closed form at p = 0.8, gamma = 0.2; the optimal state is pure"),
         ("threshold bound, qubit", 2.0 / 3.0, lambda: mu_c_upper_bound(2), 1e-12,
          "d / (1 + d) at d = 2"),
         ("threshold bound, qutrit", 0.75, lambda: mu_c_upper_bound(3), 1e-12,

@@ -19,11 +19,14 @@ table per channel, then (c (x) c) @ table and one eigvalsh per state.  The
 kernel ``_mu_thresholds`` takes a list of states and stacks both steps.
 
 ``mu_c`` minimizes that threshold over the prepared state rho0.  Unital and
-damping channels have exact closed forms; for everything else a multistart
-derivative-free search over the Bloch ball is used, with the closed forms
-serving as its accuracy oracle in the test suite.  Its Nelder-Mead restarts
-run in lockstep (``nelder_mead``), so each step of all of them is one stacked
-solve.
+damping channels have exact closed forms; everything else runs one
+derivative-free Nelder-Mead search (``nelder_mead``) over the Bloch ball,
+with the closed forms and a convex-programming oracle checking it in the
+test suite.  One start suffices because the threshold is quasi-convex in
+rho0: at a fixed mixing weight the EB condition is a PSD constraint affine
+in rho0.  The search runs on the folded coordinate w = sin(|x|) x / |x|,
+which maps R^3 onto the closed ball with no plateau, so an optimum on the
+sphere is an interior minimum of the folded objective.
 
 ``n_c`` is the smallest number of self-compositions after which the channel
 breaks entanglement; by monotonicity of the EB^n families a single upward
@@ -142,29 +145,6 @@ def mu_given_rho0(c: Channel, rho0) -> float:
     return 0.0 if table is None else _mu_thresholds(table, [w.tolist()])[0]
 
 
-def coarse_bloch_grid() -> list[np.ndarray]:
-    """26 starting points: 6 axis poles, 8 cube corners and 12 cube edge
-    midpoints, the latter two rescaled to radius 0.7."""
-    pts = []
-    for i in range(3):
-        for s in (1.0, -1.0):
-            w = np.zeros(3)
-            w[i] = s
-            pts.append(w)
-    for sx in (-1.0, 1.0):
-        for sy in (-1.0, 1.0):
-            for sz in (-1.0, 1.0):
-                pts.append(0.7 * np.array([sx, sy, sz]) / np.sqrt(3))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for si in (-1.0, 1.0):
-                for sj in (-1.0, 1.0):
-                    w = np.zeros(3)
-                    w[i], w[j] = si, sj
-                    pts.append(0.7 * w / np.sqrt(2))
-    return pts
-
-
 def _by_value(sim: list, fsim: list) -> tuple[list, list]:
     """Vertices and values in the order of ``np.argsort`` on the values."""
     ind = np.array(fsim).argsort().tolist()
@@ -242,44 +222,31 @@ def _simplex(x0, xatol: float, fatol: float, maxiter: int):
     return np.array(sim[0]), min(fsim)
 
 
-def nelder_mead(
-    f, starts, xatol: float, fatol: float, maxiter: int
-) -> list[tuple[np.ndarray, float]]:
-    """Minimize from each start by the unbounded, non-adaptive Nelder-Mead
-    simplex method (Nelder & Mead 1965; Lagarias, Reeds, Wright & Wright 1998).
+def nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int) -> tuple[np.ndarray, float]:
+    """Minimize from x0 by the unbounded, non-adaptive Nelder-Mead simplex
+    method (Nelder & Mead 1965; Lagarias, Reeds, Wright & Wright 1998).
 
-    The initial simplex scales each coordinate of a start by 1.05, or sets it
-    to 0.00025 when it is zero.  The reflection, expansion, contraction and
-    shrink coefficients are 1, 2, 0.5 and 0.5.  A run stops once every
+    The initial simplex scales each coordinate of x0 by 1.05, or sets it to
+    0.00025 when it is zero.  The reflection, expansion, contraction and
+    shrink coefficients are 1, 2, 0.5 and 0.5.  The run stops once every
     vertex lies within `xatol` of the best one in each coordinate and within
     `fatol` of it in value, or after `maxiter` iterations.  Each step, down
     to the argsort that orders the vertices, follows the reference
-    implementation the test suite holds this to, so every run sees the same
+    implementation the test suite holds this to, so the run sees the same
     points in the same order and its result agrees bit for bit.
 
-    The runs advance in lockstep: f takes the list of points that every
-    live run needs next, start by start, and returns their values in that
-    order, so one call of f serves one step of all runs.  f must leave the
-    points unchanged and score each one independently of the others.
-    Returns the best vertex and the smallest value of each start, in order.
+    f takes the list of points the simplex needs next (the start vertices,
+    one trial point or the shrink points) and returns their values in order;
+    it must leave the points unchanged and score each one independently of
+    the others.  Returns the best vertex and the smallest value.
     """
-    runs = [_simplex(x0, xatol, fatol, maxiter) for x0 in starts]
-    pending = [next(run) for run in runs]
-    results = [None] * len(runs)
-    live = list(range(len(runs)))
-    while live:
-        values = f([x for i in live for x in pending[i]])
-        pos, still = 0, []
-        for i in live:
-            count = len(pending[i])
-            try:
-                pending[i] = runs[i].send(values[pos:pos + count])
-                still.append(i)
-            except StopIteration as done:
-                results[i] = done.value
-            pos += count
-        live = still
-    return results
+    run = _simplex(x0, xatol, fatol, maxiter)
+    points = next(run)
+    while True:
+        try:
+            points = run.send(f(points))
+        except StopIteration as done:
+            return done.value
 
 
 @dataclass(frozen=True)
@@ -288,66 +255,66 @@ class MuSearchResult:
 
     value: float
     bloch: np.ndarray
-    restart_spread: float
     evaluations: int
+
+
+def _fold(x) -> list[float]:
+    """The Bloch vector sin(|x|) x / |x| of a point x of R^3, and x at 0."""
+    r = math.hypot(*x)
+    if r == 0.0:
+        return x
+    s = math.sin(r) / r
+    return [s * v for v in x]
 
 
 def mu_c_search(c: Channel) -> MuSearchResult:
     """Minimize mu_given_rho0 over the Bloch ball, any channel with a valid
     Choi matrix.
 
-    Coarse grid first, then a refinement by the local Nelder-Mead simplex
-    method ``nelder_mead`` (xatol 1e-4) from each of the 3 best grid points;
-    points outside the ball are radially projected.  The spread between
-    refined restarts is reported so callers can judge whether the landscape
-    looked multimodal; the returned value is the minimum over every
-    evaluation either way.  Each evaluation is the exact solve of
-    `mu_given_rho0`, with its 16x16 table built once per search.  The grid
-    is one call of the stacked kernel, and the 3 restarts advance in
-    lockstep, one kernel call per step for all of them; the result is the
-    same, bit for bit, as scoring one point and running one restart at a
-    time.
+    The threshold is quasi-convex in the Bloch vector w of rho0: mixing with
+    weight m is EB exactly when (1-m) G + m rho0 (x) 1/2 is PSD, which is
+    affine in rho0, so every sublevel set {w : mu(w) <= m} is convex.  Its
+    minimizers form one convex set, with no second basin to trap a local
+    search, so one Nelder-Mead run (``nelder_mead``, xatol 1e-4, fatol
+    1e-12, at most 600 iterations) from x = (0.01, 0.01, 0.01) suffices.  It
+    runs on the folded coordinate w = sin(|x|) x / |x|, which maps R^3 onto
+    the closed ball with no plateau: a minimum on the sphere (a pure rho0)
+    becomes a smooth interior minimum at |x| = pi/2, where a radial
+    projection would leave the simplex on rays of constant value.
+
+    Each evaluation is the exact solve of `mu_given_rho0`, with its 16x16
+    table built once per search, and the start vertices and shrink points
+    of a step share one call of the stacked kernel.  The returned value is
+    the smallest evaluation and `bloch` the folded point that gave it.
     """
     table = _threshold_table(c)
     if table is None:
-        return MuSearchResult(0.0, np.zeros(3), 0.0, 1)
+        return MuSearchResult(0.0, np.zeros(3), 1)
 
     count = [0]
 
     def objective(points) -> list[float]:
         count[0] += len(points)
-        return _mu_thresholds(table, points)
+        return _mu_thresholds(table, [_fold(x) for x in points])
 
-    grid = coarse_bloch_grid()
-    values = objective(grid)
-    ranking = np.argsort(values, kind="stable")
-
-    best_value = min(values)
-    best_point = grid[int(np.argmin(values))]
-    starts = [grid[int(idx)] for idx in ranking[:3]]
-    refined = []
-    for x, fun in nelder_mead(objective, starts, xatol=1e-4, fatol=1e-12, maxiter=600):
-        refined.append(float(fun))
-        if fun < best_value:
-            best_value = float(fun)
-            r = float(np.linalg.norm(x))
-            best_point = x / r if r > 1.0 else x
-    spread = max(refined) - min(refined)
+    x, value = nelder_mead(objective, (0.01, 0.01, 0.01), xatol=1e-4, fatol=1e-12, maxiter=600)
+    point = np.array(_fold(x.tolist()))
     # rho0 = 1/2 meets the bound d/(1+d) for every channel (the partial
     # transpose of a two-qubit state has no eigenvalue below -1/2).  For a
     # unitary channel the minimum sits there; Nelder-Mead stops a few 1e-6
     # away, where the exact solve reads up to ~1e-12 above the bound.
     bound = mu_c_upper_bound(2)
-    if best_value > bound:
-        best_value, best_point = bound, np.zeros(3)
-    return MuSearchResult(best_value, best_point, spread, count[0])
+    if value > bound:
+        value, point = bound, np.zeros(3)
+    return MuSearchResult(value, point, count[0])
 
 
 def mu_c(c: Channel) -> float:
     """Depolarizing threshold of a channel, never above d/(1+d) = 2/3.
 
-    Closed forms for unital and damping channels; multistart search
-    otherwise.
+    Closed forms for unital and damping channels; otherwise the one-start
+    search ``mu_c_search``, which the threshold's quasi-convexity in rho0
+    makes global.
     """
     if isinstance(c, UnitalChannel):
         return mu_c_unital(c)

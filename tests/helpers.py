@@ -26,8 +26,8 @@ from noisegauge.gaussian import BOUNDARY_TOL, IsoChannel
 from noisegauge.linalg import partial_transpose, polar_decompose, trace_norm
 from noisegauge.measures import (
     MuSearchResult,
+    _fold,
     _threshold_table,
-    coarse_bloch_grid,
     mu_c_upper_bound,
     n_c,
 )
@@ -48,6 +48,26 @@ def rotation_from_quaternion(q) -> np.ndarray:
             [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
         ]
     )
+
+
+def unitary_from_quaternion(q) -> np.ndarray:
+    """SU(2) element w 1 - i (x sigma_x + y sigma_y + z sigma_z) of the
+    (normalized) quaternion q = (w, x, y, z)."""
+    w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
+    return w * IDENTITY_2 - 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
+
+
+def rotated_kraus(c, u, v) -> KrausChannel:
+    """The channel rho -> u c(v rho v^dag) u^dag: Kraus operators u E v."""
+    return KrausChannel(tuple(u @ e @ v for e in c.ops))
+
+
+def kraus_from_isometry(z) -> KrausChannel:
+    """The channel of the isometry Q of the QR decomposition of a (2r, 2)
+    complex matrix z of rank 2: its r stacked 2x2 blocks are Kraus
+    operators."""
+    q, _ = np.linalg.qr(np.asarray(z, dtype=complex))
+    return KrausChannel(tuple(q[2 * i:2 * i + 2] for i in range(len(q) // 2)))
 
 
 def random_rotation(rng) -> np.ndarray:
@@ -128,37 +148,88 @@ def point_threshold(table: np.ndarray, w) -> float:
     return 1.0 / (1.0 - nu) if nu < 0.0 else 1.0
 
 
-def restart_search(c) -> MuSearchResult:
-    """``mu_c_search`` one point and one restart at a time: the grid scored
-    point by point with ``point_threshold``, then scipy's Nelder-Mead from
-    each of the 3 best grid points in turn.  An oracle for the lockstep
-    restarts and the stacked kernel."""
+def coarse_bloch_grid() -> list[np.ndarray]:
+    """26 points: 6 axis poles, 8 cube corners and 12 cube edge midpoints,
+    the latter two rescaled to radius 0.7."""
+    pts = []
+    for i in range(3):
+        for s in (1.0, -1.0):
+            w = np.zeros(3)
+            w[i] = s
+            pts.append(w)
+    for sx in (-1.0, 1.0):
+        for sy in (-1.0, 1.0):
+            for sz in (-1.0, 1.0):
+                pts.append(0.7 * np.array([sx, sy, sz]) / np.sqrt(3))
+    for i in range(3):
+        for j in range(i + 1, 3):
+            for si in (-1.0, 1.0):
+                for sj in (-1.0, 1.0):
+                    w = np.zeros(3)
+                    w[i], w[j] = si, sj
+                    pts.append(0.7 * w / np.sqrt(2))
+    return pts
+
+
+def fold_search(c) -> MuSearchResult:
+    """``mu_c_search`` by scipy's Nelder-Mead, one point per call, each
+    scored by ``point_threshold`` at the folded Bloch vector sin(|x|) x / |x|.
+    An oracle for the local simplex port and the stacked kernel."""
     table = _threshold_table(c)
     if table is None:
-        return MuSearchResult(0.0, np.zeros(3), 0.0, 1)
-    count = [0]
-
-    def objective(w) -> float:
-        count[0] += 1
-        return point_threshold(table, w)
-
-    grid = coarse_bloch_grid()
-    values = [objective(w) for w in grid]
-    best_value = min(values)
-    best_point = grid[int(np.argmin(values))]
-    refined = []
-    for idx in np.argsort(values, kind="stable")[:3]:
-        res = minimize(objective, grid[int(idx)], method="Nelder-Mead",
-                       options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 600})
-        refined.append(float(res.fun))
-        if res.fun < best_value:
-            best_value = float(res.fun)
-            r = float(np.linalg.norm(res.x))
-            best_point = res.x / r if r > 1.0 else res.x
+        return MuSearchResult(0.0, np.zeros(3), 1)
+    res = minimize(lambda x: point_threshold(table, _fold(x)), np.full(3, 0.01),
+                   method="Nelder-Mead", options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 600})
+    value, point = float(res.fun), np.array(_fold(res.x.tolist()))
     bound = mu_c_upper_bound(2)
-    if best_value > bound:
-        best_value, best_point = bound, np.zeros(3)
-    return MuSearchResult(best_value, best_point, max(refined) - min(refined), count[0])
+    if value > bound:
+        value, point = bound, np.zeros(3)
+    return MuSearchResult(value, point, int(res.nfev))
+
+
+def sdp_mu_c(c) -> tuple[float, float]:
+    """Certified bounds (upper, lower) on mu_c from its convex program.
+
+    With X = mu rho0 = (a + b.sigma)/2, the mixture with weight mu is EB
+    exactly when M = (1 - a) G + X (x) 1/2 is PSD, G the partial transpose
+    of the Choi matrix, and X is PSD, that is a >= |b|.  So mu_c is the least
+    a over that set.  The barrier method (Boyd & Vandenberghe, ch. 11)
+    minimizes t a - log det M - log(a^2 - |b|^2) by damped Newton steps, for
+    t = 1, 10, ..., 1e11.  The barrier has parameter 4 + 2 = 6, so
+    `lower` = a - 6/t lies below the optimum; `upper` is the exact threshold
+    of ``point_threshold`` at the feasible Bloch vector w = b/a.  An EB
+    channel gives (0, 0)."""
+    table = _threshold_table(c)
+    if table is None:
+        return 0.0, 0.0
+    g = partial_transpose(choi(c))
+    # dM/dv for v = (a, b_x, b_y, b_z)
+    basis = np.array([np.eye(4) / 4 - g] + [np.kron(s, IDENTITY_2) / 4 for s in PAULI_VECTOR])
+    j = np.array([1.0, -1.0, -1.0, -1.0])
+    v = np.array([1.0, 0.0, 0.0, 0.0])
+    t = 1.0
+    while True:
+        for _ in range(100):
+            mb = np.linalg.inv(g + np.tensordot(v, basis, 1)) @ basis
+            jv = j * v
+            q = v @ jv
+            grad = -np.einsum("kii->k", mb).real - 2 * jv / q
+            grad[0] += t
+            hess = (np.einsum("aij,bji->ab", mb, mb).real
+                    - 2 * np.diag(j) / q + 4 * np.outer(jv, jv) / q**2)
+            step = -np.linalg.solve(hess, grad)
+            decrement = float(-grad @ step)
+            if decrement < 1e-8:
+                break
+            # a damped step stays inside the domain of a self-concordant barrier
+            v = v + (step / (1.0 + math.sqrt(decrement)) if decrement > 0.0625 else step)
+        else:
+            raise RuntimeError("barrier centering did not converge")
+        if t >= 1e11:
+            break
+        t *= 10.0
+    a, b = float(v[0]), v[1:]
+    return point_threshold(table, b / a), a - 6.0 / t
 
 
 def choi_state(c) -> ChoiState:

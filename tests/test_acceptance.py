@@ -83,7 +83,7 @@ def test_criterion_03_unital_closed_form_vs_search():
         got = mu_c_search(as_kraus(c)).value
         worst = max(worst, abs(got - expected))
     assert worst <= 1e-3, worst
-    _done(3, f"closed form vs multistart search on 200 channels (worst {worst:.2e})")
+    _done(3, f"closed form vs threshold search on 200 channels (worst {worst:.2e})")
 
 
 def test_criterion_04_upper_bound():

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import noisegauge
-from helpers import kraus_gad_amendable
+from helpers import kraus_gad_amendable, sdp_mu_c
+from noisegauge import GadParams, gad_kraus, sandwich
 from noisegauge.amend import FilterCandidate
 from noisegauge.cli import main
 
@@ -179,6 +180,19 @@ class TestSweep:
         rows = read_rows(out_path)
         assert rows[0] == ["p", "mu_c_sq", "mu_c_filtered"]
         assert len(rows) == 5
+
+    def test_fig4_default_row_is_the_certified_optimum(self, capsys, tmp_path):
+        """Row 102 of the default fig4 grid, where restarts from the best
+        points of a coarse grid stopped 1.8e-6 above the optimum, against the
+        certified bounds of the convex program."""
+        out_path = tmp_path / "f4.csv"
+        code, _, _ = run(capsys, "sweep", "fig4", "--out", str(out_path))
+        assert code == 0
+        p, _, value = read_rows(out_path)[1 + 102]
+        assert p == "0.5125628140703518"
+        upper, lower = sdp_mu_c(sandwich(gad_kraus(GadParams(float(p), 0.1)), FilterCandidate.pauli(1)))
+        assert lower - 1e-12 <= float(value) <= upper + 1e-10
+        assert abs(float(value) - upper) <= 1e-10
 
     def test_fig5_attenuation_boundary(self, capsys, tmp_path):
         out_path = tmp_path / "f5.csv"

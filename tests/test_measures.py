@@ -10,7 +10,10 @@ from helpers import (
     bisect_threshold,
     channel_power,
     choi_state,
+    coarse_bloch_grid,
     compose_unital,
+    fold_search,
+    kraus_from_isometry,
     kron_threshold,
     loop_n_c,
     point_threshold,
@@ -18,8 +21,10 @@ from helpers import (
     random_density,
     random_rotation,
     random_tetra_lambda,
-    restart_search,
+    rotated_kraus,
     rotation_from_quaternion,
+    sdp_mu_c,
+    unitary_from_quaternion,
 )
 from noisegauge import (
     FilterCandidate,
@@ -46,10 +51,11 @@ from noisegauge import (
 from noisegauge.amend import _negated_score, _scan_base
 from noisegauge.gad import p_n
 from noisegauge.linalg import partial_transpose, polar_decompose, trace_norm
-from noisegauge.measures import _mu_thresholds, _threshold_table, coarse_bloch_grid, nelder_mead
+from noisegauge.measures import _mu_thresholds, _threshold_table, nelder_mead
 from noisegauge.separability import EB_TOL
 
 LAM = np.diag([0.73, 0.5, 0.5])
+QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
 SWAP_XY = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
 T = SWAP_XY @ LAM
 MIXED = np.eye(2) / 2
@@ -268,8 +274,7 @@ def _traced(f, calls):
 
 
 class TestNelderMead:
-    """The local simplex method against scipy's, bit for bit, and its
-    lockstep runs against single runs."""
+    """The local simplex method against scipy's, bit for bit."""
 
     @staticmethod
     def _both(f, x0, xatol=1e-4, fatol=1e-12, maxiter=600):
@@ -282,8 +287,7 @@ class TestNelderMead:
             seen.append(np.asarray(x, dtype=float).tobytes())
             return f([x])[0]
 
-        [(x, fun)] = nelder_mead(_traced(f, calls), [x0], xatol=xatol, fatol=fatol,
-                                 maxiter=maxiter)
+        x, fun = nelder_mead(_traced(f, calls), x0, xatol=xatol, fatol=fatol, maxiter=maxiter)
         res = minimize(single, x0, method="Nelder-Mead",
                        options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})
         points = [b for call in calls for b in call]
@@ -330,33 +334,6 @@ class TestNelderMead:
         res, _ = self._both(f, coarse_bloch_grid()[7], xatol=0.0, fatol=0.0, maxiter=9)
         assert res.nit == 9 and res.status == 2
 
-    @pytest.mark.parametrize("kind,seed", [("damping", 64), ("unital", 65), ("filtered", 66)])
-    def test_lockstep_matches_single_runs(self, kind, seed):
-        """Three starts in one call: each start's points, in order, and its
-        result equal those of its single run, and call r of f holds the r-th
-        request of every run still going, start by start.  The third start
-        lies beyond the ball, where points on one ray score exactly equal."""
-        rng = np.random.default_rng(seed)
-        grid = coarse_bloch_grid()
-        for _ in range(3):
-            f = _mu_objective(_non_eb_channel(kind, rng))
-            ranking = np.argsort(f(grid), kind="stable")
-            starts = [grid[int(ranking[0])], grid[int(ranking[1])], 3.0 * grid[int(ranking[2])]]
-            single_calls, single_results = [], []
-            for x0 in starts:
-                calls = []
-                single_results += nelder_mead(_traced(f, calls), [x0], 1e-4, 1e-12, 600)
-                single_calls.append(calls)
-            lockstep_calls = []
-            results = nelder_mead(_traced(f, lockstep_calls), starts, 1e-4, 1e-12, 600)
-            rounds = max(len(calls) for calls in single_calls)
-            assert len(lockstep_calls) == rounds
-            for r, call in enumerate(lockstep_calls):
-                assert call == [b for calls in single_calls if r < len(calls) for b in calls[r]]
-            for (x, fun), (x1, fun1) in zip(results, single_results, strict=True):
-                assert x.tobytes() == x1.tobytes()
-                assert np.float64(fun).tobytes() == np.float64(fun1).tobytes()
-
     def test_start_beyond_the_ball_matches_scipy(self):
         """Outside the ball the objective is constant along each ray, so the
         simplex meets exact ties; the vertex order must still be scipy's."""
@@ -373,38 +350,83 @@ class TestNelderMead:
 
 
 class TestMuCSearchOracle:
-    """``mu_c_search`` against the one-point, one-restart-at-a-time search
-    of ``helpers.restart_search``: every field of the result, bit for bit."""
+    """``mu_c_search`` against scipy's Nelder-Mead on the one-point kernel
+    (``helpers.fold_search``), bit for bit, and against the certified bounds
+    of its convex program (``helpers.sdp_mu_c``)."""
 
-    @pytest.mark.parametrize("kind,seed", [("damping", 71), ("unital", 72), ("filtered", 73)])
-    def test_matches_restart_oracle(self, kind, seed):
+    CASES = [("damping", 71), ("unital", 72), ("filtered", 73), ("damping", 74)]
+
+    @pytest.mark.parametrize("kind,seed", CASES[:3])
+    def test_matches_fold_oracle(self, kind, seed):
         rng = np.random.default_rng(seed)
         for _ in range(4):
             c = _non_eb_channel(kind, rng)
-            got, want = mu_c_search(c), restart_search(c)
+            got, want = mu_c_search(c), fold_search(c)
             assert float(got.value).hex() == float(want.value).hex()
             assert got.bloch.tobytes() == want.bloch.tobytes()
-            assert float(got.restart_spread).hex() == float(want.restart_spread).hex()
             assert got.evaluations == want.evaluations
 
-    def test_stacks_the_eigen_solves(self, monkeypatch):
-        """One stacked eigvalsh serves the grid and each lockstep step of the
-        restarts, so there are far fewer solves than evaluations."""
-        c = _non_eb_channel("damping", np.random.default_rng(74))
-        calls = [0]
-        eigvalsh = np.linalg.eigvalsh
+    def test_search_cost(self):
+        """One start costs a median of at most 300 evaluations and never
+        reaches the 600-iteration limit (the grid and three restarts took a
+        median of 629)."""
+        evaluations = []
+        for kind, seed in self.CASES:
+            rng = np.random.default_rng(seed)
+            evaluations += [mu_c_search(_non_eb_channel(kind, rng)).evaluations for _ in range(4)]
+        assert np.median(evaluations) <= 300
+        assert max(evaluations) < 600
 
-        def counted(a, *args, **kwargs):
-            calls[0] += 1
-            return eigvalsh(a, *args, **kwargs)
+    @staticmethod
+    def _within_bounds(c):
+        upper, lower = sdp_mu_c(c)
+        value = mu_c_search(c).value
+        assert lower - 1e-12 <= value <= upper + 1e-10
+        assert upper - lower < 1e-9  # the oracle itself is tight
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        res = mu_c_search(c)
-        assert res.evaluations > 100
-        assert calls[0] <= res.evaluations / 2
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32))
+    def test_kraus_within_sdp_bounds(self, rank, entries):
+        z = np.reshape(entries[:8 * rank], (2 * rank, 2, 2)) @ [1.0, 1j]
+        assume(np.linalg.svd(z, compute_uv=False)[-1] > 1e-3)
+        self._within_bounds(kraus_from_isometry(z))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), QUATERNIONS, QUATERNIONS)
+    def test_rotated_damping_within_sdp_bounds(self, p, gamma, q1, q2):
+        assume(np.linalg.norm(q1) > 1e-3 and np.linalg.norm(q2) > 1e-3)
+        c = gad_kraus(GadParams(p, gamma))
+        self._within_bounds(rotated_kraus(c, unitary_from_quaternion(q1), unitary_from_quaternion(q2)))
 
 
-QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+class TestMuCSearchSymmetry:
+    """The threshold depends on the channel only up to unitaries before and
+    after it, and the damping family is symmetric under gamma -> 1 - gamma
+    (conjugation by sigma_x)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
+           QUATERNIONS, QUATERNIONS)
+    def test_unitary_invariance(self, rank, entries, q1, q2):
+        z = np.reshape(entries[:8 * rank], (2 * rank, 2, 2)) @ [1.0, 1j]
+        assume(np.linalg.svd(z, compute_uv=False)[-1] > 1e-3)
+        assume(np.linalg.norm(q1) > 1e-3 and np.linalg.norm(q2) > 1e-3)
+        c = kraus_from_isometry(z)
+        rotated = rotated_kraus(c, unitary_from_quaternion(q1), unitary_from_quaternion(q2))
+        assert mu_c_search(rotated).value == pytest.approx(mu_c_search(c).value, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_damping_gamma_reflection(self, p, gamma):
+        # gamma in {0, 1} is the zero-temperature edge, where order 64 turns
+        # into certified divergence
+        assume(1e-9 < gamma < 1.0 - 1e-9)
+        edges = [p_n(g, n) for g in (gamma, 1.0 - gamma) for n in range(1, 65)]
+        assume(all(abs(p - edge) > 1e-9 for edge in edges))
+        for form in (lambda g: GadParams(p, g), lambda g: gad_kraus(GadParams(p, g))):
+            c, reflected = form(gamma), form(1.0 - gamma)
+            assert mu_c(reflected) == pytest.approx(mu_c(c), abs=1e-9)
+            assert n_c(reflected) == n_c(c)
 
 
 class TestRepresentationIndependence:
