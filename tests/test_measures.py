@@ -56,6 +56,19 @@ from noisegauge.separability import EB_TOL
 
 LAM = np.diag([0.73, 0.5, 0.5])
 QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+
+
+@st.composite
+def kraus_channels(draw):
+    """Channels of Kraus rank 1 to 4, from the isometry of a (2r, 2) complex
+    matrix of rank 2."""
+    rank = draw(st.integers(1, 4))
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=8 * rank, max_size=8 * rank))
+    z = np.reshape(entries, (2 * rank, 2, 2)) @ [1.0, 1j]
+    assume(np.linalg.svd(z, compute_uv=False)[-1] > 1e-3)
+    return kraus_from_isometry(z)
+
+
 SWAP_XY = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
 T = SWAP_XY @ LAM
 MIXED = np.eye(2) / 2
@@ -385,11 +398,9 @@ class TestMuCSearchOracle:
         assert upper - lower < 1e-9  # the oracle itself is tight
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 4), st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32))
-    def test_kraus_within_sdp_bounds(self, rank, entries):
-        z = np.reshape(entries[:8 * rank], (2 * rank, 2, 2)) @ [1.0, 1j]
-        assume(np.linalg.svd(z, compute_uv=False)[-1] > 1e-3)
-        self._within_bounds(kraus_from_isometry(z))
+    @given(kraus_channels())
+    def test_kraus_within_sdp_bounds(self, c):
+        self._within_bounds(c)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), QUATERNIONS, QUATERNIONS)
@@ -405,13 +416,9 @@ class TestMuCSearchSymmetry:
     (conjugation by sigma_x)."""
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 4), st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
-           QUATERNIONS, QUATERNIONS)
-    def test_unitary_invariance(self, rank, entries, q1, q2):
-        z = np.reshape(entries[:8 * rank], (2 * rank, 2, 2)) @ [1.0, 1j]
-        assume(np.linalg.svd(z, compute_uv=False)[-1] > 1e-3)
+    @given(kraus_channels(), QUATERNIONS, QUATERNIONS)
+    def test_unitary_invariance(self, c, q1, q2):
         assume(np.linalg.norm(q1) > 1e-3 and np.linalg.norm(q2) > 1e-3)
-        c = kraus_from_isometry(z)
         rotated = rotated_kraus(c, unitary_from_quaternion(q1), unitary_from_quaternion(q2))
         assert mu_c_search(rotated).value == pytest.approx(mu_c_search(c).value, abs=1e-9)
 
