@@ -330,11 +330,8 @@ def search_filter(
         best_filter = FilterCandidate.euler(*lattice_point(best - len(named)))
 
     if not unital:
-        def negated(points) -> list[float]:
-            return [_negated_score(base, p, cap) for p in points]
-
         start = lattice_point(_first_max(scores[len(named):]))
-        x, fun = nelder_mead(negated, start, xatol=1e-4, fatol=1e-12, maxiter=200)
+        x, fun = nelder_mead(lambda a: _negated_score(base, a, cap), start, maxiter=200)
         if -fun > best_score + SCORE_TIE:
             best_filter = FilterCandidate.euler(*(float(a) for a in x))
             best_result = amend_order(c, best_filter, cap)

@@ -137,6 +137,8 @@ def _parse_fixed_flag(text: str) -> tuple[str, str]:
 
 
 def _axes_for(figure: str, grid_flags, steps_default: int):
+    if steps_default < 2:
+        raise ValueError("grid steps must be >= 2")
     axes = {}
     for name, (lo, hi) in _FIGURES[figure]:
         axes[name] = (lo, hi, steps_default)
@@ -327,8 +329,9 @@ def _check_domain(figure: str, axes, fixed: dict, cap: int, k_override) -> None:
     if figure in ("fig1", "fig2", "fig5") and cap < 1:
         raise ValueError("cap must be >= 1")
     if figure == "fig1":
-        if not -1.0 <= float(fixed["lambda3"]) <= 1.0:
-            raise ValueError("lambda3 must lie in [-1, 1]")
+        for name, values in {"lambda3": float(fixed["lambda3"]), **grids}.items():
+            if not (np.abs(values) <= 1.0).all():
+                raise ValueError(f"{name} must lie in [-1, 1]")
     elif figure == "fig5":
         for family in _fig5_families(fixed):
             for k in _fig5_ks(family, axes, k_override):

@@ -15,8 +15,8 @@ matrix S G^-1 S, so the threshold is one 4x4 eigen-solve.
 For rho0 = (1 + w.sigma)/2, sqrt(rho0) = c0 1 + c.sigma with s = sqrt(1-|w|^2)/2,
 c0 = sqrt(1+2s)/2 and c = w / (2 sqrt(1+2s)), so S G^-1 S = (1/2) sum_jk c_j c_k
 Q_jk with Q_jk = (sigma_j (x) 1) G^-1 (sigma_k (x) 1), sigma_0 = 1: one 16x16
-table per channel, then (c (x) c) @ table and one eigvalsh per state.  The
-kernel ``_mu_thresholds`` takes a list of states and stacks both steps.
+table per channel, then (c (x) c) @ table and one 4x4 eigvalsh per state
+(``_mu_threshold``).
 
 ``mu_c`` minimizes that threshold over the prepared state rho0.  Unital and
 damping channels have exact closed forms; everything else runs one
@@ -94,9 +94,9 @@ def _threshold_table(c: Channel) -> np.ndarray | None:
     return 0.5 * q.reshape(16, 16)
 
 
-def _mu_thresholds(table: np.ndarray, points) -> list[float]:
-    """Separability onsets along (1-mu) G + mu rho0 (x) 1/2, one per Bloch
-    vector w of rho0 in `points`, given the table of ``_threshold_table``.
+def _mu_threshold(table: np.ndarray, w) -> float:
+    """Separability onset along (1-mu) G + mu rho0 (x) 1/2 for the Bloch
+    vector w of rho0, given the table of ``_threshold_table``.
 
     The roots of det((1-mu) G + mu P) are mu = 1/(1 - nu) for the negative
     eigenvalues nu of S G^-1 S with S S = P; the smallest root comes from the
@@ -104,45 +104,30 @@ def _mu_thresholds(table: np.ndarray, points) -> list[float]:
     its PSD endpoint P, so the onset is 1.  S G^-1 S is (c (x) c) @ table for
     sqrt(rho0) = c0 1 + c.sigma, c0 = sqrt(1+2s)/2, c = w / (2 sqrt(1+2s)),
     s = sqrt(1-|w|^2)/2.  A w outside the ball is projected radially onto it,
-    and a non-finite entry in any w raises ``ValueError``.
-
-    The coefficients come from ``math`` per point; then one (k,1,16) @ table
-    and one stacked eigvalsh serve all k points.  Each row keeps the bits of
-    a one-point call: the (k,1,16) stack multiplies row by row, as a single
-    (16,) vector does, where a (k,16) matrix product would round differently.
+    and a non-finite entry raises ``ValueError``.
     """
-    coefs = []
-    for w in points:
-        x, y, z = w
-        r = math.hypot(x, y, z)
-        if not math.isfinite(r):
-            raise ValueError("Bloch vector entries must be finite")
-        if r > 1.0:
-            x, y, z, r = x / r, y / r, z / r, 1.0
-        root = math.sqrt(1.0 + math.sqrt((1.0 - r) * (1.0 + r)))
-        k = 0.5 / root
-        coefs.append((0.5 * root, k * x, k * y, k * z))
-    c = np.array(coefs)
-    m = ((c[:, :, None] * c[:, None, :]).reshape(-1, 1, 16) @ table).reshape(-1, 4, 4)
-    return [1.0 / (1.0 - nu) if nu < 0.0 else 1.0
-            for nu in np.linalg.eigvalsh(m)[:, 0].tolist()]
+    x, y, z = w
+    r = math.hypot(x, y, z)
+    if not math.isfinite(r):
+        raise ValueError("Bloch vector entries must be finite")
+    if r > 1.0:
+        x, y, z, r = x / r, y / r, z / r, 1.0
+    root = math.sqrt(1.0 + math.sqrt((1.0 - r) * (1.0 + r)))
+    k = 0.5 / root
+    c = np.array([0.5 * root, k * x, k * y, k * z])
+    nu = float(np.linalg.eigvalsh(((c[:, None] * c).reshape(16) @ table).reshape(4, 4))[0])
+    return 1.0 / (1.0 - nu) if nu < 0.0 else 1.0
 
 
 def mu_given_rho0(c: Channel, rho0) -> float:
-    """Minimal mixing probability towards the fixed state rho0, solved exactly.
-
-    With G the partial transpose of the Choi matrix and P = rho0 (x) 1/2, the
-    threshold is the smallest root in (0, 1] of det((1-mu) G + mu P) = 0: the
-    segment consists of partial transposes of two-qubit states, which are full
-    rank while entangled, so the first root is the onset of separability.  It
-    equals 1/(1 - nu_min) for the most negative eigenvalue nu_min of
-    S G^-1 S, S = sqrt(rho0) (x) 1/sqrt(2), and 1 when there is none.
-
-    Returns 0 when the channel is already entanglement breaking.
+    """Minimal mixing probability towards the fixed state rho0, solved exactly:
+    the smallest root in (0, 1] of det((1-mu) G + mu rho0 (x) 1/2) = 0, G the
+    partial transpose of the Choi matrix, by ``_mu_threshold`` (module
+    docstring).  Returns 0 when the channel is already entanglement breaking.
     """
     w = density_to_bloch(validate_density(rho0))
     table = _threshold_table(c)
-    return 0.0 if table is None else _mu_thresholds(table, [w.tolist()])[0]
+    return 0.0 if table is None else _mu_threshold(table, w.tolist())
 
 
 def _by_value(sim: list, fsim: list) -> tuple[list, list]:
@@ -151,16 +136,26 @@ def _by_value(sim: list, fsim: list) -> tuple[list, list]:
     return [sim[i] for i in ind], [fsim[i] for i in ind]
 
 
-def _simplex(x0, xatol: float, fatol: float, maxiter: int):
-    """One Nelder-Mead run from x0 as a generator (see ``nelder_mead``).
+# Stopping tolerances of ``nelder_mead``, in each coordinate and in value.
+XATOL = 1e-4
+FATOL = 1e-12
 
-    It yields the list of points it needs next: the n + 1 start vertices,
-    one trial point, or the n shrink points, and takes their values by
-    ``send``.  Its return value is the best vertex and the smallest value.
-    The vertices are lists of floats, updated by the same operations in the
-    same order as the reference's arrays, so every point keeps its bits; the
-    vertex order comes from ``np.argsort``, as in the reference, because
-    ``sorted`` breaks exact ties differently.
+
+def nelder_mead(f, x0, maxiter: int) -> tuple[np.ndarray, float]:
+    """Minimize a scalar f from x0 by the unbounded, non-adaptive Nelder-Mead
+    simplex method (Nelder & Mead 1965; Lagarias, Reeds, Wright & Wright
+    1998), and return the best vertex and the smallest value.
+
+    The initial simplex scales each coordinate of x0 by 1.05, or sets it to
+    0.00025 when it is zero.  The reflection, expansion, contraction and
+    shrink coefficients are 1, 2, 0.5 and 0.5.  The run stops once every
+    vertex lies within ``XATOL`` of the best one in each coordinate and
+    within ``FATOL`` of it in value, or after `maxiter` iterations.  It
+    follows the reference implementation the test suite holds it to, so f
+    sees the same points (lists of floats, which it must leave unchanged) in
+    the same order and the result agrees bit for bit: the vertices take the
+    reference's operations in its order, and ``np.argsort`` orders them, as
+    in the reference, because ``sorted`` breaks exact ties differently.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     x0 = [float(v) for v in x0]
@@ -170,7 +165,7 @@ def _simplex(x0, xatol: float, fatol: float, maxiter: int):
         y = list(x0)
         y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
         sim.append(y)
-    fsim = list((yield sim))
+    fsim = [f(x) for x in sim]
     # The reference sorts twice here; argsort need not be stable on ties.
     for _ in range(2):
         sim, fsim = _by_value(sim, fsim)
@@ -178,8 +173,8 @@ def _simplex(x0, xatol: float, fatol: float, maxiter: int):
     iterations = 1
     while iterations < maxiter:
         best, fbest = sim[0], fsim[0]
-        if (all(abs(v - b) <= xatol for s in sim[1:] for v, b in zip(s, best))
-                and all(abs(fbest - f) <= fatol for f in fsim[1:])):
+        if (all(abs(v - b) <= XATOL for s in sim[1:] for v, b in zip(s, best))
+                and all(abs(fbest - fs) <= FATOL for fs in fsim[1:])):
             break
         worst = sim[-1]
         # Summed vertex by vertex, as the reference does: from Python 3.12
@@ -189,11 +184,11 @@ def _simplex(x0, xatol: float, fatol: float, maxiter: int):
             xbar = [m + v for m, v in zip(xbar, s)]
         xbar = [m / n for m in xbar]
         xr = [(1 + rho) * m - rho * v for m, v in zip(xbar, worst)]
-        (fxr,) = yield [xr]
+        fxr = f(xr)
         doshrink = False
         if fxr < fsim[0]:
             xe = [(1 + rho * chi) * m - rho * chi * v for m, v in zip(xbar, worst)]
-            (fxe,) = yield [xe]
+            fxe = f(xe)
             if fxe < fxr:
                 sim[-1], fsim[-1] = xe, fxe
             else:
@@ -202,51 +197,24 @@ def _simplex(x0, xatol: float, fatol: float, maxiter: int):
             sim[-1], fsim[-1] = xr, fxr
         elif fxr < fsim[-1]:
             xc = [(1 + psi * rho) * m - psi * rho * v for m, v in zip(xbar, worst)]
-            (fxc,) = yield [xc]
+            fxc = f(xc)
             if fxc <= fxr:
                 sim[-1], fsim[-1] = xc, fxc
             else:
                 doshrink = True
         else:
             xcc = [(1 - psi) * m + psi * v for m, v in zip(xbar, worst)]
-            (fxcc,) = yield [xcc]
+            fxcc = f(xcc)
             if fxcc < fsim[-1]:
                 sim[-1], fsim[-1] = xcc, fxcc
             else:
                 doshrink = True
         if doshrink:
             sim[1:] = [[b + sigma * (v - b) for v, b in zip(s, best)] for s in sim[1:]]
-            fsim[1:] = yield sim[1:]
+            fsim[1:] = [f(x) for x in sim[1:]]
         iterations += 1
         sim, fsim = _by_value(sim, fsim)
     return np.array(sim[0]), min(fsim)
-
-
-def nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int) -> tuple[np.ndarray, float]:
-    """Minimize from x0 by the unbounded, non-adaptive Nelder-Mead simplex
-    method (Nelder & Mead 1965; Lagarias, Reeds, Wright & Wright 1998).
-
-    The initial simplex scales each coordinate of x0 by 1.05, or sets it to
-    0.00025 when it is zero.  The reflection, expansion, contraction and
-    shrink coefficients are 1, 2, 0.5 and 0.5.  The run stops once every
-    vertex lies within `xatol` of the best one in each coordinate and within
-    `fatol` of it in value, or after `maxiter` iterations.  Each step, down
-    to the argsort that orders the vertices, follows the reference
-    implementation the test suite holds this to, so the run sees the same
-    points in the same order and its result agrees bit for bit.
-
-    f takes the list of points the simplex needs next (the start vertices,
-    one trial point or the shrink points) and returns their values in order;
-    it must leave the points unchanged and score each one independently of
-    the others.  Returns the best vertex and the smallest value.
-    """
-    run = _simplex(x0, xatol, fatol, maxiter)
-    points = next(run)
-    while True:
-        try:
-            points = run.send(f(points))
-        except StopIteration as done:
-            return done.value
 
 
 @dataclass(frozen=True)
@@ -275,29 +243,29 @@ def mu_c_search(c: Channel) -> MuSearchResult:
     weight m is EB exactly when (1-m) G + m rho0 (x) 1/2 is PSD, which is
     affine in rho0, so every sublevel set {w : mu(w) <= m} is convex.  Its
     minimizers form one convex set, with no second basin to trap a local
-    search, so one Nelder-Mead run (``nelder_mead``, xatol 1e-4, fatol
-    1e-12, at most 600 iterations) from x = (0.01, 0.01, 0.01) suffices.  It
+    search, so one Nelder-Mead run (``nelder_mead``, at most 600
+    iterations) from x = (0.01, 0.01, 0.01) suffices.  It
     runs on the folded coordinate w = sin(|x|) x / |x|, which maps R^3 onto
     the closed ball with no plateau: a minimum on the sphere (a pure rho0)
     becomes a smooth interior minimum at |x| = pi/2, where a radial
     projection would leave the simplex on rays of constant value.
 
-    Each evaluation is the exact solve of `mu_given_rho0`, with its 16x16
-    table built once per search, and the start vertices and shrink points
-    of a step share one call of the stacked kernel.  The returned value is
-    the smallest evaluation and `bloch` the folded point that gave it.
+    Each evaluation is the exact solve of `mu_given_rho0` at one point, with
+    its 16x16 table built once per search.  The returned value is the
+    smallest evaluation and `bloch` the folded point that gave it.
     """
     table = _threshold_table(c)
     if table is None:
         return MuSearchResult(0.0, np.zeros(3), 1)
 
-    count = [0]
+    count = 0
 
-    def objective(points) -> list[float]:
-        count[0] += len(points)
-        return _mu_thresholds(table, [_fold(x) for x in points])
+    def objective(x) -> float:
+        nonlocal count
+        count += 1
+        return _mu_threshold(table, _fold(x))
 
-    x, value = nelder_mead(objective, (0.01, 0.01, 0.01), xatol=1e-4, fatol=1e-12, maxiter=600)
+    x, value = nelder_mead(objective, (0.01, 0.01, 0.01), maxiter=600)
     point = np.array(_fold(x.tolist()))
     # rho0 = 1/2 meets the bound d/(1+d) for every channel (the partial
     # transpose of a two-qubit state has no eigenvalue below -1/2).  For a
@@ -306,7 +274,7 @@ def mu_c_search(c: Channel) -> MuSearchResult:
     bound = mu_c_upper_bound(2)
     if value > bound:
         value, point = bound, np.zeros(3)
-    return MuSearchResult(value, point, count[0])
+    return MuSearchResult(value, point, count)
 
 
 def mu_c(c: Channel) -> float:

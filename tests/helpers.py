@@ -27,6 +27,7 @@ from noisegauge.linalg import partial_transpose, polar_decompose, trace_norm
 from noisegauge.measures import (
     MuSearchResult,
     _fold,
+    _mu_threshold,
     _threshold_table,
     mu_c_upper_bound,
     n_c,
@@ -130,24 +131,6 @@ def kron_threshold(ginv: np.ndarray, rho0) -> float:
     return 1.0 / (1.0 - nu) if nu < 0.0 else 1.0
 
 
-def point_threshold(table: np.ndarray, w) -> float:
-    """The one-point form of ``measures._mu_thresholds``: the same
-    coefficients, then a (16,) @ table product and one 4x4 eigvalsh for the
-    single Bloch vector w.  An oracle for the stacked kernel, row by row."""
-    x, y, z = np.asarray(w, dtype=float).tolist()
-    r = math.hypot(x, y, z)
-    if not math.isfinite(r):
-        raise ValueError("Bloch vector entries must be finite")
-    if r > 1.0:
-        x, y, z, r = x / r, y / r, z / r, 1.0
-    root = math.sqrt(1.0 + math.sqrt((1.0 - r) * (1.0 + r)))
-    k = 0.5 / root
-    coef = np.array([0.5 * root, k * x, k * y, k * z])
-    m = ((coef[:, None] * coef).reshape(16) @ table).reshape(4, 4)
-    nu = float(np.linalg.eigvalsh(m)[0])
-    return 1.0 / (1.0 - nu) if nu < 0.0 else 1.0
-
-
 def coarse_bloch_grid() -> list[np.ndarray]:
     """26 points: 6 axis poles, 8 cube corners and 12 cube edge midpoints,
     the latter two rescaled to radius 0.7."""
@@ -173,12 +156,12 @@ def coarse_bloch_grid() -> list[np.ndarray]:
 
 def fold_search(c) -> MuSearchResult:
     """``mu_c_search`` by scipy's Nelder-Mead, one point per call, each
-    scored by ``point_threshold`` at the folded Bloch vector sin(|x|) x / |x|.
-    An oracle for the local simplex port and the stacked kernel."""
+    scored by ``measures._mu_threshold`` at the folded Bloch vector
+    sin(|x|) x / |x|.  An oracle for the local simplex port."""
     table = _threshold_table(c)
     if table is None:
         return MuSearchResult(0.0, np.zeros(3), 1)
-    res = minimize(lambda x: point_threshold(table, _fold(x)), np.full(3, 0.01),
+    res = minimize(lambda x: _mu_threshold(table, _fold(x)), np.full(3, 0.01),
                    method="Nelder-Mead", options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 600})
     value, point = float(res.fun), np.array(_fold(res.x.tolist()))
     bound = mu_c_upper_bound(2)
@@ -197,7 +180,7 @@ def sdp_mu_c(c) -> tuple[float, float]:
     minimizes t a - log det M - log(a^2 - |b|^2) by damped Newton steps, for
     t = 1, 10, ..., 1e11.  The barrier has parameter 4 + 2 = 6, so
     `lower` = a - 6/t lies below the optimum; `upper` is the exact threshold
-    of ``point_threshold`` at the feasible Bloch vector w = b/a.  An EB
+    of ``measures._mu_threshold`` at the feasible Bloch vector w = b/a.  An EB
     channel gives (0, 0)."""
     table = _threshold_table(c)
     if table is None:
@@ -229,7 +212,7 @@ def sdp_mu_c(c) -> tuple[float, float]:
             break
         t *= 10.0
     a, b = float(v[0]), v[1:]
-    return point_threshold(table, b / a), a - 6.0 / t
+    return _mu_threshold(table, b / a), a - 6.0 / t
 
 
 def choi_state(c) -> ChoiState:

@@ -362,6 +362,23 @@ class TestSearchFilter:
             report = search_filter(c, cap=16, budget=8, seed=seed)
             assert report.filtered_nc == amend_order(c, report.filter, cap=16)
 
+    def test_refinement_finds_what_the_lattice_misses(self):
+        """A rotated damping channel of order 2 that no named filter and no
+        point of the seeded 10x10x10 lattice lifts above order 2; the
+        Nelder-Mead refinement from the best lattice point reaches order 3."""
+        euler = FilterCandidate.euler(3.239124460046525, 1.6372916822486154, 5.633130245903468)
+        c = apply_filter(euler, gad_kraus(GadParams(0.5872318330764819, 0.45003038868240186)))
+        report = search_filter(c, cap=64, budget=1000, seed=42)
+        assert (report.base_nc.n, report.filtered_nc.n, report.amendable) == (2, 3, True)
+
+        rng = np.random.default_rng(42)
+        spans = (2 * math.pi, math.pi, 2 * math.pi)
+        axes = [rng.uniform(0.0, span / 10) + np.arange(10) * (span / 10) for span in spans]
+        named = [FilterCandidate.pauli(k) for k in (1, 2, 3)] + [FilterCandidate.r2r1()]
+        rotations = np.concatenate([[f.bloch_matrix() for f in named], _euler_lattice(*axes)])
+        orders, _ = _order_scan(_scan_base(c), rotations, 64)
+        assert orders.max() == 2
+
     def test_report_json_schema(self):
         report = search_filter(UnitalChannel(T), cap=16, budget=8, seed=3)
         data = report.to_json()

@@ -252,6 +252,9 @@ class TestSweep:
             ("fig1", "--fixed", "lambda3=1.5"),
             ("fig1", "--cap", "0"),
             ("fig1", "--steps", "-1"),
+            ("fig1", "--steps", "0"),
+            ("fig1", "--grid", "lambda1=-2:2:5"),
+            ("fig2", "--steps", "1"),
             ("fig2", "--grid", "p=0.5:1.5:3"),
             ("fig2", "--cap", "0"),
             ("fig2-inset", "--grid", "p=-0.5:0.5:3"),

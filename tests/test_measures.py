@@ -16,7 +16,6 @@ from helpers import (
     kraus_from_isometry,
     kron_threshold,
     loop_n_c,
-    point_threshold,
     random_cp_unital,
     random_density,
     random_rotation,
@@ -51,7 +50,7 @@ from noisegauge import (
 from noisegauge.amend import _negated_score, _scan_base
 from noisegauge.gad import p_n
 from noisegauge.linalg import partial_transpose, polar_decompose, trace_norm
-from noisegauge.measures import _mu_thresholds, _threshold_table, nelder_mead
+from noisegauge.measures import FATOL, XATOL, _mu_threshold, _threshold_table, nelder_mead
 from noisegauge.separability import EB_TOL
 
 LAM = np.diag([0.73, 0.5, 0.5])
@@ -138,8 +137,7 @@ def _bloch_point(state, rng):
 
 
 class TestThresholdKernel:
-    """The stacked table kernel against its one-point form and the direct
-    S G^-1 S construction."""
+    """The table kernel against the direct S G^-1 S construction."""
 
     @pytest.mark.parametrize("kind,seed", [("unital", 51), ("damping", 52), ("filtered", 53)])
     @pytest.mark.parametrize("state", ["mixed", "pure", "centre", "outside"])
@@ -153,34 +151,23 @@ class TestThresholdKernel:
                 continue
             checked += 1
             ginv = np.linalg.inv(partial_transpose(choi_state(c).g))
-            points = [_bloch_point(state, rng) for _ in range(3)]
-            rows = _mu_thresholds(table, points)
-            for w, got in zip(points, rows):
-                assert got == _mu_thresholds(table, [w])[0] == point_threshold(table, w)
+            for _ in range(3):
+                w = _bloch_point(state, rng)
                 projected = w / max(1.0, np.linalg.norm(w))
                 expected = kron_threshold(ginv, bloch_to_density(projected))
+                got = _mu_threshold(table, w)
                 assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_rows_keep_their_bits_in_a_mixed_stack(self):
-        rng = np.random.default_rng(54)
-        states = ["mixed", "pure", "centre", "outside"]
-        for kind in ("unital", "damping", "filtered"):
-            table = _threshold_table(_non_eb_channel(kind, rng))
-            points = [_bloch_point(states[i % 4], rng) for i in range(26)]
-            points += [points[3] * 2.0, points[3] * 4.0]  # one ray beyond the ball
-            rows = _mu_thresholds(table, points)
-            assert rows[-1] == rows[-2] == rows[3]
-            for w, got in zip(points, rows):
-                assert np.float64(got).tobytes() == np.float64(point_threshold(table, w)).tobytes()
+                if state == "outside":  # constant along each ray beyond the ball
+                    assert _mu_threshold(table, 4.0 * w) == got
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_bloch_entry(self, bad):
         table = _threshold_table(IDENTITY_CH)
-        for row in range(3):
-            points = [[0.1, 0.2, 0.3] for _ in range(3)]
-            points[row] = [0.1, bad, 0.2]
+        for entry in range(3):
+            w = [0.1, 0.2, 0.3]
+            w[entry] = bad
             with pytest.raises(ValueError, match="finite"):
-                _mu_thresholds(table, points)
+                _mu_threshold(table, w)
 
 
 class TestMuCUnital:
@@ -261,14 +248,14 @@ class TestMuCSearch:
 def _mu_objective(c):
     table = _threshold_table(c)
     assert table is not None
-    return lambda points: _mu_thresholds(table, points)
+    return lambda w: _mu_threshold(table, w)
 
 
 def _negated_filter_score(c, cap=16):
     """The objective that ``search_filter`` refines: minus the order plus
     margin of each Euler filter, flat between the integer orders."""
     base = _scan_base(c)
-    return lambda points: [_negated_score(base, p, cap) for p in points]
+    return lambda angles: _negated_score(base, angles, cap)
 
 
 def _non_eb_channel(kind, rng):
@@ -278,32 +265,24 @@ def _non_eb_channel(kind, rng):
             return c
 
 
-def _traced(f, calls):
-    """f, recording the bytes of the points of each call in `calls`."""
-    def g(points):
-        calls.append([np.asarray(x, dtype=float).tobytes() for x in points])
-        return f(points)
-    return g
-
-
 class TestNelderMead:
     """The local simplex method against scipy's, bit for bit."""
 
     @staticmethod
-    def _both(f, x0, xatol=1e-4, fatol=1e-12, maxiter=600):
-        """Run the port and scipy from x0, scipy scoring one point per call of
-        the batch objective f; require the same points evaluated in the same
-        order and the same result.  Returns scipy's result and the points."""
-        calls, seen = [], []
+    def _both(f, x0, maxiter=600):
+        """Run the port and scipy from x0 on the scalar objective f; require
+        the same points evaluated in the same order and the same x, fun and
+        nfev.  Returns scipy's result and the points."""
+        def traced(seen):
+            def g(x):
+                seen.append(np.asarray(x, dtype=float).tobytes())
+                return f(x)
+            return g
 
-        def single(x):
-            seen.append(np.asarray(x, dtype=float).tobytes())
-            return f([x])[0]
-
-        x, fun = nelder_mead(_traced(f, calls), x0, xatol=xatol, fatol=fatol, maxiter=maxiter)
-        res = minimize(single, x0, method="Nelder-Mead",
-                       options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})
-        points = [b for call in calls for b in call]
+        points, seen = [], []
+        x, fun = nelder_mead(traced(points), x0, maxiter=maxiter)
+        res = minimize(traced(seen), x0, method="Nelder-Mead",
+                       options={"xatol": XATOL, "fatol": FATOL, "maxiter": maxiter})
         assert points == seen
         assert len(points) == res.nfev
         assert x.tobytes() == res.x.tobytes()
@@ -316,7 +295,7 @@ class TestNelderMead:
         grid = coarse_bloch_grid()
         for _ in range(5):
             f = _mu_objective(_non_eb_channel(kind, rng))
-            ranking = np.argsort(f(grid), kind="stable")
+            ranking = np.argsort([f(w) for w in grid], kind="stable")
             for idx in ranking[:3]:
                 self._both(f, grid[int(idx)])
 
@@ -344,7 +323,7 @@ class TestNelderMead:
 
     def test_stops_at_maxiter(self):
         f = _mu_objective(gad_kraus(GadParams(0.3, 0.2)))
-        res, _ = self._both(f, coarse_bloch_grid()[7], xatol=0.0, fatol=0.0, maxiter=9)
+        res, _ = self._both(f, coarse_bloch_grid()[7], maxiter=9)
         assert res.nit == 9 and res.status == 2
 
     def test_start_beyond_the_ball_matches_scipy(self):
@@ -357,7 +336,7 @@ class TestNelderMead:
             f = _mu_objective(_non_eb_channel(kind, rng))
             for idx in (0, 6, 14):
                 _, points = self._both(f, 3.0 * grid[idx])
-                start = f([np.frombuffer(b) for b in points[:4]])
+                start = [f(np.frombuffer(b)) for b in points[:4]]
                 ties += len(set(start)) < 4
         assert ties > 0
 
