@@ -38,7 +38,7 @@ from .channels import (
     ptm,
 )
 from .gad import p_n
-from .linalg import polar_decompose
+from .linalg import INPUT_TOL, ROUND_TOL, as_real3, polar_decompose
 from .measures import (
     DEFAULT_CAP,
     _filter_ptms,
@@ -51,11 +51,6 @@ from .measures import (
 )
 from .report import NcResult
 from .separability import decide_eb
-
-# Filter scores this close count as equal.  A channel that is entanglement
-# breaking at one use gives every filter the same score in exact arithmetic,
-# and the winner must not be picked by rounding.
-SCORE_TIE = 1e-12
 
 
 def _axis_rotations(axis: int, angles) -> np.ndarray:
@@ -108,10 +103,13 @@ class FilterCandidate:
         elif kind == "euler":
             if len(self.params) != 3:
                 raise ValueError("euler filter needs three angles (alpha, beta, theta)")
-            object.__setattr__(self, "params", tuple(float(a) for a in self.params))
+            angles = tuple(float(a) for a in self.params)
+            if not all(map(math.isfinite, angles)):
+                raise ValueError("euler filter angles must be finite")
+            object.__setattr__(self, "params", angles)
         elif kind == "orthogonal":
-            m = np.asarray(self.params, dtype=float).reshape(3, 3)
-            if np.abs(m @ m.T - np.eye(3)).max() > 1e-10:
+            m = as_real3(np.reshape(self.params, (3, 3)))
+            if np.abs(m @ m.T - np.eye(3)).max() > INPUT_TOL:
                 raise ValueError("orthogonal filter matrix is not orthogonal")
             object.__setattr__(self, "params", tuple(float(x) for x in m.ravel()))
         else:
@@ -230,7 +228,7 @@ def _is_unitary_channel(c: Channel) -> bool:
     """T orthogonal in the PTM, whatever the representation.  A channel maps
     the Bloch sphere into the ball, so an orthogonal T also forces t = 0."""
     m = ptm(c)[1:, 1:]
-    return bool(np.abs(m.T @ m - np.eye(3)).max() <= 1e-10)
+    return bool(np.abs(m.T @ m - np.eye(3)).max() <= INPUT_TOL)
 
 
 def _cube_root_floor(n: int) -> int:
@@ -244,8 +242,9 @@ def _cube_root_floor(n: int) -> int:
 
 
 def _first_max(scores: np.ndarray) -> int:
-    """Index of the first score within ``SCORE_TIE`` of the maximum."""
-    return int(np.argmax(scores >= scores.max() - SCORE_TIE))
+    """Index of the first score within ``ROUND_TOL`` of the maximum: rounding
+    must not pick among filters that tie in exact arithmetic."""
+    return int(np.argmax(scores >= scores.max() - ROUND_TOL))
 
 
 def _negated_score(base: np.ndarray, angles, cap: int) -> float:
@@ -268,7 +267,7 @@ def search_filter(
 
     Scores the named filters (three Pauli conjugations and the x-then-y
     quarter-turn pair) by one batched order scan over their stacked Bloch
-    rotations.  Scores within ``SCORE_TIE`` of the maximum tie, and the first
+    rotations.  Scores within ``ROUND_TOL`` of the maximum tie, and the first
     of them in evaluation order wins.
 
     A ``UnitalChannel`` adds one more named filter, its inverse polar
@@ -286,7 +285,7 @@ def search_filter(
     named filters, then refines the first best lattice point with the local
     Nelder-Mead simplex method ``measures.nelder_mead``, each point it asks
     for scored by its own one-row scan (``_negated_score``).
-    The refined filter wins only by more than ``SCORE_TIE``.  Deterministic
+    The refined filter wins only by more than ``ROUND_TOL``.  Deterministic
     for a fixed seed.
 
     The report is amendable when the channel's order, found within `cap`,
@@ -332,7 +331,7 @@ def search_filter(
     if not unital:
         start = lattice_point(_first_max(scores[len(named):]))
         x, fun = nelder_mead(lambda a: _negated_score(base, a, cap), start, maxiter=200)
-        if -fun > best_score + SCORE_TIE:
+        if -fun > best_score + ROUND_TOL:
             best_filter = FilterCandidate.euler(*(float(a) for a in x))
             best_result = amend_order(c, best_filter, cap)
 

@@ -31,13 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_hermitian4, as_real3
-
-CONTRACTION_TOL = 1e-10
-COMPLETENESS_TOL = 1e-10
-DENSITY_TOL = 1e-10
-# Choi eigenvalues below this are treated as zero when extracting Kraus sets.
-KRAUS_PRUNE_TOL = 1e-12
+from .linalg import INPUT_TOL, ROUND_TOL, as_hermitian4, as_real3
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -65,14 +59,14 @@ PAULI_MIX = np.array(
 
 
 def bloch_vector(v) -> np.ndarray:
-    """Validate a Bloch vector: 3 finite reals with |v| <= 1 + 1e-12."""
+    """Validate a Bloch vector: 3 finite reals with |v| <= 1 + ``INPUT_TOL``."""
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a length-3 Bloch vector, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("Bloch vector entries must be finite")
     norm = float(np.linalg.norm(a))
-    if norm > 1.0 + 1e-12:
+    if norm > 1.0 + INPUT_TOL:
         raise ValueError(f"Bloch vector lies outside the ball (|v| = {norm})")
     return a
 
@@ -90,16 +84,18 @@ def density_to_bloch(rho) -> np.ndarray:
 
 
 def validate_density(rho) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a 2x2 density matrix,
-    each within ``DENSITY_TOL``."""
+    """Check finiteness, then Hermiticity, unit trace and positivity of a 2x2
+    density matrix, each within ``INPUT_TOL``."""
     r = np.asarray(rho, dtype=complex)
     if r.shape != (2, 2):
         raise ValueError(f"expected a 2x2 density matrix, got shape {r.shape}")
-    if np.abs(r - r.conj().T).max() > DENSITY_TOL:
+    if not np.all(np.isfinite(r)):
+        raise ValueError("density matrix entries must be finite")
+    if np.abs(r - r.conj().T).max() > INPUT_TOL:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(r).real - 1.0) > DENSITY_TOL or abs(np.trace(r).imag) > DENSITY_TOL:
+    if abs(np.trace(r).real - 1.0) > INPUT_TOL or abs(np.trace(r).imag) > INPUT_TOL:
         raise ValueError("density matrix does not have unit trace")
-    if np.linalg.eigvalsh(r).min() < -DENSITY_TOL:
+    if np.linalg.eigvalsh(r).min() < -INPUT_TOL:
         raise ValueError("density matrix has a negative eigenvalue")
     return r
 
@@ -113,7 +109,7 @@ class UnitalChannel:
     def __post_init__(self):
         t = as_real3(self.t)
         top = float(np.linalg.eigvalsh(t.T @ t)[-1])
-        if top > 1.0 + CONTRACTION_TOL:
+        if top > 1.0 + INPUT_TOL:
             raise ValueError(
                 f"not a Bloch contraction: largest eigenvalue of T^T T is {top}"
             )
@@ -137,7 +133,7 @@ class KrausChannel:
                 raise ValueError("Kraus operator entries must be finite")
         total = sum(e.conj().T @ e for e in ops)
         dev = np.abs(total - IDENTITY_2).max()
-        if dev > COMPLETENESS_TOL:
+        if dev > INPUT_TOL:
             raise ValueError(f"Kraus completeness violated (max dev {dev:.3e})")
         object.__setattr__(self, "ops", ops)
 
@@ -212,24 +208,23 @@ def choi_from_ptm(r: np.ndarray) -> np.ndarray:
 def kraus_from_choi(g) -> KrausChannel:
     """Recover a minimal Kraus set from a Choi matrix.
 
-    Eigenvectors with eigenvalue above ``KRAUS_PRUNE_TOL`` are kept and
-    rescaled, giving at most four operators for a qubit channel.
+    Eigenvectors with eigenvalue above ``ROUND_TOL`` are kept and rescaled,
+    giving at most four operators for a qubit channel.
 
     Raises:
         ValueError: if the Choi matrix is not positive semidefinite within
-            tolerance (the map is not completely positive) or not
+            ``INPUT_TOL`` (the map is not completely positive) or not
             trace-preserving.
     """
-    a = as_hermitian4(g, tol=1e-9)
-    w, u = np.linalg.eigh(a)
-    if w.min() < -1e-9:
+    w, u = np.linalg.eigh(as_hermitian4(g))
+    if w.min() < -INPUT_TOL:
         raise ValueError(
             f"Choi matrix has negative eigenvalue {w.min():.3e}; "
             "the map is not completely positive"
         )
     ops = []
     for i in range(4):
-        if w[i] > KRAUS_PRUNE_TOL:
+        if w[i] > ROUND_TOL:
             ops.append(np.sqrt(2.0 * w[i]) * u[:, i].reshape(2, 2))
     return KrausChannel(tuple(ops))
 

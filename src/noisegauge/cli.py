@@ -30,7 +30,7 @@ from .channels import (
     pauli_decompose,
 )
 from .gaussian import IsoChannel, n_c_amplification, n_c_attenuation, n_c_iso
-from .linalg import trace_norm
+from .linalg import ROUND_TOL, trace_norm
 from .measures import (
     mu_c_search,
     mu_c_unital,
@@ -168,7 +168,7 @@ def _ebn_order_canonical(lams, cap: int) -> NcResult:
             return NcResult(1, cap)
         return NcResult(None, cap, proven_divergent=True)
     for n in range(1, cap + 1):
-        if float((mags**n).sum()) <= 1.0 + 1e-12:
+        if float((mags**n).sum()) <= 1.0 + ROUND_TOL:
             return NcResult(n, cap)
     return NcResult(None, cap)
 

@@ -18,10 +18,8 @@ import math
 
 import numpy as np
 
+from .linalg import ROUND_TOL
 from .report import NcResult
-
-# Floating-point guard: discriminants sit exactly at zero on boundary curves.
-RADICAND_GUARD = -1e-12
 
 
 def _check_unit(name: str, value: float) -> float:
@@ -45,8 +43,8 @@ def mu_vs_vz(p: float, gamma: float, vz: float) -> float:
              / [4 p^2 (g-1) g + 2 p (-2 vz g + vz - 1) + vz^2 + 3],
         R  = p^2 (vz - 2g + 1)^2 + 4 p (vz^2 - 1) - 4 vz^2 + 4,
 
-    clamped to [0, 1].  R is clamped at zero when within -1e-12 (it vanishes
-    exactly on region boundaries).
+    clamped to [0, 1].  A negative R within ``ROUND_TOL`` of zero counts as
+    zero (R vanishes exactly on region boundaries).
     """
     p = _check_unit("p", p)
     g = float(gamma)
@@ -57,7 +55,7 @@ def mu_vs_vz(p: float, gamma: float, vz: float) -> float:
         raise ValueError(f"vz = {vz} outside [-1, 1]")
     rad = p * p * (vz - 2 * g + 1) ** 2 + 4 * p * (vz * vz - 1) - 4 * vz * vz + 4
     if rad < 0.0:
-        if rad < RADICAND_GUARD:
+        if rad < -ROUND_TOL:
             raise ValueError(f"negative discriminant {rad} beyond guard")
         rad = 0.0
     num = p * (4 * p * (g - 1) * g - 2 * g * vz + vz - 3) + 4 - np.sqrt(rad)

@@ -7,7 +7,7 @@ Such a channel is entanglement breaking exactly when its scalar noise
 satisfies b >= (1 + k^2) / 2, that is N0 >= k^2 (attenuation) and N0 >= 1
 (amplification).  The n-fold composition stays in its family, with gain k^n
 and added noise N0 sum_{j<n} k^(2j), so the order n_c is read off
-closed-form bands in N0.
+closed-form bands in N0, closed within ``linalg.ROUND_TOL``.
 
 The general triplet form (K, l, beta), its composition law and the
 entanglement-breaking split test live in the test suite
@@ -20,10 +20,8 @@ import math
 from dataclasses import dataclass
 
 from .channels import _json_field
+from .linalg import ROUND_TOL
 from .report import NcResult
-
-# Closed boundaries: a point within this of a band edge counts as inside.
-BOUNDARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,8 +72,8 @@ def amplification(k: float, n0: float) -> IsoChannel:
 def is_eb_iso(c: IsoChannel) -> bool:
     """Scalar criterion: N0 >= k^2 (attenuation) or N0 >= 1 (amplification)."""
     if c.family == "attenuation":
-        return c.n0 >= c.k * c.k - BOUNDARY_TOL
-    return c.n0 >= 1.0 - BOUNDARY_TOL
+        return c.n0 >= c.k * c.k - ROUND_TOL
+    return c.n0 >= 1.0 - ROUND_TOL
 
 
 def _n_fold_threshold(family: str, k: float, n: int) -> float:
@@ -94,7 +92,7 @@ def _n_c_iso(family: str, k: float, n0: float, cap: int) -> NcResult:
         # channel in either family never breaks entanglement.
         return NcResult(None, cap, proven_divergent=True)
     for n in range(1, cap + 1):
-        if n0 >= _n_fold_threshold(family, k, n) - BOUNDARY_TOL:
+        if n0 >= _n_fold_threshold(family, k, n) - ROUND_TOL:
             return NcResult(n, cap)
     return NcResult(None, cap)
 

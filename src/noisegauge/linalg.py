@@ -10,8 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-# Max allowed entrywise |A - A^dag| for a matrix to count as Hermitian.
-HERMITIAN_TOL = 1e-12
+# The tolerance policy: every slack in the package is one of these three.
+# A given matrix or vector may miss its exact constraint (Hermitian, unit
+# trace, PSD, contraction, completeness, orthogonal) by this much.
+INPUT_TOL = 1e-10
+# The slack of the numeric EB decision, used only by separability.decide_eb.
+EB_TOL = 1e-10
+# Numbers equal in exact arithmetic may differ by this much after rounding
+# (band edges, dropped zero eigenvalues, a vanishing discriminant, score ties).
+ROUND_TOL = 1e-12
 
 
 def as_real3(m) -> np.ndarray:
@@ -24,15 +31,15 @@ def as_real3(m) -> np.ndarray:
     return a
 
 
-def as_hermitian4(g, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Coerce to a 4x4 complex array, checking Hermiticity within `tol`."""
+def as_hermitian4(g) -> np.ndarray:
+    """Coerce to a 4x4 complex array, checking Hermiticity within ``INPUT_TOL``."""
     a = np.asarray(g, dtype=complex)
     if a.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     dev = np.abs(a - a.conj().T).max()
-    if dev > tol:
+    if dev > INPUT_TOL:
         raise ValueError(f"matrix is not Hermitian (max |A - A^dag| = {dev:.3e})")
     return a
 

@@ -11,8 +11,8 @@ eigenvalue, so both carry the same information away from the boundary): it
 degrades linearly near the boundary where the determinant degrades
 quartically.  The test suite keeps the determinant as a cross-check.
 Every entanglement-breaking decision on a channel is ``decide_eb``, with the
-one slack ``EB_TOL``, except that ``is_eb`` decides a ``GadParams`` channel by
-its closed-form band edge, as the order and the threshold of that
+one slack ``linalg.EB_TOL``, except that ``is_eb`` decides a ``GadParams``
+channel by its closed-form band edge, as the order and the threshold of that
 representation do.
 """
 
@@ -24,9 +24,7 @@ import numpy as np
 
 from .channels import Channel, GadParams, PAULIS, UnitalChannel, ptm
 from .gad import p_n
-from .linalg import as_hermitian4, partial_transpose
-
-EB_TOL = 1e-10
+from .linalg import EB_TOL, INPUT_TOL, as_hermitian4, partial_transpose
 
 # sigma_i (x) sigma_j / 4 in row 4i + j.
 _PT_BASIS = np.array([np.kron(a, b) for a in PAULIS for b in PAULIS]).reshape(16, 16) / 4
@@ -34,17 +32,17 @@ _PT_BASIS = np.array([np.kron(a, b) for a in PAULIS for b in PAULIS]).reshape(16
 
 @dataclass(frozen=True)
 class ChoiState:
-    """Validated two-qubit state: Hermitian, unit trace, PSD within EB_TOL."""
+    """Validated two-qubit state: Hermitian, unit trace, PSD within INPUT_TOL."""
 
     g: np.ndarray
 
     def __post_init__(self):
         g = as_hermitian4(self.g)
         tr = complex(np.trace(g))
-        if abs(tr - 1.0) > EB_TOL:
+        if abs(tr - 1.0) > INPUT_TOL:
             raise ValueError(f"state trace is {tr}, expected 1")
         low = float(np.linalg.eigvalsh(g).min())
-        if low < -EB_TOL:
+        if low < -INPUT_TOL:
             raise ValueError(f"state has negative eigenvalue {low:.3e}")
         object.__setattr__(self, "g", g)
 

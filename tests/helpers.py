@@ -7,7 +7,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from noisegauge import UnitalChannel
-from noisegauge.amend import SCORE_TIE, AmendReport, FilterCandidate
+from noisegauge.amend import AmendReport, FilterCandidate
 from noisegauge.channels import (
     IDENTITY_2,
     SIGMA_X,
@@ -22,8 +22,8 @@ from noisegauge.channels import (
     validate_density,
 )
 from noisegauge.gad import p_n
-from noisegauge.gaussian import BOUNDARY_TOL, IsoChannel
-from noisegauge.linalg import partial_transpose, polar_decompose, trace_norm
+from noisegauge.gaussian import IsoChannel
+from noisegauge.linalg import EB_TOL, ROUND_TOL, partial_transpose, polar_decompose, trace_norm
 from noisegauge.measures import (
     MuSearchResult,
     _fold,
@@ -33,7 +33,7 @@ from noisegauge.measures import (
     n_c,
 )
 from noisegauge.report import NcResult
-from noisegauge.separability import EB_TOL, ChoiState, min_pt_eigenvalue
+from noisegauge.separability import ChoiState, min_pt_eigenvalue
 
 PAULI_VECTOR = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
@@ -367,9 +367,9 @@ def loop_search_filter(c, cap: int, budget: int, seed: int) -> AmendReport:
     scored = [(cand, *score(cand)) for cand in candidates]
 
     def first_max(entries):
-        # scores within SCORE_TIE of the maximum tie; the first one wins
+        # scores within ROUND_TOL of the maximum tie; the first one wins
         top = max(value for _, _, value in entries)
-        return next(e for e in entries if e[2] >= top - SCORE_TIE)
+        return next(e for e in entries if e[2] >= top - ROUND_TOL)
 
     best_filter, best_result, best_score = first_max(scored)
     best_euler = first_max([e for e in scored if e[0].kind == "euler"])[0]
@@ -379,7 +379,7 @@ def loop_search_filter(c, cap: int, budget: int, seed: int) -> AmendReport:
         method="Nelder-Mead",
         options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 200},
     )
-    if -res.fun > best_score + SCORE_TIE:
+    if -res.fun > best_score + ROUND_TOL:
         best_filter = FilterCandidate.euler(*(float(a) for a in res.x))
         best_result = score(best_filter)[0]
     base_nc = n_c(c, cap)
@@ -536,9 +536,9 @@ def eb_split_feasible(c: GaussianChannel) -> bool:
     """
     d = float(np.linalg.det(c.k_mat))
     b11, b22, b12 = c.beta[0, 0], c.beta[1, 1], c.beta[0, 1]
-    if b11 < 0.5 - BOUNDARY_TOL or b22 < 0.5 - BOUNDARY_TOL:
+    if b11 < 0.5 - ROUND_TOL or b22 < 0.5 - ROUND_TOL:
         return False
-    return (b11 - 0.5) * (b22 - 0.5) - b12 * b12 - d * d / 4.0 >= -BOUNDARY_TOL
+    return (b11 - 0.5) * (b22 - 0.5) - b12 * b12 - d * d / 4.0 >= -ROUND_TOL
 
 
 def n_c_iso_iterated(c, cap: int = 64) -> NcResult:

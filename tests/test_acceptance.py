@@ -174,7 +174,8 @@ def test_criterion_07_damping_closed_forms_vs_oracles():
 
 def test_criterion_08_damping_band_map():
     from noisegauge import choi
-    from noisegauge.separability import EB_TOL, min_pt_eigenvalue
+    from noisegauge.linalg import EB_TOL
+    from noisegauge.separability import min_pt_eigenvalue
 
     disagreements = 0
     for p in np.linspace(0.0, 1.0, 25):

@@ -13,6 +13,7 @@ from helpers import (
     random_density,
 )
 from noisegauge import (
+    FilterCandidate,
     GadParams,
     KrausChannel,
     UnitalChannel,
@@ -25,6 +26,7 @@ from noisegauge import (
     gad_kraus,
     kraus_from_choi,
     pauli_decompose,
+    validate_density,
 )
 from noisegauge.channels import IDENTITY_2, PSI_PLUS, SIGMA_X, ptm
 from noisegauge.gad import p_n
@@ -59,6 +61,24 @@ class TestInvariants:
     def test_bloch_vector_outside_ball(self):
         with pytest.raises(ValueError):
             bloch_vector([1.0, 1.0, 0.0])
+
+    def test_bloch_vector_within_input_tol(self):
+        bloch_vector([1.0 + 5e-11, 0.0, 0.0])
+
+    # Every comparison with NaN is False, so a check written as dev > tol
+    # lets NaN through unless finiteness is checked first.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: validate_density([[np.nan, 0.0], [0.0, np.nan]]),
+            lambda: FilterCandidate.orthogonal(np.full((3, 3), np.nan)),
+            lambda: FilterCandidate.euler(np.nan, 0.0, 0.0),
+        ],
+        ids=["density", "orthogonal", "euler"],
+    )
+    def test_rejects_nan_input(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
 
 def bloch_action(c, v) -> np.ndarray:
@@ -175,6 +195,11 @@ class TestChoi:
     def test_rejects_non_cp(self):
         with pytest.raises(ValueError):
             kraus_from_choi(choi(UnitalChannel(T)))
+
+    def test_rejects_negative_eigenvalue_beyond_input_tol(self):
+        e11 = np.diag([0.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="not completely positive"):
+            kraus_from_choi(PSI_PLUS - 5e-10 * e11)
 
 
 class TestPtm:

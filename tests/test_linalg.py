@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import random_rotation
+import noisegauge
 from noisegauge import partial_transpose, polar_decompose, trace_norm
 from noisegauge.channels import PSI_PLUS
+from noisegauge.linalg import as_hermitian4
 
 LAM = np.diag([0.73, 0.5, 0.5])
 SWAP_XY = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
@@ -110,3 +115,54 @@ class TestPartialTranspose:
             assert np.abs(partial_transpose(pt) - h).max() == 0.0
             assert np.trace(pt) == np.trace(h)
             assert np.abs(pt - pt.conj().T).max() == 0.0
+
+
+class TestAsHermitian4:
+    def test_accepts_deviation_within_input_tol(self):
+        g = np.eye(4, dtype=complex) / 4
+        g[0, 1] += 5e-11
+        assert np.array_equal(as_hermitian4(g), g)
+
+
+
+def _small_literals(tree: ast.AST) -> list:
+    """Float literals in (0, 1e-8] under `tree`."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and 0.0 < node.value <= 1e-8
+    ]
+
+
+class TestTolerancePolicy:
+    """Every slack in the package is one of three names in ``linalg``."""
+
+    MODULES = sorted(Path(noisegauge.__file__).parent.glob("*.py"))
+
+    def test_only_linalg_names_slacks(self):
+        for path in self.MODULES:
+            names = {
+                node.id for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                and node.id.endswith(("_TOL", "_GUARD", "_TIE"))
+            }
+            expected = {"INPUT_TOL", "EB_TOL", "ROUND_TOL"} if path.stem == "linalg" else set()
+            assert names == expected, path.name
+
+    def test_no_small_float_literal_outside_policy(self):
+        """Allowed: ``linalg`` itself, the stopping rule ``measures.FATOL``,
+        and the test tolerances of the fixture table ``cli._verify_fixtures``."""
+        for path in self.MODULES:
+            if path.stem == "linalg":
+                continue
+            tree = ast.parse(path.read_text())
+            allowed = set()
+            for node in ast.walk(tree):
+                fatol = path.stem == "measures" and isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "FATOL" for t in node.targets)
+                fixtures = path.stem == "cli" and isinstance(node, ast.FunctionDef) \
+                    and node.name == "_verify_fixtures"
+                if fatol or fixtures:
+                    allowed.update(map(id, _small_literals(node)))
+            stray = [n.lineno for n in _small_literals(tree) if id(n) not in allowed]
+            assert stray == [], f"{path.name}: float literals <= 1e-8 on lines {stray}"

@@ -49,9 +49,8 @@ from noisegauge import (
 )
 from noisegauge.amend import _negated_score, _scan_base
 from noisegauge.gad import p_n
-from noisegauge.linalg import partial_transpose, polar_decompose, trace_norm
+from noisegauge.linalg import EB_TOL, partial_transpose, polar_decompose, trace_norm
 from noisegauge.measures import FATOL, XATOL, _mu_threshold, _threshold_table, nelder_mead
-from noisegauge.separability import EB_TOL
 
 LAM = np.diag([0.73, 0.5, 0.5])
 QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
