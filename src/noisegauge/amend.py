@@ -7,11 +7,16 @@ given filter, ``amend_order`` computes the order of the filtered iteration,
 and ``search_filter`` looks for a good filter among the named Pauli /
 rotation candidates.  For a unital channel its inverse polar rotation is
 provably optimal (Horn's inequality), so the search stops there; any other
-channel adds a seeded Euler-angle grid and a simplex refinement.  The
-channel's own order and every filtered order come from one batched scan over
-a stack of filter rotations, ``measures._order_scan``.  ``gad_amendable`` decides the
-damping-channel amendable region on scalars or on whole (p, gamma) arrays,
-with one stacked product R F R for all points of an array.
+channel adds a seeded Euler-angle grid and a simplex refinement.  A stack of
+filters (the named ones and the grid) is scored by one batched scan,
+``measures._order_scan``; one filter (a point of the refinement, the filter
+of ``amend_order``) by the one-filter scan ``measures._filter_order``.  Both
+take the same products and ``decide_eb`` kernels per filter, and an Euler
+filter's Bloch matrix has the same bits alone (``_euler_rotation``) and in
+the grid (``_euler_lattice``), so a filter scores the same on either route.
+``gad_amendable`` decides the damping-channel amendable region on scalars or
+on whole (p, gamma) arrays, with one stacked product R F R for all points of
+an array.
 
 Filters are unitary channels given by their Bloch rotation O, with PTM
 F = blockdiag(1, O).  Every filtered map is a product of transfer matrices:
@@ -41,6 +46,7 @@ from .gad import p_n
 from .linalg import INPUT_TOL, ROUND_TOL, as_real3, polar_decompose
 from .measures import (
     DEFAULT_CAP,
+    _filter_order,
     _filter_ptms,
     _order_result,
     _order_scan,
@@ -79,6 +85,17 @@ def _euler_lattice(alphas, betas, thetas) -> np.ndarray:
     outer = _axis_rotations(2, alphas)[:, None] @ _axis_rotations(1, betas)[None, :]
     inner = _axis_rotations(2, thetas)[None, None, :]
     return (outer[:, :, None] @ inner).reshape(-1, 3, 3)
+
+
+def _euler_rotation(angles) -> np.ndarray:
+    """Bloch matrix R_z(alpha) R_y(beta) R_z(theta) of one Euler filter,
+    angles (alpha, beta, theta).  The same cosines, sines and products as its
+    row of ``_euler_lattice``, so the same bits."""
+    (ca, cb, ct), (sa, sb, st) = np.cos(angles).tolist(), np.sin(angles).tolist()
+    rz_alpha = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    ry_beta = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
+    rz_theta = np.array([[ct, -st, 0.0], [st, ct, 0.0], [0.0, 0.0, 1.0]])
+    return rz_alpha @ ry_beta @ rz_theta
 
 
 @dataclass(frozen=True)
@@ -140,8 +157,7 @@ class FilterCandidate:
             # quarter turn about x, then a quarter turn about y
             return _rot(1, math.pi / 2) @ _rot(0, math.pi / 2)
         if self.kind == "euler":
-            a, b, t = self.params
-            return _euler_lattice([a], [b], [t])[0]
+            return _euler_rotation(self.params)
         return np.asarray(self.params, dtype=float).reshape(3, 3)
 
     def inverse(self) -> "FilterCandidate":
@@ -162,7 +178,7 @@ def _filtered(c: Channel, f: FilterCandidate, uses: int) -> np.ndarray:
     ``ValueError`` for an improper f on the PTM route."""
     base = _scan_base(c)
     o = f.bloch_matrix()
-    mid = o if base.shape == (3, 3) else _filter_ptms(o[None])[0]
+    mid = o if base.shape == (3, 3) else _filter_ptms(o)
     return mid @ base if uses == 1 else base @ mid @ base
 
 
@@ -216,12 +232,13 @@ def is_amendable2(c: Channel, f: FilterCandidate) -> bool:
 def amend_order(c: Channel, f: FilterCandidate, cap: int = DEFAULT_CAP) -> NcResult:
     """Entanglement-breaking order of the filtered iteration (f . c)^m.
 
-    Runs the same scan as ``search_filter``, so a report's ``filtered_nc``
-    equals ``amend_order(c, report.filter, cap)``.  An improper filter raises
+    The one-filter scan ``measures._filter_order``, which scores a filter as
+    the scans of ``search_filter`` do, so a report's ``filtered_nc`` equals
+    ``amend_order(c, report.filter, cap)``.  An improper filter raises
     ``ValueError`` unless c is a ``UnitalChannel``.
     """
-    orders, _ = _order_scan(_scan_base(c), f.bloch_matrix()[None], cap)
-    return _order_result(orders[0], cap)
+    order, _ = _filter_order(_scan_base(c), f.bloch_matrix(), cap)
+    return _order_result(order, cap)
 
 
 def _is_unitary_channel(c: Channel) -> bool:
@@ -249,12 +266,13 @@ def _first_max(scores: np.ndarray) -> int:
 
 def _negated_score(base: np.ndarray, angles, cap: int) -> float:
     """Minus the score (order plus margin) of the Euler filter with these
-    angles, what the refinement in ``search_filter`` minimizes.  Each point
-    gets a one-row scan: on the PTM route ``ptm_partial_transpose`` multiplies
-    a stack of rows as one matrix product, which rounds differently from a
-    single row, and the refinement must see the bits of a one-point scan."""
-    o, m = _order_scan(base, _euler_lattice(*np.reshape(angles, (3, 1))), cap)
-    return float(-(o[0] + m[0]))
+    angles, what the refinement in ``search_filter`` minimizes.  One point is
+    one filter, so it takes the one-filter scan ``measures._filter_order``,
+    with no stack to build or index.  Its bits are those of the point's row
+    in a stacked ``_order_scan``: the rotation is built as its lattice row is,
+    and each step takes the row's products and ``decide_eb`` kernels."""
+    order, margin = _filter_order(base, _euler_rotation(angles), cap)
+    return -(order + margin)
 
 
 def search_filter(
@@ -283,8 +301,9 @@ def search_filter(
     Any other channel also scores a seeded Euler-angle lattice of k^3 points,
     k^3 the largest cube not above `budget`, in the same scan after the
     named filters, then refines the first best lattice point with the local
-    Nelder-Mead simplex method ``measures.nelder_mead``, each point it asks
-    for scored by its own one-row scan (``_negated_score``).
+    Nelder-Mead simplex method ``measures.nelder_mead``.  Each point it asks
+    for is one filter, scored by the one-filter scan (``_negated_score``),
+    which gives a filter the bits of its row in the stacked scan.
     The refined filter wins only by more than ``ROUND_TOL``.  Deterministic
     for a fixed seed.
 
@@ -359,7 +378,7 @@ def gad_amendable(p, gamma, f: FilterCandidate):
     raises ``ValueError``.
     """
     ps, gs = check_unit_square(p, gamma)
-    mid = _filter_ptms(f.bloch_matrix()[None])[0]
+    mid = _filter_ptms(f.bloch_matrix())
     distinct, index = np.unique(gs, return_inverse=True)
     edge = np.array([p_n(g, 2) for g in distinct])[index.reshape(gs.shape)]
     below = ps < edge

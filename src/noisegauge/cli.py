@@ -5,8 +5,8 @@ writes CSV phase-diagram data for the five standard parameter scans.
 ``verify`` runs the built-in fixture table and fails loudly on any mismatch.
 ``amend`` searches for an order-raising filter.
 
-Exit codes: 0 ok, 1 verify failure, 2 parse error, 3 invariant violation,
-4 output I/O error.
+Exit codes: 0 ok, 1 verify failure, 2 parse error or unreadable channel
+file, 3 invariant violation, 4 output I/O error.
 """
 
 from __future__ import annotations
@@ -48,13 +48,20 @@ DEFAULT_STEPS = 200
 # input plumbing
 # ---------------------------------------------------------------------------
 
+class _UnreadableChannel(Exception):
+    """The channel argument names a file that cannot be read (exit 2)."""
+
+
 def _read_channel_text(arg: str) -> str:
     if arg == "-":
         return sys.stdin.read()
     if arg.lstrip().startswith("{"):
         return arg
-    with open(arg, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(arg, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _UnreadableChannel(exc) from exc
 
 
 def _parse_channel(arg: str):
@@ -531,7 +538,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed channel JSON: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except _UnreadableChannel as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, TypeError) as exc:

@@ -31,11 +31,14 @@ sphere is an interior minimum of the folded objective.
 ``n_c`` is the smallest number of self-compositions after which the channel
 breaks entanglement; by monotonicity of the EB^n families a single upward
 scan suffices.  Damping channels read it off their closed-form bands.  Every
-other channel runs ``_order_scan``, which multiplies transfer matrices: the
-3x3 Bloch matrix of a ``UnitalChannel``, judged by trace norms, and the 4x4
-PTM otherwise, judged by the smallest eigenvalue of the partial transpose.
-The amendability search runs the same scan over a stack of filters, so a
-channel's order and its filtered orders come from one route.
+other channel runs ``_filter_order`` with the identity filter, which
+multiplies transfer matrices: the 3x3 Bloch matrix of a ``UnitalChannel``,
+judged by trace norms, and the 4x4 PTM otherwise, judged by the smallest
+eigenvalue of the partial transpose.  ``_filter_order`` scores one filter;
+``_order_scan`` runs the same steps over a stack of filters for the
+amendability search.  Each matrix of a stack takes the products and the
+``decide_eb`` kernels it would take alone, so a filter gets the same order
+and margin, to the bit, from either scan.
 """
 
 from __future__ import annotations
@@ -308,13 +311,13 @@ def n_c(c: Channel, cap: int = DEFAULT_CAP) -> NcResult:
     Monotonicity of the EB^n families makes the upward scan exact.  Damping
     channels go through the closed-form band map, which also certifies
     divergence on the zero-temperature edge; every other channel through
-    ``_order_scan`` with the identity filter.  Both raise ``ValueError``
+    ``_filter_order`` with the identity filter.  Both raise ``ValueError``
     for a cap below 1.
     """
     if isinstance(c, GadParams):
         return gadforms.n_c_gad(c.p, c.gamma, cap)
-    orders, _ = _order_scan(_scan_base(c), np.eye(3)[None], cap)
-    return _order_result(orders[0], cap)
+    order, _ = _filter_order(_scan_base(c), np.eye(3), cap)
+    return _order_result(order, cap)
 
 
 def _order_result(order, cap: int) -> NcResult:
@@ -322,20 +325,42 @@ def _order_result(order, cap: int) -> NcResult:
 
 
 def _scan_base(c: Channel) -> np.ndarray:
-    """What ``_order_scan`` iterates: the 3x3 Bloch matrix of a
+    """What the order scans iterate: the 3x3 Bloch matrix of a
     ``UnitalChannel``, the 4x4 PTM of any other channel."""
     return c.t if isinstance(c, UnitalChannel) else ptm(c)
 
 
 def _filter_ptms(rotations: np.ndarray) -> np.ndarray:
-    """PTMs blockdiag(1, O) of a stack of filter rotations O.  An improper O
-    has no unitary realization, so it raises ``ValueError``."""
+    """PTMs blockdiag(1, O) of a filter rotation O or a stack (..., 3, 3) of
+    them.  An improper O has no unitary realization, so it raises
+    ``ValueError``."""
     if (np.linalg.det(rotations) < 0).any():
         raise ValueError("improper orthogonal Bloch action has no unitary realization")
-    filters = np.zeros((len(rotations), 4, 4))
-    filters[:, 0, 0] = 1.0
-    filters[:, 1:, 1:] = rotations
+    filters = np.zeros(rotations.shape[:-2] + (4, 4))
+    filters[..., 0, 0] = 1.0
+    filters[..., 1:, 1:] = rotations
     return filters
+
+
+def _filter_order(base: np.ndarray, rotation: np.ndarray, cap: int) -> tuple[int, float]:
+    """Order and tie-break margin of the filtered channel O . c for one Bloch
+    rotation O and `base` = ``_scan_base(c)``: what ``_order_scan`` gives the
+    row O of a stack, to the bit, without a stack's bookkeeping.
+
+    It takes that row's steps, F @ base once and then power @ step with one
+    ``decide_eb`` per power until the first entanglement-breaking one.  The
+    3x3 route takes an improper O; the PTM route rejects it.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    step = (rotation if base.shape == (3, 3) else _filter_ptms(rotation)) @ base
+    power = np.eye(len(base))
+    for m in range(1, cap + 1):
+        power = power @ step
+        done, margin = decide_eb(power)
+        if done:
+            return m, float(margin)
+    return cap + 1, 0.0
 
 
 def _order_scan(base: np.ndarray, rotations: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -347,6 +372,7 @@ def _order_scan(base: np.ndarray, rotations: np.ndarray, cap: int) -> tuple[np.n
     entanglement breaking nearest the boundary.  The margin is the one
     of ``decide_eb``.  The 3x3 route takes improper rotations; the PTM route
     rejects them.  Finished candidates drop out after each composition.
+    Each row scores as ``_filter_order`` scores it alone.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")

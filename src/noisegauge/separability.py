@@ -59,11 +59,13 @@ def ptm_partial_transpose(r) -> np.ndarray:
     With psi+ = (1/4) sum_j sigma_j (x) sigma_j^T the Choi matrix is
     (1/4) sum_ij R_ij sigma_i (x) sigma_j^T, so its partial transpose is the
     fixed linear image (1/4) sum_ij R_ij sigma_i (x) sigma_j.  Accepts a stack
-    (..., 4, 4) of PTMs.
+    (..., 4, 4) of PTMs.  Each PTM is multiplied as its own (1, 16) row, so
+    it rounds the same alone and anywhere in a stack: a (k, 16) product would
+    take a different BLAS kernel for k > 1 than for one row.
     """
     r = np.asarray(r, dtype=float)
     lead = r.shape[:-2]
-    return (r.reshape(*lead, 16) @ _PT_BASIS).reshape(*lead, 4, 4)
+    return (r.reshape(*lead, 1, 16) @ _PT_BASIS).reshape(*lead, 4, 4)
 
 
 def ptm_min_pt_eigenvalues(r) -> np.ndarray:

@@ -37,6 +37,7 @@ from noisegauge.amend import _cube_root_floor, _euler_lattice, _order_scan, _rot
 from noisegauge.channels import PAULIS, as_kraus, ptm
 from noisegauge.gad import amend_boundary_s1, p_n
 from noisegauge.linalg import polar_decompose
+from noisegauge.measures import _filter_order
 
 LAM = np.diag([0.73, 0.5, 0.5])
 SWAP_XY = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
@@ -424,6 +425,20 @@ class TestOrderScan:
                 assert margin == expected
             else:
                 assert abs(margin - expected) <= 1e-12
+
+    @pytest.mark.parametrize("c, rotations, cap", _scan_cases())
+    def test_rows_match_one_filter_scans(self, c, rotations, cap):
+        """A filter scores the same, to the bit, in any stack and alone: on
+        the PTM route a (k, 16) partial-transpose product would round rows of
+        a stack differently from one row."""
+        base = _scan_base(c)
+        orders, margins = _order_scan(base, rotations, cap)
+        for o, m, rot in zip(orders, margins, rotations):
+            row = (int(o), float(m).hex())
+            one_row = _order_scan(base, rot[None], cap)
+            assert row == (int(one_row[0][0]), float(one_row[1][0]).hex())
+            order, margin = _filter_order(base, rot, cap)
+            assert row == (order, margin.hex())
 
     @pytest.mark.parametrize("unital", [True, False])
     def test_cases_cover_eb_at_one_and_exceeded_cap(self, unital):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import noisegauge
+import noisegauge.cli
 from helpers import kraus_gad_amendable, sdp_mu_c
 from noisegauge import GadParams, gad_kraus, sandwich
 from noisegauge.amend import FilterCandidate
@@ -79,6 +80,27 @@ class TestAnalyze:
     def test_malformed_json_exits_2(self, capsys):
         code, _, err = run(capsys, "analyze", "{broken")
         assert code == 2 and "malformed" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "amend"])
+    def test_unreadable_channel_path_exits_2(self, capsys, tmp_path, command):
+        """Exit 1 is kept for verify failures: a directory, a missing file or
+        a file that cannot be opened is an input error with one line."""
+        for path in (tmp_path, tmp_path / "missing.json"):
+            code, out, err = run(capsys, command, str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+    def test_permission_denied_exits_2(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "channel.json"
+        path.write_text(NEWT_JSON)
+
+        def denied(name, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", name)
+
+        monkeypatch.setattr(noisegauge.cli, "open", denied, raising=False)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 13] Permission denied: '{path}'\n"
 
     @pytest.mark.parametrize("payload,kind,field", [
         ({"kind": "unital"}, "unital", "t"),

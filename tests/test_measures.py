@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -32,6 +32,7 @@ from noisegauge import (
     UnitalChannel,
     as_kraus,
     bloch_to_density,
+    amend_order,
     ebn_member,
     gad_amendable,
     gad_kraus,
@@ -47,10 +48,19 @@ from noisegauge import (
     noise_report,
     sandwich,
 )
-from noisegauge.amend import _negated_score, _scan_base
+from noisegauge.amend import _euler_lattice, _euler_rotation, _negated_score, _scan_base
 from noisegauge.gad import p_n
 from noisegauge.linalg import EB_TOL, partial_transpose, polar_decompose, trace_norm
-from noisegauge.measures import FATOL, XATOL, _mu_threshold, _threshold_table, nelder_mead
+from noisegauge.measures import (
+    FATOL,
+    XATOL,
+    _filter_order,
+    _mu_threshold,
+    _order_result,
+    _order_scan,
+    _threshold_table,
+    nelder_mead,
+)
 
 LAM = np.diag([0.73, 0.5, 0.5])
 QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
@@ -643,6 +653,73 @@ class TestNc:
         for _ in range(10):
             c = random_cp_unital(rng)
             assert n_c(c, cap=10).n == n_c(as_kraus(c), cap=10).n
+
+
+@st.composite
+def unital_maps(draw):
+    """Bloch matrices R diag(l) R' of contractions, proper or improper,
+    from the zero map to rotations."""
+    lam = draw(st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, 1.0])),
+                        min_size=3, max_size=3))
+    left, right = draw(QUATERNIONS), draw(QUATERNIONS)
+    assume(np.linalg.norm(left) > 1e-3 and np.linalg.norm(right) > 1e-3)
+    return UnitalChannel(rotation_from_quaternion(left) @ np.diag(lam) @ rotation_from_quaternion(right))
+
+
+EULER_ANGLES = st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3)
+SCAN_CAPS = st.integers(1, 64)
+
+
+def _one_filter_matches_lattice_row(c, angles, cap) -> int:
+    """The refinement's score of an Euler point, the one-filter scan and
+    ``amend_order`` against the one-point lattice scan the refinement ran
+    before it had a route of its own: the same bits and the same order."""
+    base = _scan_base(c)
+    orders, margins = _order_scan(base, _euler_lattice(*np.reshape(angles, (3, 1))), cap)
+    order, margin = _filter_order(base, _euler_rotation(angles), cap)
+    assert (order, margin.hex()) == (int(orders[0]), float(margins[0]).hex())
+    assert _negated_score(base, angles, cap).hex() == float(-(orders[0] + margins[0])).hex()
+    assert amend_order(c, FilterCandidate.euler(*angles), cap) == _order_result(order, cap)
+    return order
+
+
+class TestOneFilterScan:
+    """``_filter_order`` scores one filter with the bits of its row in a
+    stacked ``_order_scan``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(unital_maps(), EULER_ANGLES, SCAN_CAPS)
+    @example(UnitalChannel(np.zeros((3, 3))), [0.3, -2.0, 7.5], 1)
+    @example(IDENTITY_CH, [-40.0, 3.0, 91.0], 64)
+    def test_unital_route(self, c, angles, cap):
+        _one_filter_matches_lattice_row(c, angles, cap)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kraus_channels(), EULER_ANGLES, SCAN_CAPS)
+    @example(gad_kraus(GadParams(0.95, 0.5)), [0.3, -2.0, 7.5], 64)
+    @example(as_kraus(IDENTITY_CH), [-40.0, 3.0, 91.0], 1)
+    def test_ptm_route(self, c, angles, cap):
+        _one_filter_matches_lattice_row(c, angles, cap)
+
+    @pytest.mark.parametrize("c, cap, order", [
+        (UnitalChannel(np.zeros((3, 3))), 1, 1),
+        (IDENTITY_CH, 64, 65),
+        (gad_kraus(GadParams(0.95, 0.5)), 64, 1),
+        (as_kraus(IDENTITY_CH), 1, 2),
+    ])
+    def test_examples_cover_eb_at_one_and_exceeded_cap(self, c, cap, order):
+        assert _one_filter_matches_lattice_row(c, [0.3, -2.0, 7.5], cap) == order
+
+    def test_improper_rotation_only_on_the_unital_route(self):
+        improper = SWAP_XY
+        assert _filter_order(_scan_base(UnitalChannel(T)), improper, 16)[0] == 3
+        for c in (gad_kraus(GadParams(0.5, 0.3)), as_kraus(UnitalChannel(LAM))):
+            with pytest.raises(ValueError, match="improper"):
+                _filter_order(_scan_base(c), improper, 16)
+
+    def test_rejects_cap_below_one(self):
+        with pytest.raises(ValueError, match="cap"):
+            _filter_order(_scan_base(UnitalChannel(LAM)), np.eye(3), 0)
 
 
 def test_orders_and_eb_decisions_never_compose_kraus_sets(monkeypatch):

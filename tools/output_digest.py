@@ -1,0 +1,135 @@
+"""Print one sha256 per family of CLI outputs of a noisegauge checkout.
+
+Usage: python tools/output_digest.py ROOT
+
+ROOT is a checkout (its ``src/`` and ``perfbench/`` are used).  Every call
+runs ``noisegauge.cli.main`` in this process with one BLAS thread, and its
+argv, exit code, stdout, stderr and any CSV it writes go into the digest of
+its family.  Two checkouts whose digests agree answer every call in these
+families byte for byte.  The families:
+
+- ``analyze-mix``: the calls, probes and twins of analyze-mix seeds
+  2001-2010;
+- ``amend-search``: the requests of amend-search seeds 5001-5010;
+- ``amend-rotated``: 100 damping channels rotated on both sides by seeded
+  SU(2) elements and given in Kraus form, at budget 1000.  Half are drawn
+  from band 2, half from the top 2% of band 3, where a rotation often makes
+  an amendable channel of order 2;
+- ``sweeps``: the six figures at their default grids plus three fig5
+  variants;
+- ``verify``: the built-in fixture table.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+FIG5_VARIANTS = (
+    ("--grid", "k=0.3:0.9:7", "--fixed", "family=attenuation"),
+    ("--grid", "k=1.1:1.9:7", "--fixed", "family=amplification"),
+    ("--fixed", "family=attenuation"),
+)
+
+
+def _run(cli, digest, argv, csv=None) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    for part in (repr(tuple(argv)), str(rc), out.getvalue(), err.getvalue()):
+        digest.update(part.encode())
+        digest.update(b"\0")
+    if csv is not None:
+        digest.update(csv.read_bytes() if csv.exists() else b"<no file>")
+        csv.unlink(missing_ok=True)
+
+
+def _analyze_mix(cli, workloads, digest) -> int:
+    count = 0
+    for seed in range(2001, 2011):
+        w = workloads.analyze_mix(seed)
+        argvs = [c.argv for c in w.calls] + [c.argv for c in w.probes]
+        argvs += [w.twins[i] for i in sorted(w.twins)]
+        for argv in argvs:
+            _run(cli, digest, argv)
+        count += len(argvs)
+    return count
+
+
+def _amend_search(cli, workloads, digest) -> int:
+    count = 0
+    for seed in range(5001, 5011):
+        for call in workloads.amend_search(seed).calls:
+            _run(cli, digest, call.argv)
+            count += 1
+    return count
+
+
+def _amend_rotated(cli, workloads, digest) -> int:
+    rng = np.random.default_rng(7001)
+    for i in range(100):
+        gamma = float(rng.uniform(0.05, 0.95))
+        if i % 2 == 0:
+            p = workloads._in_band(rng, gamma, 2)
+        else:
+            p2, p3 = workloads.oracle.p_n(gamma, 2), workloads.oracle.p_n(gamma, 3)
+            p = float(rng.uniform(p2 - 0.02 * (p2 - p3), p2))
+        u, v = workloads._su2(rng), workloads._su2(rng)
+        ops = [u @ e @ v for e in workloads._gad_ops(p, gamma)]
+        seed = str(int(rng.integers(1 << 30)))
+        _run(cli, digest, ("amend", workloads._kraus_json(ops), "--seed", seed))
+    return 100
+
+
+def _sweeps(cli, workloads, digest) -> int:
+    runs = [(fig,) for fig in ("fig1", "fig2", "fig2-inset", "fig3", "fig4", "fig5")]
+    runs += [("fig5",) + flags for flags in FIG5_VARIANTS]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for fig, *flags in runs:
+            _run(cli, digest, ("sweep", fig, "--out", "out.csv", *flags), Path("out.csv"))
+    return len(runs)
+
+
+def _verify(cli, workloads, digest) -> int:
+    _run(cli, digest, ("verify",))
+    return 1
+
+
+FAMILIES = {
+    "analyze-mix": _analyze_mix,
+    "amend-search": _amend_search,
+    "amend-rotated": _amend_rotated,
+    "sweeps": _sweeps,
+    "verify": _verify,
+}
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    root = Path(argv[0]).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    from noisegauge import cli
+    import workloads
+
+    for name, family in FAMILIES.items():
+        digest = hashlib.sha256()
+        count = family(cli, workloads, digest)
+        print(f"{name:14s} {count:4d} {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
