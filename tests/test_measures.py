@@ -30,9 +30,9 @@ from noisegauge import (
     GadParams,
     NcResult,
     UnitalChannel,
+    amend_order,
     as_kraus,
     bloch_to_density,
-    amend_order,
     ebn_member,
     gad_amendable,
     gad_kraus,
@@ -711,11 +711,10 @@ class TestOneFilterScan:
         assert _one_filter_matches_lattice_row(c, [0.3, -2.0, 7.5], cap) == order
 
     def test_improper_rotation_only_on_the_unital_route(self):
-        improper = SWAP_XY
-        assert _filter_order(_scan_base(UnitalChannel(T)), improper, 16)[0] == 3
+        assert _filter_order(_scan_base(UnitalChannel(T)), SWAP_XY, 16)[0] == 3
         for c in (gad_kraus(GadParams(0.5, 0.3)), as_kraus(UnitalChannel(LAM))):
             with pytest.raises(ValueError, match="improper"):
-                _filter_order(_scan_base(c), improper, 16)
+                _filter_order(_scan_base(c), SWAP_XY, 16)
 
     def test_rejects_cap_below_one(self):
         with pytest.raises(ValueError, match="cap"):
