@@ -1,12 +1,16 @@
 """Command-line surface: analyze, sweep, verify, amend.
 
 ``analyze`` prints the noise report of a channel given as JSON.  ``sweep``
-writes CSV phase-diagram data for the five standard parameter scans.
+writes CSV phase-diagram data for the six standard parameter scans; each
+figure is one ``_FIGURES`` entry (axes, fixed defaults, CSV header, row
+function), and its row function checks the whole domain before it yields its
+first row, so a domain error exits 3 before ``--out`` is opened.
 ``verify`` runs the built-in fixture table and fails loudly on any mismatch.
 ``amend`` searches for an order-raising filter.
 
-Exit codes: 0 ok, 1 verify failure, 2 parse error or unreadable channel
-file, 3 invariant violation, 4 output I/O error.
+Exit codes: 0 ok, 1 verify failure, 2 parse error or a channel file (or
+stdin) that cannot be read or is not UTF-8, 3 invariant violation, 4 output
+I/O error.
 """
 
 from __future__ import annotations
@@ -49,19 +53,21 @@ DEFAULT_STEPS = 200
 # ---------------------------------------------------------------------------
 
 class _UnreadableChannel(Exception):
-    """The channel argument names a file that cannot be read (exit 2)."""
+    """The channel file or stdin cannot be read or is not UTF-8 (exit 2)."""
 
 
 def _read_channel_text(arg: str) -> str:
-    if arg == "-":
-        return sys.stdin.read()
     if arg.lstrip().startswith("{"):
         return arg
     try:
+        if arg == "-":
+            return sys.stdin.read()
         with open(arg, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise _UnreadableChannel(exc) from exc
+    except UnicodeDecodeError as exc:
+        raise _UnreadableChannel(f"channel {arg!r} is not UTF-8 text: {exc}") from exc
 
 
 def _parse_channel(arg: str):
@@ -70,14 +76,6 @@ def _parse_channel(arg: str):
     if isinstance(data, dict) and "family" in data:
         return IsoChannel.from_json(data)
     return channel_from_json(data)
-
-
-def _fmt_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _nc_cell(result: NcResult) -> str:
@@ -102,26 +100,6 @@ def _cmd_analyze(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-# figure name -> (axis names with default (min, max), fixed defaults)
-_FIGURES = {
-    "fig1": (("lambda1", (-1.0, 1.0)), ("lambda2", (-1.0, 1.0))),
-    "fig2": (("p", (0.0, 1.0)), ("gamma", (0.0, 1.0))),
-    "fig2-inset": (("p", (0.0, 1.0)),),
-    "fig3": (("p", (0.0, 1.0)), ("gamma", (0.0, 1.0))),
-    "fig4": (("p", (0.0, 1.0)),),
-    "fig5": (("n0", (0.0, 1.5)),),
-}
-
-_FIXED_DEFAULTS = {
-    "fig1": {"lambda3": 0.5},
-    "fig2": {},
-    "fig2-inset": {"gamma": 1.0 / 3.0},
-    "fig3": {},
-    "fig4": {"gamma": 0.1, "filter": "s1"},
-    "fig5": {"family": "both"},
-}
-
-
 def _parse_grid_flag(text: str) -> tuple[str, float, float, int]:
     try:
         name, spec = text.split("=", 1)
@@ -136,29 +114,9 @@ def _parse_grid_flag(text: str) -> tuple[str, float, float, int]:
     return name, lo, hi, steps
 
 
-def _parse_fixed_flag(text: str) -> tuple[str, str]:
-    if "=" not in text:
-        raise ValueError(f"bad --fixed flag {text!r}; expected NAME=VALUE")
-    name, value = text.split("=", 1)
-    return name, value
-
-
-def _axes_for(figure: str, grid_flags, steps_default: int):
-    if steps_default < 2:
-        raise ValueError("grid steps must be >= 2")
-    axes = {}
-    for name, (lo, hi) in _FIGURES[figure]:
-        axes[name] = (lo, hi, steps_default)
-    for text in grid_flags or ():
-        name, lo, hi, steps = _parse_grid_flag(text)
-        if name not in axes and not (figure == "fig5" and name == "k"):
-            raise ValueError(f"figure {figure} has no axis {name!r}")
-        axes[name] = (lo, hi, steps)
-    return axes
-
-
-def _linspace(lo: float, hi: float, steps: int) -> np.ndarray:
-    return np.linspace(lo, hi, steps)
+def _check_cap(cap: int) -> None:
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
 
 
 def _ebn_order_canonical(lams, cap: int) -> NcResult:
@@ -180,28 +138,37 @@ def _ebn_order_canonical(lams, cap: int) -> NcResult:
     return NcResult(None, cap)
 
 
-def _rows_fig1(axes, fixed, cap):
-    lam3 = float(fixed["lambda3"])
-    l1s = _linspace(*axes["lambda1"])
-    l2s = _linspace(*axes["lambda2"])
+# Each row function is a generator over (grids, fixed, cap) that checks the
+# whole domain (every grid value, the fixed values, the cap if it reads one)
+# before it yields its first row.
+
+def _rows_fig1(grids, fixed, cap):
+    _check_cap(cap)
+    lam3 = fixed["lambda3"]
+    for name, values in {"lambda3": lam3, **grids}.items():
+        if not (np.abs(values) <= 1.0).all():
+            raise ValueError(f"{name} must lie in [-1, 1]")
+    l1s, l2s = grids["lambda1"], grids["lambda2"]
     for l1 in l1s:
         for l2 in l2s:
             order = _ebn_order_canonical((l1, l2, lam3), cap)
             yield (float(l1), float(l2), _nc_cell(order))
 
 
-def _rows_fig2(axes, fixed, cap):
-    ps = _linspace(*axes["p"])
-    gs = _linspace(*axes["gamma"])
+def _rows_fig2(grids, fixed, cap):
+    _check_cap(cap)
+    ps, gs = grids["p"], grids["gamma"]
+    check_unit_square(ps, gs[:, None])
     for p in ps:
         for g in gs:
             order = gadforms.n_c_gad(float(p), float(g), cap)
             yield (float(p), float(g), _nc_cell(order))
 
 
-def _rows_fig2_inset(axes, fixed, cap):
-    gamma = float(fixed["gamma"])
-    for p in _linspace(*axes["p"]):
+def _rows_fig2_inset(grids, fixed, cap):
+    gamma = fixed["gamma"]
+    check_unit_square(grids["p"], gamma)
+    for p in grids["p"]:
         yield (
             float(p),
             gadforms.mu_c_gad(float(p), gamma),
@@ -209,34 +176,30 @@ def _rows_fig2_inset(axes, fixed, cap):
         )
 
 
-_S1 = FilterCandidate.pauli(1)
-_R2R1 = FilterCandidate.r2r1()
+_FILTERS = {"s1": FilterCandidate.pauli(1), "r2r1": FilterCandidate.r2r1()}
 
 
-def _rows_fig3(axes, fixed, cap):
+def _rows_fig3(grids, fixed, cap):
     """The whole grid in two stacked calls: s1 on every point, then r2r1 on
     the points s1 leaves."""
-    ps, gs = np.meshgrid(_linspace(*axes["p"]), _linspace(*axes["gamma"]), indexing="ij")
+    check_unit_square(grids["p"], grids["gamma"][:, None])
+    ps, gs = np.meshgrid(grids["p"], grids["gamma"], indexing="ij")
     ps, gs = ps.ravel(), gs.ravel()
-    by_s1 = gad_amendable(ps, gs, _S1)
+    by_s1 = gad_amendable(ps, gs, _FILTERS["s1"])
     by_pair = np.zeros_like(by_s1)
-    by_pair[~by_s1] = gad_amendable(ps[~by_s1], gs[~by_s1], _R2R1)
+    by_pair[~by_s1] = gad_amendable(ps[~by_s1], gs[~by_s1], _FILTERS["r2r1"])
     for p, g, s1, pair in zip(ps.tolist(), gs.tolist(), by_s1.tolist(), by_pair.tolist()):
-        yield (p, g, s1 or pair, "s1" if s1 else ("r2r1" if pair else ""))
+        kind = "s1" if s1 else ("r2r1" if pair else "")
+        yield (p, g, "true" if kind else "false", kind)
 
 
-def _filter_from_name(name: str) -> FilterCandidate:
-    if name == "s1":
-        return _S1
-    if name == "r2r1":
-        return _R2R1
-    raise ValueError(f"unknown filter name {name!r} (use s1 or r2r1)")
-
-
-def _rows_fig4(axes, fixed, cap):
-    gamma = float(fixed["gamma"])
-    filt = _filter_from_name(str(fixed["filter"]))
-    for p in _linspace(*axes["p"]):
+def _rows_fig4(grids, fixed, cap):
+    gamma, name = fixed["gamma"], fixed["filter"]
+    check_unit_square(grids["p"], gamma)
+    if name not in _FILTERS:
+        raise ValueError(f"unknown filter name {name!r} (use s1 or r2r1)")
+    filt = _FILTERS[name]
+    for p in grids["p"]:
         base = gad_kraus(GadParams(float(p), gamma))
         filtered = sandwich(base, filt)
         yield (
@@ -249,26 +212,23 @@ def _rows_fig4(axes, fixed, cap):
 _FIG5_K_DEFAULT = {"attenuation": (0.02, 0.98), "amplification": (1.02, 3.0)}
 
 
-def _fig5_families(fixed) -> tuple:
-    chosen = str(fixed["family"])
-    if chosen == "both":
-        return ("attenuation", "amplification")
-    if chosen not in _FIG5_K_DEFAULT:
+def _rows_fig5(grids, fixed, cap):
+    """Without a ``k`` grid, each family scans its default k range at the
+    n0 axis's step count."""
+    _check_cap(cap)
+    n0s, chosen = grids["n0"], fixed["family"]
+    if chosen != "both" and chosen not in _FIG5_K_DEFAULT:
         raise ValueError(f"unknown family {chosen!r}")
-    return (chosen,)
-
-
-def _fig5_ks(family: str, axes, k_override) -> np.ndarray:
-    """The k axis of one family: the --grid k flag, else the family's default
-    range at the n0 axis's step count."""
-    lo, hi = _FIG5_K_DEFAULT[family]
-    return _linspace(*(k_override or (lo, hi, axes["n0"][2])))
-
-
-def _rows_fig5(axes, fixed, cap, k_override):
-    n0s = _linspace(*axes["n0"])
-    for family in _fig5_families(fixed):
-        for k in _fig5_ks(family, axes, k_override):
+    families = tuple(_FIG5_K_DEFAULT) if chosen == "both" else (chosen,)
+    ks = {family: grids.get("k", np.linspace(*_FIG5_K_DEFAULT[family], len(n0s)))
+          for family in families}
+    for family in families:
+        for k in ks[family]:
+            IsoChannel(family, k, 0.0)
+        for n0 in n0s:
+            IsoChannel(family, _FIG5_K_DEFAULT[family][0], n0)
+    for family in families:
+        for k in ks[family]:
             for n0 in n0s:
                 if family == "attenuation":
                     order = n_c_attenuation(float(k), float(n0), cap)
@@ -277,44 +237,46 @@ def _rows_fig5(axes, fixed, cap, k_override):
                 yield (float(k), float(n0), family, _nc_cell(order))
 
 
-_HEADERS = {
-    "fig1": ("lambda1", "lambda2", "ebn_order"),
-    "fig2": ("p", "gamma", "n_c"),
-    "fig2-inset": ("p", "mu_c", "mu_c_sq"),
-    "fig3": ("p", "gamma", "amendable", "filter_kind"),
-    "fig4": ("p", "mu_c_sq", "mu_c_filtered"),
-    "fig5": ("k", "n0", "family", "n_c"),
+# figure -> (axis -> default (min, max), or None for an axis scanned only
+# when --grid names it; fixed defaults, whose types parse --fixed; CSV
+# header; row function)
+_FIGURES = {
+    "fig1": ({"lambda1": (-1.0, 1.0), "lambda2": (-1.0, 1.0)}, {"lambda3": 0.5},
+             ("lambda1", "lambda2", "ebn_order"), _rows_fig1),
+    "fig2": ({"p": (0.0, 1.0), "gamma": (0.0, 1.0)}, {},
+             ("p", "gamma", "n_c"), _rows_fig2),
+    "fig2-inset": ({"p": (0.0, 1.0)}, {"gamma": 1.0 / 3.0},
+                   ("p", "mu_c", "mu_c_sq"), _rows_fig2_inset),
+    "fig3": ({"p": (0.0, 1.0), "gamma": (0.0, 1.0)}, {},
+             ("p", "gamma", "amendable", "filter_kind"), _rows_fig3),
+    "fig4": ({"p": (0.0, 1.0)}, {"gamma": 0.1, "filter": "s1"},
+             ("p", "mu_c_sq", "mu_c_filtered"), _rows_fig4),
+    "fig5": ({"n0": (0.0, 1.5), "k": None}, {"family": "both"},
+             ("k", "n0", "family", "n_c"), _rows_fig5),
 }
 
 
 def _cmd_sweep(args) -> int:
-    figure = args.figure
-    if figure not in _FIGURES:
-        raise ValueError(f"unknown figure {figure!r}; choose from {sorted(_FIGURES)}")
-    axes = _axes_for(figure, args.grid, args.steps)
-    fixed = dict(_FIXED_DEFAULTS[figure])
+    axes, defaults, header, rows_of = _FIGURES[args.figure]
+    if args.steps < 2:
+        raise ValueError("grid steps must be >= 2")
+    specs = {name: (*span, args.steps) for name, span in axes.items() if span}
+    for text in args.grid or ():
+        name, lo, hi, steps = _parse_grid_flag(text)
+        if name not in axes:
+            raise ValueError(f"figure {args.figure} has no axis {name!r}")
+        specs[name] = (lo, hi, steps)
+    fixed = dict(defaults)
     for text in args.fixed or ():
-        name, value = _parse_fixed_flag(text)
+        name, eq, value = text.partition("=")
+        if not eq:
+            raise ValueError(f"bad --fixed flag {text!r}; expected NAME=VALUE")
         if name not in fixed:
-            raise ValueError(f"figure {figure} has no fixed parameter {name!r}")
-        fixed[name] = value if name in ("filter", "family") else float(value)
+            raise ValueError(f"figure {args.figure} has no fixed parameter {name!r}")
+        fixed[name] = type(fixed[name])(value)
 
-    k_override = axes.pop("k", None)
-    _check_domain(figure, axes, fixed, args.cap, k_override)
-
-    if figure == "fig1":
-        rows = _rows_fig1(axes, fixed, args.cap)
-    elif figure == "fig2":
-        rows = _rows_fig2(axes, fixed, args.cap)
-    elif figure == "fig2-inset":
-        rows = _rows_fig2_inset(axes, fixed, args.cap)
-    elif figure == "fig3":
-        rows = _rows_fig3(axes, fixed, args.cap)
-    elif figure == "fig4":
-        rows = _rows_fig4(axes, fixed, args.cap)
-    else:
-        rows = _rows_fig5(axes, fixed, args.cap, k_override)
-
+    rows = rows_of({name: np.linspace(*spec) for name, spec in specs.items()}, fixed, args.cap)
+    first = next(rows)  # a domain error raises here, before --out is opened
     try:
         out = open(args.out, "w", encoding="utf-8", newline="")
     except OSError as exc:
@@ -322,34 +284,10 @@ def _cmd_sweep(args) -> int:
         return 4
     with out:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_HEADERS[figure])
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        writer.writerow(header)
+        writer.writerow(first)
+        writer.writerows(rows)
     return 0
-
-
-def _check_domain(figure: str, axes, fixed: dict, cap: int, k_override) -> None:
-    """``ValueError`` for an axis or fixed value outside the figure's domain,
-    raised by the checks its rows would run, so that a bad flag fails before
-    ``--out`` is opened.  Every grid value is checked."""
-    grids = {name: _linspace(*spec) for name, spec in axes.items()}
-    if figure in ("fig1", "fig2", "fig5") and cap < 1:
-        raise ValueError("cap must be >= 1")
-    if figure == "fig1":
-        for name, values in {"lambda3": float(fixed["lambda3"]), **grids}.items():
-            if not (np.abs(values) <= 1.0).all():
-                raise ValueError(f"{name} must lie in [-1, 1]")
-    elif figure == "fig5":
-        for family in _fig5_families(fixed):
-            for k in _fig5_ks(family, axes, k_override):
-                IsoChannel(family, k, 0.0)
-            for n0 in grids["n0"]:
-                IsoChannel(family, _FIG5_K_DEFAULT[family][0], n0)
-    else:
-        gammas = grids["gamma"][:, None] if "gamma" in grids else fixed["gamma"]
-        check_unit_square(grids["p"], gammas)
-        if figure == "fig4":
-            _filter_from_name(str(fixed["filter"]))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +312,7 @@ def _verify_fixtures():
     def nc_of(m, cap=64):
         return lambda: _nc_cell(n_c(UnitalChannel(m), cap))
 
-    fixtures = [
+    return [
         ("trace norm, stretched diagonal", 1.73, tn_power(_LAM, 1), 1e-9,
          "sum of diag(0.73, 0.5, 0.5)"),
         ("trace norm, its square", 1.0329, tn_power(_LAM, 2), 1e-4,
@@ -455,13 +393,13 @@ def _verify_fixtures():
                               - np.array([0.5, 0.0, 0.0, 0.5])).max()), 1e-12,
          "diagonal action (0, 0, 1)"),
     ]
-    return fixtures
 
 
 def _cmd_verify(args) -> int:
+    fixtures = _verify_fixtures()
     failures = 0
-    width = max(len(name) for name, *_ in _verify_fixtures())
-    for name, expected, compute, tol, source in _verify_fixtures():
+    width = max(len(name) for name, *_ in fixtures)
+    for name, expected, compute, tol, source in fixtures:
         got = compute()
         if tol is None:
             ok = got == expected
@@ -475,7 +413,7 @@ def _cmd_verify(args) -> int:
         failures += 0 if ok else 1
         print(f"{name:<{width}}  expected {exp_s:>10}  computed {got_s:>10}  "
               f"tol {tol_s:>6}  {status}  [{source}]")
-    total = len(_verify_fixtures())
+    total = len(fixtures)
     print(f"{total - failures}/{total} fixtures passed")
     return 1 if failures else 0
 

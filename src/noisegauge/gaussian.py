@@ -84,7 +84,9 @@ def _n_fold_threshold(family: str, k: float, n: int) -> float:
     return 1.0 / partial
 
 
-def _n_c_iso(family: str, k: float, n0: float, cap: int) -> NcResult:
+def n_c_iso(c: IsoChannel, cap: int = 64) -> NcResult:
+    """Order of either isotropic family member."""
+    family, k, n0 = c.family, c.k, c.n0
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if n0 == 0.0:
@@ -100,17 +102,10 @@ def _n_c_iso(family: str, k: float, n0: float, cap: int) -> NcResult:
 def n_c_attenuation(k: float, n0: float, cap: int = 64) -> NcResult:
     """Order of an attenuation channel: smallest n with
     N0 >= k^(2n) / sum_{j<n} k^(2j)."""
-    c = attenuation(k, n0)
-    return _n_c_iso(c.family, c.k, c.n0, cap)
+    return n_c_iso(attenuation(k, n0), cap)
 
 
 def n_c_amplification(k: float, n0: float, cap: int = 64) -> NcResult:
     """Order of an amplification channel: smallest n with
     N0 >= 1 / sum_{j<n} k^(2j)."""
-    c = amplification(k, n0)
-    return _n_c_iso(c.family, c.k, c.n0, cap)
-
-
-def n_c_iso(c: IsoChannel, cap: int = 64) -> NcResult:
-    """Order of either isotropic family member."""
-    return _n_c_iso(c.family, c.k, c.n0, cap)
+    return n_c_iso(amplification(k, n0), cap)

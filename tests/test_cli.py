@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -83,12 +84,23 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("command", ["analyze", "amend"])
     def test_unreadable_channel_path_exits_2(self, capsys, tmp_path, command):
-        """Exit 1 is kept for verify failures: a directory, a missing file or
-        a file that cannot be opened is an input error with one line."""
-        for path in (tmp_path, tmp_path / "missing.json"):
+        """Exit 1 is kept for verify failures: a directory, a missing file, a
+        file that is not UTF-8 or one that cannot be opened is an input error
+        with one line."""
+        utf16 = tmp_path / "utf16.json"
+        utf16.write_bytes(b"\xff\xfe" + NEWT_JSON.encode("utf-16-le"))
+        for path in (tmp_path, tmp_path / "missing.json", utf16):
             code, out, err = run(capsys, command, str(path))
             assert (code, out) == (2, "")
             assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+    @pytest.mark.parametrize("command", ["analyze", "amend"])
+    def test_non_utf8_stdin_exits_2(self, capsys, monkeypatch, command):
+        raw = io.BytesIO(b"\xff\xfe" + NEWT_JSON.encode("utf-16-le"))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, encoding="utf-8"))
+        code, out, err = run(capsys, command, "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "'utf-8' codec" in err
 
     def test_permission_denied_exits_2(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "channel.json"
@@ -276,10 +288,13 @@ class TestSweep:
             ("fig1", "--steps", "-1"),
             ("fig1", "--steps", "0"),
             ("fig1", "--grid", "lambda1=-2:2:5"),
+            ("fig1", "--grid", "lambda2=0:2:3"),  # bad only at a later grid point
             ("fig2", "--steps", "1"),
             ("fig2", "--grid", "p=0.5:1.5:3"),
+            ("fig2", "--grid", "gamma=0.5:1.5:3"),
             ("fig2", "--cap", "0"),
             ("fig2-inset", "--grid", "p=-0.5:0.5:3"),
+            ("fig2-inset", "--grid", "p=0.5:1.5:3"),
             ("fig2-inset", "--fixed", "gamma=1.5"),
             ("fig3", "--grid", "gamma=-0.5:0.5:3"),
             ("fig4", "--grid", "p=0.5:1.5:3"),
@@ -288,6 +303,7 @@ class TestSweep:
             ("fig5", "--grid", "k=0.5:0.9:3"),  # both families: amplification needs k > 1
             ("fig5", "--grid", "n0=-1:1:3"),
             ("fig5", "--fixed", "family=squeezing"),
+            ("fig5", "--cap", "0"),
         ],
         ids=lambda argv: " ".join(argv),
     )

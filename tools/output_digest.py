@@ -17,6 +17,9 @@ families byte for byte.  The families:
   an amendable channel of order 2;
 - ``sweeps``: the six figures at their default grids plus three fig5
   variants;
+- ``sweep-errors``: small sweeps with a bad axis, fixed value, cap or flag,
+  alone and combined, and non-default runs, each over an ``--out`` file that
+  already holds a sentinel, so the digest shows whether it was left untouched;
 - ``verify``: the built-in fixture table.
 """
 
@@ -101,6 +104,76 @@ def _sweeps(cli, workloads, digest) -> int:
     return len(runs)
 
 
+SWEEP_ERRORS = (
+    # a bad axis, fixed value or cap, some of them at a later grid point
+    ("fig1", "--fixed", "lambda3=1.5"),
+    ("fig1", "--cap", "0"),
+    ("fig1", "--steps", "-1"),
+    ("fig1", "--steps", "0"),
+    ("fig1", "--grid", "lambda1=-2:2:5"),
+    ("fig1", "--grid", "lambda2=0:2:3"),
+    ("fig2", "--steps", "1"),
+    ("fig2", "--grid", "p=0.5:1.5:3"),
+    ("fig2", "--grid", "gamma=0.5:1.5:3"),
+    ("fig2", "--cap", "0"),
+    ("fig2-inset", "--grid", "p=-0.5:0.5:3"),
+    ("fig2-inset", "--grid", "p=0.5:1.5:3"),
+    ("fig2-inset", "--fixed", "gamma=1.5"),
+    ("fig3", "--grid", "gamma=-0.5:0.5:3"),
+    ("fig4", "--grid", "p=0.5:1.5:3"),
+    ("fig4", "--fixed", "filter=s9"),
+    ("fig5", "--fixed", "family=attenuation", "--grid", "k=0.5:1.5:3"),
+    ("fig5", "--grid", "k=0.5:0.9:3"),
+    ("fig5", "--grid", "n0=-1:1:3"),
+    ("fig5", "--fixed", "family=squeezing"),
+    ("fig5", "--cap", "0"),
+    # combined bad flags: which error wins
+    ("fig1", "--cap", "0", "--grid", "lambda1=-2:2:5"),
+    ("fig2", "--cap", "0", "--grid", "gamma=0.5:1.5:3"),
+    ("fig5", "--cap", "0", "--fixed", "family=squeezing"),
+    ("fig5", "--cap", "0", "--grid", "n0=-1:1:3"),
+    ("fig1", "--cap", "0", "--grid", "mu=0:1:3"),
+    ("fig3", "--grid", "k=0:1:3"),
+    ("fig2", "--fixed", "gamma=0.5"),
+    ("fig4", "--fixed", "delta=1", "--grid", "p=0.5:1.5:3"),
+    ("fig4", "--fixed", "filter=s9", "--fixed", "gamma=2"),
+    ("fig2", "--grid", "p=0:1", "--fixed", "gamma"),
+    ("fig2-inset", "--grid", "p=0:1:x"),
+    ("fig1", "--steps", "1", "--grid", "lambda1=0:1:x"),
+    ("fig1", "--fixed", "lambda3"),
+    ("fig1", "--fixed", "lambda3=abc", "--grid", "lambda1=-2:2:5"),
+    ("fig1", "--fixed", "lambda3=nan"),
+    ("fig1", "--grid", "lambda1=nan:1:3"),
+    ("fig1", "--grid", "lambda1=-inf:1:3"),
+    ("fig2", "--grid", "p=0:inf:3"),
+    ("fig5", "--fixed", "family=attenuation", "--grid", "k=0.5:inf:3"),
+    ("fig5", "--fixed", "family=amplification", "--grid", "k=0.5:1.5:3",
+     "--grid", "n0=-1:1:3"),
+    # accepted: figures that read no cap, and non-default runs
+    ("fig2-inset", "--cap", "0"),
+    ("fig3", "--cap", "0"),
+    ("fig4", "--cap", "0"),
+    ("fig4", "--fixed", "filter=r2r1"),
+    ("fig1", "--fixed", "lambda3=-1"),
+    ("fig1", "--fixed", "lambda3=1", "--grid", "lambda1=-0.5:0.5:4"),
+    ("fig2-inset", "--fixed", "gamma=0.9", "--grid", "p=0.2:0.8:5"),
+    ("fig5", "--fixed", "family=amplification", "--grid", "k=1.5:2:3",
+     "--grid", "n0=0:1:4"),
+    ("fig5", "--cap", "2"),
+    ("fig5", "--grid", "k=0.3:0.9:4", "--grid", "k=1.2:1.8:4", "--cap", "2"),
+)
+SENTINEL = b"p,gamma,amendable,filter_kind\n0.5,0.5,false,\n"
+
+
+def _sweep_errors(cli, workloads, digest) -> int:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for fig, *flags in SWEEP_ERRORS:
+            out = Path("out.csv")
+            out.write_bytes(SENTINEL)
+            _run(cli, digest, ("sweep", fig, "--out", str(out), "--steps", "3", *flags), out)
+    return len(SWEEP_ERRORS)
+
+
 def _verify(cli, workloads, digest) -> int:
     _run(cli, digest, ("verify",))
     return 1
@@ -111,6 +184,7 @@ FAMILIES = {
     "amend-search": _amend_search,
     "amend-rotated": _amend_rotated,
     "sweeps": _sweeps,
+    "sweep-errors": _sweep_errors,
     "verify": _verify,
 }
 
