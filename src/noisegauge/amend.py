@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    PAULI_MIX,
     Channel,
     UnitalChannel,
     check_unit_square,
@@ -45,7 +46,6 @@ from .channels import (
 from .gad import p_n
 from .linalg import INPUT_TOL, ROUND_TOL, as_real3, polar_decompose
 from .measures import (
-    DEFAULT_CAP,
     _filter_order,
     _filter_ptms,
     _order_result,
@@ -55,7 +55,7 @@ from .measures import (
     n_c,
     nelder_mead,
 )
-from .report import NcResult
+from .report import DEFAULT_CAP, NcResult
 from .separability import decide_eb
 
 
@@ -106,11 +106,8 @@ class FilterCandidate:
     kind: str
     params: tuple = ()
 
-    _PAULI_BLOCH = {
-        "s1": np.diag([1.0, -1.0, -1.0]),
-        "s2": np.diag([-1.0, 1.0, -1.0]),
-        "s3": np.diag([-1.0, -1.0, 1.0]),
-    }
+    # sigma_i conjugation scales sigma_j by PAULI_MIX[i, j]
+    _PAULI_BLOCH = {f"s{i}": np.diag(PAULI_MIX[i, 1:]) for i in (1, 2, 3)}
 
     def __post_init__(self):
         kind = self.kind

@@ -43,7 +43,7 @@ from .measures import (
     n_c,
     noise_report,
 )
-from .report import NcResult, NoiseReport
+from .report import DEFAULT_CAP, NcResult, NoiseReport, check_cap
 
 DEFAULT_STEPS = 200
 
@@ -109,14 +109,11 @@ def _parse_grid_flag(text: str) -> tuple[str, float, float, int]:
         raise ValueError(f"bad --grid flag {text!r}; expected AXIS=MIN:MAX:STEPS") from exc
     if steps < 2:
         raise ValueError("grid steps must be >= 2")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid bounds must be finite, got {text!r}")
     if not lo < hi:
         raise ValueError("grid needs min < max")
     return name, lo, hi, steps
-
-
-def _check_cap(cap: int) -> None:
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
 
 
 def _ebn_order_canonical(lams, cap: int) -> NcResult:
@@ -143,7 +140,7 @@ def _ebn_order_canonical(lams, cap: int) -> NcResult:
 # before it yields its first row.
 
 def _rows_fig1(grids, fixed, cap):
-    _check_cap(cap)
+    check_cap(cap)
     lam3 = fixed["lambda3"]
     for name, values in {"lambda3": lam3, **grids}.items():
         if not (np.abs(values) <= 1.0).all():
@@ -156,7 +153,7 @@ def _rows_fig1(grids, fixed, cap):
 
 
 def _rows_fig2(grids, fixed, cap):
-    _check_cap(cap)
+    check_cap(cap)
     ps, gs = grids["p"], grids["gamma"]
     check_unit_square(ps, gs[:, None])
     for p in ps:
@@ -215,7 +212,7 @@ _FIG5_K_DEFAULT = {"attenuation": (0.02, 0.98), "amplification": (1.02, 3.0)}
 def _rows_fig5(grids, fixed, cap):
     """Without a ``k`` grid, each family scans its default k range at the
     n0 axis's step count."""
-    _check_cap(cap)
+    check_cap(cap)
     n0s, chosen = grids["n0"], fixed["family"]
     if chosen != "both" and chosen not in _FIG5_K_DEFAULT:
         raise ValueError(f"unknown family {chosen!r}")
@@ -309,8 +306,8 @@ def _verify_fixtures():
     def tn_power(m, n):
         return lambda: trace_norm(np.linalg.matrix_power(m, n))
 
-    def nc_of(m, cap=64):
-        return lambda: _nc_cell(n_c(UnitalChannel(m), cap))
+    def nc_of(m):
+        return lambda: _nc_cell(n_c(UnitalChannel(m)))
 
     return [
         ("trace norm, stretched diagonal", 1.73, tn_power(_LAM, 1), 1e-9,
@@ -367,14 +364,12 @@ def _verify_fixtures():
                      - gadforms.mu_c_gad_squared(gadforms.pbarbar(0.3), 0.3)), 1e-9,
          "one-use and two-use branch values coincide"),
         ("deep-band damping order", "1",
-         lambda: _nc_cell(gadforms.n_c_gad(0.9, 0.5, 64)), None,
+         lambda: _nc_cell(gadforms.n_c_gad(0.9, 0.5)), None,
          "0.9 above the first band edge"),
         ("amendable boundary limit", (math.sqrt(5) - 1) / 2,
          lambda: gadforms.amend_boundary_s1(1e-6), 1e-3,
          "boundary curve toward gamma = 0"),
-        ("filter restores order 3", "3",
-         lambda: _nc_cell(
-             n_c(UnitalChannel(_SWAP_XY @ _T), 64)), None,
+        ("filter restores order 3", "3", nc_of(_SWAP_XY @ _T), None,
          "inverse swap applied before each use"),
         ("attenuation order boundary", "1",
          lambda: _nc_cell(n_c_attenuation(0.5, 0.25, 16)), None,
@@ -445,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="noise report for one channel")
     p_an.add_argument("channel", help="channel JSON (inline, file path, or - for stdin)")
-    p_an.add_argument("--cap", type=int, default=64)
+    p_an.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_an.set_defaults(func=_cmd_analyze)
 
     p_sw = sub.add_parser("sweep", help="CSV phase-diagram data")
@@ -454,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--grid", action="append", metavar="AXIS=MIN:MAX:STEPS")
     p_sw.add_argument("--fixed", action="append", metavar="NAME=VALUE")
     p_sw.add_argument("--steps", type=int, default=DEFAULT_STEPS)
-    p_sw.add_argument("--cap", type=int, default=64)
+    p_sw.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_sw.set_defaults(func=_cmd_sweep)
 
     p_ve = sub.add_parser("verify", help="run the built-in fixture table")
@@ -464,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_am.add_argument("channel", help="channel JSON (inline, file path, or - for stdin)")
     p_am.add_argument("--budget", type=int, default=1000)
     p_am.add_argument("--seed", type=int, default=42)
-    p_am.add_argument("--cap", type=int, default=64)
+    p_am.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_am.set_defaults(func=_cmd_amend)
     return parser
 

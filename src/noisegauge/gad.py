@@ -6,6 +6,9 @@ axis and reduces to a one-dimensional minimization over v_z with an explicit
 solution.  All formulas below are stated for gamma <= 1/2; the channel at
 (p, 1 - gamma) is unitarily equivalent to the one at (p, gamma) via
 conjugation with sigma_x, so inputs with gamma > 1/2 are reflected first.
+n uses of the (p, gamma) channel are one use at 1 - (1 - p)^n: hence the
+band edges ``p_n``, and the two-use threshold is the one-use one at
+p (2 - p).  Band edges are compared exactly.
 
 Every closed form here is cross-checked in the test suite against the
 representation-independent route (Choi matrix, partial transpose, exact
@@ -19,7 +22,7 @@ import math
 import numpy as np
 
 from .linalg import ROUND_TOL
-from .report import NcResult
+from .report import DEFAULT_CAP, NcResult
 
 
 def _check_unit(name: str, value: float) -> float:
@@ -79,14 +82,12 @@ def pbar(gamma: float) -> float:
 
 
 def pbarbar(gamma: float) -> float:
-    """Interior/endpoint threshold for the twice-applied channel:
+    """Interior/endpoint threshold for the twice-applied channel, where
+    p (2 - p) reaches pbar:
 
-        pbarbar = (sqrt(4 g^2 - 8 g + 5) + 2 g - 3) / (2 (g - 1)).
+        pbarbar = 1 - sqrt(1 - pbar).
     """
-    g = float(gamma)
-    if not 0.0 <= g <= 0.5:
-        raise ValueError(f"gamma = {g} outside [0, 1/2]")
-    return float((np.sqrt(4 * g * g - 8 * g + 5) + 2 * g - 3) / (2 * (g - 1)))
+    return float(1.0 - np.sqrt(1.0 - pbar(gamma)))
 
 
 def vbar(p: float, gamma: float) -> float:
@@ -96,8 +97,6 @@ def vbar(p: float, gamma: float) -> float:
     """
     p = _check_unit("p", p)
     g = float(gamma)
-    if not 0.0 <= g <= 0.5:
-        raise ValueError(f"gamma = {g} outside [0, 1/2]")
     if p > pbar(g):
         raise ValueError(
             f"p = {p} > pbar = {pbar(g)}: the minimum sits at the endpoint vz = 1"
@@ -131,25 +130,18 @@ def mu_c_gad(p: float, gamma: float) -> float:
     return max(math.ulp(0.0), float(value))
 
 
-def _mu2_down(p: float) -> float:
-    return (p * p - 4 * p + 2) / (p * p - 4 * p + 3)
-
-
-def _mu2_up(p: float, g: float) -> float:
-    q = (p - 2) * p
-    return (q * (q * (g - 1) * g + 1) + 1) / (q * g * (q * (g - 1) + 1) + 1)
-
-
 def mu_c_gad_squared(p: float, gamma: float) -> float:
     """Minimal depolarizing admixture of the twice-applied damping channel.
 
-    Same two-branch structure with threshold pbarbar.  Satisfies the
-    cross-identity mu_c_gad(pbar(g), g) == mu_c_gad_squared(pbarbar(g), g).
+    Its transfer matrix is the one at 1 - (1 - p)^2, so this is ``mu_c_gad``
+    at p (2 - p), with its branch point at pbarbar.  It is zero exactly when
+    p >= p_n(gamma, 2), as ``n_c_gad`` has order <= 2: near that edge
+    p (2 - p) can round to the other side of p_1.
     """
     p = _check_unit("p", p)
-    g = _reflect(gamma)
-    value = _mu2_down(p) if p <= pbarbar(g) else _mu2_up(p, g)
-    return max(0.0, float(value))
+    if p >= p_n(gamma, 2):
+        return 0.0
+    return max(math.ulp(0.0), mu_c_gad(p * (2 - p), gamma))
 
 
 def p_n(gamma: float, n: int) -> float:
@@ -169,7 +161,7 @@ def p_n(gamma: float, n: int) -> float:
     return float(1.0 - (1.0 - 2.0 / (1.0 + s)) ** (1.0 / n))
 
 
-def n_c_gad(p: float, gamma: float, cap: int = 64) -> NcResult:
+def n_c_gad(p: float, gamma: float, cap: int = DEFAULT_CAP) -> NcResult:
     """Entanglement-breaking order of the damping channel via the p_n bands.
 
     Order 1 is p >= p_1, where ``mu_c_gad`` reads zero.  gamma in {0, 1} with
@@ -178,8 +170,6 @@ def n_c_gad(p: float, gamma: float, cap: int = 64) -> NcResult:
     """
     p = _check_unit("p", p)
     g = _check_unit("gamma", gamma)
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     if g in (0.0, 1.0) and p < 1.0:
         return NcResult(None, cap, proven_divergent=True)
     for n in range(1, cap + 1):

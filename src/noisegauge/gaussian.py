@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .channels import _json_field
 from .linalg import ROUND_TOL
-from .report import NcResult
+from .report import DEFAULT_CAP, NcResult
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,8 @@ def amplification(k: float, n0: float) -> IsoChannel:
 
 
 def is_eb_iso(c: IsoChannel) -> bool:
-    """Scalar criterion: N0 >= k^2 (attenuation) or N0 >= 1 (amplification)."""
-    if c.family == "attenuation":
-        return c.n0 >= c.k * c.k - ROUND_TOL
-    return c.n0 >= 1.0 - ROUND_TOL
+    """First band of ``n_c_iso``: N0 >= k^2 (attenuation), N0 >= 1 (amplification)."""
+    return n_c_iso(c, 1).is_finite
 
 
 def _n_fold_threshold(family: str, k: float, n: int) -> float:
@@ -84,11 +82,9 @@ def _n_fold_threshold(family: str, k: float, n: int) -> float:
     return 1.0 / partial
 
 
-def n_c_iso(c: IsoChannel, cap: int = 64) -> NcResult:
+def n_c_iso(c: IsoChannel, cap: int = DEFAULT_CAP) -> NcResult:
     """Order of either isotropic family member."""
     family, k, n0 = c.family, c.k, c.n0
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     if n0 == 0.0:
         # The threshold is strictly positive for every n, so a noiseless
         # channel in either family never breaks entanglement.
@@ -99,13 +95,13 @@ def n_c_iso(c: IsoChannel, cap: int = 64) -> NcResult:
     return NcResult(None, cap)
 
 
-def n_c_attenuation(k: float, n0: float, cap: int = 64) -> NcResult:
+def n_c_attenuation(k: float, n0: float, cap: int = DEFAULT_CAP) -> NcResult:
     """Order of an attenuation channel: smallest n with
     N0 >= k^(2n) / sum_{j<n} k^(2j)."""
     return n_c_iso(attenuation(k, n0), cap)
 
 
-def n_c_amplification(k: float, n0: float, cap: int = 64) -> NcResult:
+def n_c_amplification(k: float, n0: float, cap: int = DEFAULT_CAP) -> NcResult:
     """Order of an amplification channel: smallest n with
     N0 >= 1 / sum_{j<n} k^(2j)."""
     return n_c_iso(amplification(k, n0), cap)

@@ -3,21 +3,19 @@
 Everything in this module operates on 3x3 real matrices (Bloch-space channel
 actions) or 4x4 Hermitian matrices (two-qubit operators).  The routines are
 thin, validated wrappers around LAPACK via numpy; the point is a stable
-contract (shapes, tolerances, sign conventions) for the rest of the package.
+contract (shapes, the two slacks, sign conventions) for the rest of the package.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# The tolerance policy: every slack in the package is one of these three.
+# The tolerance policy: every slack in the package is one of these two.
 # A given matrix or vector may miss its exact constraint (Hermitian, unit
 # trace, PSD, contraction, completeness, orthogonal) by this much.
 INPUT_TOL = 1e-10
-# The slack of the numeric EB decision, used only by separability.decide_eb.
-EB_TOL = 1e-10
 # Numbers equal in exact arithmetic may differ by this much after rounding
-# (band edges, dropped zero eigenvalues, a vanishing discriminant, score ties).
+# (the EB boundary, band edges, zero eigenvalues, discriminants, score ties).
 ROUND_TOL = 1e-12
 
 

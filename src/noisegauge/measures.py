@@ -34,7 +34,8 @@ scan suffices.  Damping channels read it off their closed-form bands.  Every
 other channel runs ``_filter_order`` with the identity filter, which
 multiplies transfer matrices: the 3x3 Bloch matrix of a ``UnitalChannel``,
 judged by trace norms, and the 4x4 PTM otherwise, judged by the smallest
-eigenvalue of the partial transpose.  ``_filter_order`` scores one filter;
+eigenvalue of the partial transpose (``decide_eb``, slack ``ROUND_TOL``).
+``_filter_order`` scores one filter;
 ``_order_scan`` runs the same steps over a stack of filters for the
 amendability search.  Each matrix of a stack takes the products and the
 ``decide_eb`` kernels it would take alone, so a filter gets the same order
@@ -60,10 +61,8 @@ from .channels import (
     ptm,
     validate_density,
 )
-from .report import NcResult, NoiseReport
+from .report import DEFAULT_CAP, NcResult, NoiseReport, check_cap
 from .separability import ChoiState, decide_eb, ptm_partial_transpose
-
-DEFAULT_CAP = 64
 
 
 def mu_c_upper_bound(d: int) -> float:
@@ -351,8 +350,7 @@ def _filter_order(base: np.ndarray, rotation: np.ndarray, cap: int) -> tuple[int
     ``decide_eb`` per power until the first entanglement-breaking one.  The
     3x3 route takes an improper O; the PTM route rejects it.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    check_cap(cap)
     step = (rotation if base.shape == (3, 3) else _filter_ptms(rotation)) @ base
     power = np.eye(len(base))
     for m in range(1, cap + 1):
@@ -374,8 +372,7 @@ def _order_scan(base: np.ndarray, rotations: np.ndarray, cap: int) -> tuple[np.n
     rejects them.  Finished candidates drop out after each composition.
     Each row scores as ``_filter_order`` scores it alone.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    check_cap(cap)
     filters = rotations if base.shape == (3, 3) else _filter_ptms(rotations)
     step = filters @ base
     power = np.eye(len(base))

@@ -13,6 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+DEFAULT_CAP = 64
+
+
+def check_cap(cap: int) -> None:
+    """The one check on an order scan's cap."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+
 
 @dataclass(frozen=True)
 class NcResult:
@@ -23,8 +31,7 @@ class NcResult:
     proven_divergent: bool = False
 
     def __post_init__(self):
-        if self.cap < 1:
-            raise ValueError("cap must be >= 1")
+        check_cap(self.cap)
         if self.n is not None and not (1 <= self.n <= self.cap):
             raise ValueError(f"finite order {self.n} outside [1, cap={self.cap}]")
         if self.proven_divergent and self.n is not None:

@@ -11,9 +11,9 @@ eigenvalue, so both carry the same information away from the boundary): it
 degrades linearly near the boundary where the determinant degrades
 quartically.  The test suite keeps the determinant as a cross-check.
 Every entanglement-breaking decision on a channel is ``decide_eb``, with the
-one slack ``linalg.EB_TOL``, except that ``is_eb`` decides a ``GadParams``
-channel by its closed-form band edge, as the order and the threshold of that
-representation do.
+slack ``linalg.ROUND_TOL`` of the closed forms, except that ``is_eb`` decides
+a ``GadParams`` channel by its closed-form band edge, as the order and the
+threshold of that representation do.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .channels import Channel, GadParams, PAULIS, UnitalChannel, ptm
 from .gad import p_n
-from .linalg import EB_TOL, INPUT_TOL, as_hermitian4, partial_transpose
+from .linalg import INPUT_TOL, ROUND_TOL, as_hermitian4, partial_transpose
 
 # sigma_i (x) sigma_j / 4 in row 4i + j.
 _PT_BASIS = np.array([np.kron(a, b) for a in PAULIS for b in PAULIS]).reshape(16, 16) / 4
@@ -76,16 +76,16 @@ def ptm_min_pt_eigenvalues(r) -> np.ndarray:
 def decide_eb(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """EB flags and tie-break margins for a (stack of) channel matrices.
 
-    A 3x3 Bloch matrix T is EB when ||T||_1 <= 1 + EB_TOL, margin
+    A 3x3 Bloch matrix T is EB when ||T||_1 <= 1 + ROUND_TOL, margin
     ||T||_1 - 1; a 4x4 PTM when its smallest partial-transpose eigenvalue is
-    >= -EB_TOL, margin minus twice that eigenvalue.  Boundary inclusive.  On
+    >= -ROUND_TOL, margin minus twice that eigenvalue.  Boundary inclusive.  On
     EB channels the margin lies in [-1, 0] and nears 0 at the boundary.
     """
     if stack.shape[-1] == 3:
         tn = np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
-        return tn <= 1.0 + EB_TOL, np.maximum(-1.0, tn - 1.0)
+        return tn <= 1.0 + ROUND_TOL, np.maximum(-1.0, tn - 1.0)
     low = ptm_min_pt_eigenvalues(stack)
-    return low >= -EB_TOL, -np.minimum(1.0, 2.0 * np.maximum(0.0, low))
+    return low >= -ROUND_TOL, -np.minimum(1.0, 2.0 * np.maximum(0.0, low))
 
 
 def is_eb(c: Channel) -> bool:

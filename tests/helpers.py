@@ -23,7 +23,7 @@ from noisegauge.channels import (
 )
 from noisegauge.gad import p_n
 from noisegauge.gaussian import IsoChannel
-from noisegauge.linalg import EB_TOL, ROUND_TOL, partial_transpose, polar_decompose, trace_norm
+from noisegauge.linalg import ROUND_TOL, partial_transpose, polar_decompose, trace_norm
 from noisegauge.measures import (
     MuSearchResult,
     _fold,
@@ -222,13 +222,13 @@ def choi_state(c) -> ChoiState:
 
 def is_separable(s) -> bool:
     """PPT decision on a two-qubit state: separable iff its smallest
-    partial-transpose eigenvalue is >= -EB_TOL (boundary inclusive)."""
+    partial-transpose eigenvalue is >= -ROUND_TOL (boundary inclusive)."""
     if not isinstance(s, ChoiState):
         s = ChoiState(s)
-    return min_pt_eigenvalue(s) >= -EB_TOL
+    return min_pt_eigenvalue(s) >= -ROUND_TOL
 
 
-def bisect_threshold(c, rho0, tol: float, sep_tol: float = EB_TOL) -> float:
+def bisect_threshold(c, rho0, tol: float, sep_tol: float = ROUND_TOL) -> float:
     """Separability onset along (1-mu) G + mu rho0 (x) 1/2 by bisection over
     the PPT decision; an oracle for the exact solve in ``mu_given_rho0``.
 
@@ -240,7 +240,7 @@ def bisect_threshold(c, rho0, tol: float, sep_tol: float = EB_TOL) -> float:
     """
     gpt = partial_transpose(choi_state(c).g)
     ppt = np.kron(validate_density(rho0), IDENTITY_2 / 2)
-    if float(np.linalg.eigvalsh(gpt).min()) >= -EB_TOL:
+    if float(np.linalg.eigvalsh(gpt).min()) >= -ROUND_TOL:
         return 0.0
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
@@ -329,14 +329,14 @@ def order_and_margin(c, f, cap: int) -> tuple:
         for m in range(1, cap + 1):
             power = power @ filtered.t
             tn = trace_norm(power)
-            if tn <= 1.0 + EB_TOL:
+            if tn <= 1.0 + ROUND_TOL:
                 return NcResult(m, cap), max(-1.0, tn - 1.0)
         return NcResult(None, cap), 0.0
     base = as_kraus(filtered)
     current = base
     for m in range(1, cap + 1):
         low = min_pt_eigenvalue(choi(current))
-        if low >= -EB_TOL:
+        if low >= -ROUND_TOL:
             return NcResult(m, cap), -min(1.0, 2.0 * max(0.0, low))
         if m < cap:
             current = compose_kraus(base, current)
@@ -428,7 +428,7 @@ def loop_n_c(c, cap: int) -> NcResult:
         power = np.eye(3)
         for n in range(1, cap + 1):
             power = power @ c.t
-            if trace_norm(power) <= 1.0 + EB_TOL:
+            if trace_norm(power) <= 1.0 + ROUND_TOL:
                 return NcResult(n, cap)
         return NcResult(None, cap)
     base = as_kraus(c)
@@ -448,6 +448,19 @@ def kraus_gad_amendable(p: float, gamma: float, f) -> bool:
         return False
     two_use = kraus_sandwich(gad_kraus(GadParams(p, gamma)), f)
     return is_separable(ChoiState(kraus_choi(two_use)))
+
+
+def explicit_mu_c_gad_squared(p: float, gamma: float) -> float:
+    """Two-use damping threshold with both branches written out in p; an
+    oracle for ``gad.mu_c_gad_squared``, which evaluates the one-use
+    threshold at p (2 - p)."""
+    g = min(gamma, 1.0 - gamma)
+    if p <= (math.sqrt(4 * g * g - 8 * g + 5) + 2 * g - 3) / (2 * (g - 1)):
+        value = (p * p - 4 * p + 2) / (p * p - 4 * p + 3)
+    else:
+        q = (p - 2) * p
+        value = (q * (q * (g - 1) * g + 1) + 1) / (q * g * (q * (g - 1) + 1) + 1)
+    return max(0.0, value)
 
 
 def noisy_choi(c, rho0, mu: float) -> ChoiState:

@@ -174,7 +174,7 @@ def test_criterion_07_damping_closed_forms_vs_oracles():
 
 def test_criterion_08_damping_band_map():
     from noisegauge import choi
-    from noisegauge.linalg import EB_TOL
+    from noisegauge.linalg import ROUND_TOL
     from noisegauge.separability import min_pt_eigenvalue
 
     disagreements = 0
@@ -193,7 +193,7 @@ def test_criterion_08_damping_band_map():
                 # admissible only as a boundary call inside the tolerance.
                 low = min_pt_eigenvalue(choi(channel_power(
                     GadParams(float(p), float(gamma)), brute.n)))
-                if -EB_TOL <= low < 0.0:
+                if -ROUND_TOL <= low < 0.0:
                     continue
             disagreements += 1
     assert disagreements == 0

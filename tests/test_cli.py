@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,34 @@ class TestSweep:
         figure, *flags = argv
         code, _, err = run(capsys, "sweep", figure, "--out", str(out_path), "--steps", "3", *flags)
         assert code == 3 and err.startswith("error:")
+        assert out_path.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fig1", "--grid", "lambda1=-inf:1:3"),
+            ("fig1", "--grid", "lambda1=nan:1:3"),
+            ("fig2", "--grid", "p=0:inf:3"),
+            ("fig2", "--grid", "gamma=0:nan:3"),
+            ("fig2-inset", "--grid", "p=-inf:inf:3"),
+            ("fig5", "--fixed", "family=attenuation", "--grid", "k=0.5:inf:3"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_non_finite_grid_bound_exits_3(self, capsys, tmp_path, argv):
+        # one error line naming the flag, no numpy warning from the grid,
+        # and --out untouched
+        out_path = tmp_path / "keep.csv"
+        before = b"p,gamma,amendable,filter_kind\n0.5,0.5,false,\n"
+        out_path.write_bytes(before)
+        figure, *flags = argv
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "sweep", figure, "--out", str(out_path), "--steps", "3",
+                               *flags)
+        assert code == 3
+        assert err.startswith("error: grid bounds must be finite") and err.count("\n") == 1
+        assert flags[-1] in err
         assert out_path.read_bytes() == before
 
     def test_fig3_default_grid_pinned(self, capsys, tmp_path):

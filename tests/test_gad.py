@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import explicit_mu_c_gad_squared
 from noisegauge import (
     GadParams,
     amend_boundary_s1,
@@ -142,6 +145,35 @@ class TestMuCGadSquared:
                 assert mu_c_gad_squared(p, gamma) == pytest.approx(
                     mu_c_gad(1 - (1 - p) ** 2, gamma), abs=1e-12
                 )
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.floats(0.0, 1.0),
+        st.one_of(
+            st.floats(0.0, 1.0),
+            st.tuples(st.integers(-8, 8), st.floats(-1e-9, 1e-9)),
+        ),
+    )
+    @example(0.3, (0, 0.0))
+    @example(0.5, (-1, 0.0))
+    @example(0.5, (1, 0.0))
+    @example(0.0, 0.5)
+    @example(1.0, 0.5)
+    def test_matches_explicit_two_use_form(self, gamma, where):
+        """A float draws p from [0, 1]; a pair (k, d) puts p k ulps and d
+        away from the second band edge p_n(gamma, 2)."""
+        if isinstance(where, tuple):
+            k, d = where
+            p = p_n(gamma, 2) + d
+            for _ in range(abs(k)):
+                p = math.nextafter(p, math.copysign(math.inf, k))
+            p = min(1.0, max(0.0, p))
+        else:
+            p = where
+        got = mu_c_gad_squared(p, gamma)
+        assert abs(got - explicit_mu_c_gad_squared(p, gamma)) <= 1e-14
+        order = n_c_gad(p, gamma)
+        assert (got == 0.0) == (order.n is not None and order.n <= 2)
 
     def test_ordering_matches_inset_sweep(self):
         gamma = 1 / 3

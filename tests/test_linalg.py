@@ -135,19 +135,49 @@ def _small_literals(tree: ast.AST) -> list:
 
 
 class TestTolerancePolicy:
-    """Every slack in the package is one of three names in ``linalg``."""
+    """Every slack in the package is one of two names in ``linalg``, and every
+    default cap is ``report.DEFAULT_CAP``."""
 
     MODULES = sorted(Path(noisegauge.__file__).parent.glob("*.py"))
 
     def test_only_linalg_names_slacks(self):
+        """Only ``linalg`` names slacks, and it assigns nothing else."""
         for path in self.MODULES:
+            tree = ast.parse(path.read_text())
             names = {
-                node.id for node in ast.walk(ast.parse(path.read_text()))
+                node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
                 and node.id.endswith(("_TOL", "_GUARD", "_TIE"))
             }
-            expected = {"INPUT_TOL", "EB_TOL", "ROUND_TOL"} if path.stem == "linalg" else set()
+            expected = {"INPUT_TOL", "ROUND_TOL"} if path.stem == "linalg" else set()
             assert names == expected, path.name
+            if path.stem == "linalg":
+                assert {t.id for node in tree.body if isinstance(node, ast.Assign)
+                        for t in node.targets} == expected
+
+    def test_every_cap_default_is_default_cap(self):
+        """A ``cap`` parameter default or a ``--cap`` flag default is the
+        name ``DEFAULT_CAP``, and only ``report`` assigns that name."""
+        defaults = []
+        for path in self.MODULES:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "DEFAULT_CAP" for t in node.targets):
+                    assert path.stem == "report", f"{path.name} assigns DEFAULT_CAP"
+                if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                    a = node.args
+                    positional = a.posonlyargs + a.args
+                    pairs = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+                    pairs += [(arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+                    defaults += [(path.name, d) for arg, d in pairs if arg.arg == "cap"]
+                if isinstance(node, ast.Call) and any(
+                        isinstance(arg, ast.Constant) and arg.value == "--cap" for arg in node.args):
+                    defaults += [(path.name, k.value) for k in node.keywords if k.arg == "default"]
+        stray = [(name, d.lineno) for name, d in defaults
+                 if not (isinstance(d, ast.Name) and d.id == "DEFAULT_CAP")]
+        assert stray == []
+        # the three --cap flags and the eight scans with a cap parameter
+        assert len(defaults) == 11
 
     def test_no_small_float_literal_outside_policy(self):
         """Allowed: ``linalg`` itself, the stopping rule ``measures.FATOL``,

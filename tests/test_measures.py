@@ -50,7 +50,7 @@ from noisegauge import (
 )
 from noisegauge.amend import _euler_lattice, _euler_rotation, _negated_score, _scan_base
 from noisegauge.gad import p_n
-from noisegauge.linalg import EB_TOL, partial_transpose, polar_decompose, trace_norm
+from noisegauge.linalg import ROUND_TOL, partial_transpose, polar_decompose, trace_norm
 from noisegauge.measures import (
     FATOL,
     XATOL,
@@ -118,7 +118,7 @@ class TestMuGivenRho0:
         # of the onset by about sep_tol / slope.  For a pure rho0 the product
         # state is singular and the slope can fall to ~1e-5, which puts the
         # default oracle up to ~1e-5 low; there it decides by the exact sign.
-        sep_tol = 0.0 if state == "pure" else EB_TOL
+        sep_tol = 0.0 if state == "pure" else ROUND_TOL
         for _ in range(12):
             c = _seeded_channel(kind, rng)
             if state == "mixed":
@@ -193,10 +193,14 @@ class TestMuCUnital:
         assert mu_c_unital(UnitalChannel(LAM)) == pytest.approx(0.73 / 1.73, abs=1e-12)
 
     def test_zero_inside_the_eb_tolerance(self):
-        # ||T||_1 = 1 + 5e-11 lies inside the EB slack: EB, so threshold 0
-        c = UnitalChannel(np.diag([0.5, 0.25, 0.25 + 5e-11]))
+        # ||T||_1 = 1 + 5e-13 lies inside the EB slack ROUND_TOL: EB, so
+        # threshold 0; 1 + 5e-11 lies outside it
+        c = UnitalChannel(np.diag([0.5, 0.25, 0.25 + 5e-13]))
         assert is_eb(c) and n_c(c).n == 1
         assert mu_c(c) == 0.0
+        c = UnitalChannel(np.diag([0.5, 0.25, 0.25 + 5e-11]))
+        assert not is_eb(c) and n_c(c).n == 2
+        assert mu_c(c) > 0.0
 
 
 class TestMuCDispatch:
@@ -482,7 +486,7 @@ class TestThresholdVanishesAtOrderOne:
         QUATERNIONS,
         QUATERNIONS,
         st.booleans(),
-        st.floats(-1e-9, 1e-9) | st.floats(-2 * EB_TOL, 2 * EB_TOL),
+        st.floats(-1e-9, 1e-9) | st.floats(-2 * ROUND_TOL, 2 * ROUND_TOL),
     )
     def test_unital_closed_form(self, lam, q1, q2, near_edge, shift):
         # not necessarily completely positive: the unital route needs only
@@ -642,11 +646,23 @@ class TestNc:
                 c = random_cp_unital(rng)
                 assert n_c(c, cap) == loop_n_c(c, cap)
 
-    def test_dephasing_kraus_matches_loop_oracle(self):
-        # ||T^n||_1 = 1 + 2 (0.7)^n never reaches 1, but falls inside the
-        # absolute tolerance at n = 63 on the Kraus route (ROADMAP item 3).
-        c = as_kraus(UnitalChannel(np.diag([1.0, 0.7, 0.7])))
-        assert n_c(c) == loop_n_c(c, 64) == NcResult(63, 64)
+    def test_dephasing_exceeds_cap_in_both_forms(self):
+        # ||T^n||_1 = 1 + 2 (0.7)^n never reaches 1; at n <= 64 it stays
+        # above 1 + ROUND_TOL, so both representations read exceeds_cap
+        c = UnitalChannel(np.diag([1.0, 0.7, 0.7]))
+        assert n_c(c) == loop_n_c(c, 64) == NcResult(None, 64)
+        k = as_kraus(c)
+        assert n_c(k) == loop_n_c(k, 64) == NcResult(None, 64)
+
+    @pytest.mark.parametrize("d", [1e-10, 1e-11])
+    def test_damping_below_first_edge_matches_kraus_form(self, d):
+        # a damping channel d below p_1 is not EB as GadParams; its Kraus
+        # form, decided with the same slack, agrees
+        g = GadParams(p_n(0.3, 1) - d, 0.3)
+        k = as_kraus(g)
+        assert is_eb(g) == is_eb(k) is False
+        assert n_c(g) == n_c(k)
+        assert (mu_c(g) == 0.0) == (mu_c(k) == 0.0) is False
 
     def test_kraus_route_matches_unital_route(self):
         rng = np.random.default_rng(40)

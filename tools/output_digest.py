@@ -20,7 +20,14 @@ families byte for byte.  The families:
 - ``sweep-errors``: small sweeps with a bad axis, fixed value, cap or flag,
   alone and combined, and non-default runs, each over an ``--out`` file that
   already holds a sentinel, so the digest shows whether it was left untouched;
-- ``verify``: the built-in fixture table.
+- ``verify``: the built-in fixture table;
+- ``edges``: channels on or near the entanglement-breaking boundary, where
+  an answer has depended on the representation or on the slack: the
+  dephasing channel diag(1, 0.7, 0.7) in unital and Kraus form at caps 64
+  and 200, the damping channel at p_1 - d (gamma = 0.3, d from 1e-9 to
+  1e-13) as parameters and in Kraus form, ``amend`` on diag(0.3, 0.3, 1),
+  ``analyze`` on diag(-1, 0.1, 0.5) and ``sweep fig1 --fixed lambda3=1`` on
+  a 2x2 grid around (0.3, 0.3).
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -179,6 +187,32 @@ def _verify(cli, workloads, digest) -> int:
     return 1
 
 
+def _edges(cli, workloads, digest) -> int:
+    from noisegauge import GadParams, UnitalChannel, as_kraus, channel_to_json, p_n
+
+    def forms(c):
+        return [json.dumps(channel_to_json(c)), json.dumps(channel_to_json(as_kraus(c)))]
+
+    argvs = [("analyze", text, "--cap", cap)
+             for text in forms(UnitalChannel(np.diag([1.0, 0.7, 0.7])))
+             for cap in ("64", "200")]
+    edge = p_n(0.3, 1)
+    argvs += [("analyze", text)
+              for d in (1e-9, 1e-10, 1e-11, 1e-12, 1e-13)
+              for text in forms(GadParams(edge - d, 0.3))]
+    argvs += [
+        ("amend", json.dumps(channel_to_json(UnitalChannel(np.diag([0.3, 0.3, 1.0]))))),
+        ("analyze", json.dumps(channel_to_json(UnitalChannel(np.diag([-1.0, 0.1, 0.5]))))),
+    ]
+    for argv in argvs:
+        _run(cli, digest, argv)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        _run(cli, digest, ("sweep", "fig1", "--out", "out.csv", "--fixed", "lambda3=1",
+                           "--grid", "lambda1=0.2:0.4:2", "--grid", "lambda2=0.2:0.4:2"),
+             Path("out.csv"))
+    return len(argvs) + 1
+
+
 FAMILIES = {
     "analyze-mix": _analyze_mix,
     "amend-search": _amend_search,
@@ -186,6 +220,7 @@ FAMILIES = {
     "sweeps": _sweeps,
     "sweep-errors": _sweep_errors,
     "verify": _verify,
+    "edges": _edges,
 }
 
 
