@@ -4,12 +4,14 @@ A channel whose two-fold self-composition breaks entanglement can sometimes
 be rescued: interposing a fixed unitary filter between uses keeps the
 composition non-entanglement-breaking for longer.  ``is_amendable2`` tests a
 given filter, ``amend_order`` computes the order of the filtered iteration,
-and ``search_filter`` looks for a good filter among the named Pauli /
-rotation candidates.  For a unital channel its inverse polar rotation is
-provably optimal (Horn's inequality), so the search stops there; any other
-channel adds a seeded Euler-angle grid and a simplex refinement.  A stack of
-filters (the named ones and the grid) is scored by one batched scan,
-``measures._order_scan``; one filter (a point of the refinement, the filter
+and ``search_filter`` looks for a good filter among the named ones (Pauli
+conjugations s1, s2, s3 and the rotation pair r2r1, whose Bloch rotations
+are built once, in the table ``_NAMED_BLOCH``).  For a unital channel its
+inverse polar rotation is provably optimal (Horn's inequality), so the
+search stops there; any other channel adds a seeded Euler-angle grid (by
+default at most ``DEFAULT_BUDGET`` points, seed ``DEFAULT_SEED``) and a
+simplex refinement.  A stack of filters (the named ones and the grid) is
+scored by one batched scan, ``measures._order_scan``; one filter (a point of the refinement, the filter
 of ``amend_order``) by the one-filter scan ``measures._filter_order``.  Both
 take the same products and ``decide_eb`` kernels per filter, and an Euler
 filter's Bloch matrix has the same bits alone (``_euler_rotation``) and in
@@ -58,6 +60,10 @@ from .measures import (
 from .report import DEFAULT_CAP, NcResult
 from .separability import decide_eb
 
+# the lattice budget and seed of ``search_filter``, read by the ``amend`` flags
+DEFAULT_BUDGET = 1000
+DEFAULT_SEED = 42
+
 
 def _axis_rotations(axis: int, angles) -> np.ndarray:
     """Stack of right-handed rotations about a coordinate axis (0=x, 1=y, 2=z),
@@ -74,9 +80,13 @@ def _axis_rotations(axis: int, angles) -> np.ndarray:
     return m
 
 
-def _rot(axis: int, angle: float) -> np.ndarray:
-    """Right-handed rotation about a coordinate axis (0=x, 1=y, 2=z)."""
-    return _axis_rotations(axis, [angle])[0]
+# Bloch rotations of the named filters, built once and in the order of the
+# scans of ``search_filter``: conjugation by sigma_i scales sigma_j by
+# PAULI_MIX[i, j], and r2r1 is a quarter turn about x, then one about y.
+_NAMED_BLOCH = {
+    **{f"s{i}": np.diag(PAULI_MIX[i, 1:]) for i in (1, 2, 3)},
+    "r2r1": _axis_rotations(1, [math.pi / 2])[0] @ _axis_rotations(0, [math.pi / 2])[0],
+}
 
 
 def _euler_lattice(alphas, betas, thetas) -> np.ndarray:
@@ -100,18 +110,15 @@ def _euler_rotation(angles) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FilterCandidate:
-    """A unitary filter: Pauli conjugation, named rotation pair, Euler
+    """A unitary filter: a named one (a kind in ``_NAMED_BLOCH``), an Euler
     rotation, or an explicit orthogonal Bloch action."""
 
     kind: str
     params: tuple = ()
 
-    # sigma_i conjugation scales sigma_j by PAULI_MIX[i, j]
-    _PAULI_BLOCH = {f"s{i}": np.diag(PAULI_MIX[i, 1:]) for i in (1, 2, 3)}
-
     def __post_init__(self):
         kind = self.kind
-        if kind in ("s1", "s2", "s3", "r2r1"):
+        if kind in _NAMED_BLOCH:
             if self.params:
                 raise ValueError(f"filter kind {kind!r} takes no parameters")
         elif kind == "euler":
@@ -148,11 +155,9 @@ class FilterCandidate:
         return cls("orthogonal", tuple(np.asarray(m, dtype=float).ravel()))
 
     def bloch_matrix(self) -> np.ndarray:
-        if self.kind in self._PAULI_BLOCH:
-            return self._PAULI_BLOCH[self.kind].copy()
-        if self.kind == "r2r1":
-            # quarter turn about x, then a quarter turn about y
-            return _rot(1, math.pi / 2) @ _rot(0, math.pi / 2)
+        """The 3x3 Bloch action, a fresh array on every call."""
+        if self.kind in _NAMED_BLOCH:
+            return _NAMED_BLOCH[self.kind].copy()
         if self.kind == "euler":
             return _euler_rotation(self.params)
         return np.asarray(self.params, dtype=float).reshape(3, 3)
@@ -248,11 +253,7 @@ def _is_unitary_channel(c: Channel) -> bool:
 def _cube_root_floor(n: int) -> int:
     """Largest k with k**3 <= n, for n >= 1 (n ** (1/3) rounds 64 down to 3.99...)."""
     k = round(n ** (1.0 / 3.0))
-    while k ** 3 > n:
-        k -= 1
-    while (k + 1) ** 3 <= n:
-        k += 1
-    return k
+    return k - 1 if k ** 3 > n else k
 
 
 def _first_max(scores: np.ndarray) -> int:
@@ -275,15 +276,15 @@ def _negated_score(base: np.ndarray, angles, cap: int) -> float:
 def search_filter(
     c: Channel,
     cap: int = DEFAULT_CAP,
-    budget: int = 1000,
-    seed: int = 42,
+    budget: int = DEFAULT_BUDGET,
+    seed: int = DEFAULT_SEED,
 ) -> AmendReport:
     """Look for the filter that maximally delays entanglement breaking.
 
     Scores the named filters (three Pauli conjugations and the x-then-y
-    quarter-turn pair) by one batched order scan over their stacked Bloch
-    rotations.  Scores within ``ROUND_TOL`` of the maximum tie, and the first
-    of them in evaluation order wins.
+    quarter-turn pair, in the order of ``_NAMED_BLOCH``) by one batched
+    order scan over their stacked Bloch rotations.  Scores within
+    ``ROUND_TOL`` of the maximum tie, and the first in evaluation order wins.
 
     A ``UnitalChannel`` adds one more named filter, its inverse polar
     rotation, and stops there.  With T = O_p P its polar decomposition, the
@@ -302,7 +303,7 @@ def search_filter(
     for is one filter, scored by the one-filter scan (``_negated_score``),
     which gives a filter the bits of its row in the stacked scan.
     The refined filter wins only by more than ``ROUND_TOL``.  Deterministic
-    for a fixed seed.
+    for a fixed seed; the ``amend`` flags default to the same budget and seed.
 
     The report is amendable when the channel's order, found within `cap`,
     is at most 2 and the winning filter's order exceeds 2.
@@ -312,7 +313,7 @@ def search_filter(
     if _is_unitary_channel(c):
         raise ValueError("unitary channels never break entanglement; nothing to amend")
 
-    named = [FilterCandidate.pauli(k) for k in (1, 2, 3)] + [FilterCandidate.r2r1()]
+    named = [FilterCandidate(kind) for kind in _NAMED_BLOCH]
     unital = isinstance(c, UnitalChannel)
     if unital:
         rotation, _ = polar_decompose(c.t)
@@ -321,11 +322,9 @@ def search_filter(
     if not unital:
         rng = np.random.default_rng(seed)
         per_axis = _cube_root_floor(budget)
-        spans = (2 * math.pi, math.pi, 2 * math.pi)
-        offsets = [rng.uniform(0.0, span / per_axis) for span in spans]
         axes = [
-            offsets[k] + np.arange(per_axis) * (spans[k] / per_axis)
-            for k in range(3)
+            rng.uniform(0.0, span / per_axis) + np.arange(per_axis) * (span / per_axis)
+            for span in (2 * math.pi, math.pi, 2 * math.pi)
         ]
         rotations = np.concatenate([rotations, _euler_lattice(*axes)])
     base = _scan_base(c)

@@ -315,9 +315,20 @@ def _json_field(data: dict, kind: str, name: str):
     return data[name]
 
 
+def _json_number(data: dict, kind: str, name: str) -> float:
+    """data[name] as a float, or a ``ValueError`` naming the kind and the
+    field when it is missing or not a number."""
+    value = _json_field(data, kind, name)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{kind} channel JSON field {name!r} must be a number") from None
+
+
 def channel_from_json(data: dict) -> Channel:
     """Inverse of channel_to_json. Raises ValueError on malformed payloads,
-    naming the kind and the field when a field is missing."""
+    naming the kind and the field when a field is missing or of the wrong
+    type."""
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError("channel JSON must be an object with a 'kind' field")
     kind = data["kind"]
@@ -327,11 +338,14 @@ def channel_from_json(data: dict) -> Channel:
             raise ValueError("unital channel needs 9 row-major entries in 't'")
         return UnitalChannel(t.reshape(3, 3))
     if kind == "gad":
-        p, gamma = (float(_json_field(data, kind, name)) for name in ("p", "gamma"))
+        p, gamma = (_json_number(data, kind, name) for name in ("p", "gamma"))
         return GadParams(p, gamma)
     if kind == "kraus":
+        entries = _json_field(data, kind, "ops")
+        if not isinstance(entries, list):
+            raise ValueError("kraus channel JSON field 'ops' must be a list")
         ops = []
-        for entry in _json_field(data, kind, "ops"):
+        for entry in entries:
             flat = np.asarray(entry, dtype=float)
             if flat.shape != (4, 2):
                 raise ValueError("each Kraus operator needs 4 [re, im] pairs")

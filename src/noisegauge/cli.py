@@ -24,13 +24,13 @@ import sys
 import numpy as np
 
 from . import gad as gadforms
-from .amend import FilterCandidate, apply_filter, gad_amendable, sandwich, search_filter
+from .amend import (DEFAULT_BUDGET, DEFAULT_SEED, FilterCandidate, apply_filter,
+                    gad_amendable, sandwich, search_filter)
 from .channels import (
     GadParams,
     UnitalChannel,
     channel_from_json,
     check_unit_square,
-    gad_kraus,
     pauli_decompose,
 )
 from .gaussian import IsoChannel, n_c_amplification, n_c_attenuation, n_c_iso
@@ -173,45 +173,39 @@ def _rows_fig2_inset(grids, fixed, cap):
         )
 
 
-_FILTERS = {"s1": FilterCandidate.pauli(1), "r2r1": FilterCandidate.r2r1()}
-
-
 def _rows_fig3(grids, fixed, cap):
     """The whole grid in two stacked calls: s1 on every point, then r2r1 on
     the points s1 leaves."""
     check_unit_square(grids["p"], grids["gamma"][:, None])
     ps, gs = np.meshgrid(grids["p"], grids["gamma"], indexing="ij")
     ps, gs = ps.ravel(), gs.ravel()
-    by_s1 = gad_amendable(ps, gs, _FILTERS["s1"])
+    by_s1 = gad_amendable(ps, gs, FilterCandidate("s1"))
     by_pair = np.zeros_like(by_s1)
-    by_pair[~by_s1] = gad_amendable(ps[~by_s1], gs[~by_s1], _FILTERS["r2r1"])
+    by_pair[~by_s1] = gad_amendable(ps[~by_s1], gs[~by_s1], FilterCandidate("r2r1"))
     for p, g, s1, pair in zip(ps.tolist(), gs.tolist(), by_s1.tolist(), by_pair.tolist()):
         kind = "s1" if s1 else ("r2r1" if pair else "")
         yield (p, g, "true" if kind else "false", kind)
 
 
 def _rows_fig4(grids, fixed, cap):
+    """Both columns of a row come from one ``GadParams`` c: the closed-form
+    threshold of c . c and the searched one of c . f . c, on the PTM of c."""
     gamma, name = fixed["gamma"], fixed["filter"]
     check_unit_square(grids["p"], gamma)
-    if name not in _FILTERS:
+    if name not in ("s1", "r2r1"):
         raise ValueError(f"unknown filter name {name!r} (use s1 or r2r1)")
-    filt = _FILTERS[name]
+    filt = FilterCandidate(name)
     for p in grids["p"]:
-        base = gad_kraus(GadParams(float(p), gamma))
-        filtered = sandwich(base, filt)
-        yield (
-            float(p),
-            gadforms.mu_c_gad_squared(float(p), gamma),
-            mu_c_search(filtered).value,
-        )
+        c = GadParams(float(p), gamma)
+        yield (c.p, gadforms.mu_c_gad_squared(c.p, c.gamma), mu_c_search(sandwich(c, filt)).value)
 
 
 _FIG5_K_DEFAULT = {"attenuation": (0.02, 0.98), "amplification": (1.02, 3.0)}
 
 
 def _rows_fig5(grids, fixed, cap):
-    """Without a ``k`` grid, each family scans its default k range at the
-    n0 axis's step count."""
+    """Each row is ``n_c_iso`` of one ``IsoChannel``.  Without a ``k`` grid,
+    each family scans its default k range at the n0 axis's step count."""
     check_cap(cap)
     n0s, chosen = grids["n0"], fixed["family"]
     if chosen != "both" and chosen not in _FIG5_K_DEFAULT:
@@ -227,10 +221,7 @@ def _rows_fig5(grids, fixed, cap):
     for family in families:
         for k in ks[family]:
             for n0 in n0s:
-                if family == "attenuation":
-                    order = n_c_attenuation(float(k), float(n0), cap)
-                else:
-                    order = n_c_amplification(float(k), float(n0), cap)
+                order = n_c_iso(IsoChannel(family, k, n0), cap)
                 yield (float(k), float(n0), family, _nc_cell(order))
 
 
@@ -270,7 +261,10 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"bad --fixed flag {text!r}; expected NAME=VALUE")
         if name not in fixed:
             raise ValueError(f"figure {args.figure} has no fixed parameter {name!r}")
-        fixed[name] = type(fixed[name])(value)
+        try:
+            fixed[name] = type(fixed[name])(value)
+        except ValueError:
+            raise ValueError(f"bad --fixed flag {text!r}; {name} must be a number") from None
 
     rows = rows_of({name: np.linspace(*spec) for name, spec in specs.items()}, fixed, args.cap)
     first = next(rows)  # a domain error raises here, before --out is opened
@@ -332,7 +326,7 @@ def _verify_fixtures():
          "closed form at trace norm 3"),
         ("rotated damping threshold search", gadforms.mu_c_gad(0.8, 0.2),
          lambda: mu_c_search(apply_filter(FilterCandidate.euler(0.4, 1.1, 2.3),
-                                          gad_kraus(GadParams(0.8, 0.2)))).value, 1e-10,
+                                          GadParams(0.8, 0.2))).value, 1e-10,
          "closed form at p = 0.8, gamma = 0.2; the optimal state is pure"),
         ("threshold bound, qubit", 2.0 / 3.0, lambda: mu_c_upper_bound(2), 1e-12,
          "d / (1 + d) at d = 2"),
@@ -457,8 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_am = sub.add_parser("amend", help="search for an order-raising filter")
     p_am.add_argument("channel", help="channel JSON (inline, file path, or - for stdin)")
-    p_am.add_argument("--budget", type=int, default=1000)
-    p_am.add_argument("--seed", type=int, default=42)
+    p_am.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_am.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_am.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_am.set_defaults(func=_cmd_amend)
     return parser

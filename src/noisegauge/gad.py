@@ -32,11 +32,6 @@ def _check_unit(name: str, value: float) -> float:
     return value
 
 
-def _reflect(gamma: float) -> float:
-    gamma = _check_unit("gamma", gamma)
-    return min(gamma, 1.0 - gamma)
-
-
 def mu_vs_vz(p: float, gamma: float, vz: float) -> float:
     """Minimal admixture towards the z-axis state with bias vz.
 
@@ -121,11 +116,12 @@ def mu_c_gad(p: float, gamma: float) -> float:
     the threshold is zero exactly when p >= p_1, the comparison that gives
     ``n_c_gad`` its order 1.  Within a few ulps below p_1 the branch value
     can round to zero or below; it then reads as the smallest positive float.
+    The ``p_n`` call checks gamma, which is then reflected to gamma <= 1/2.
     """
     p = _check_unit("p", p)
     if p >= p_n(gamma, 1):
         return 0.0
-    g = _reflect(gamma)
+    g = min(float(gamma), 1.0 - float(gamma))
     value = _mu_down(p) if p <= pbar(g) else _mu_up(p, g)
     return max(math.ulp(0.0), float(value))
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channels import _json_field
+from .channels import _json_field, _json_number
 from .linalg import ROUND_TOL
 from .report import DEFAULT_CAP, NcResult
 
@@ -54,10 +54,10 @@ class IsoChannel:
 
     @classmethod
     def from_json(cls, data: dict) -> "IsoChannel":
-        """Inverse of to_json; a missing field raises ``ValueError`` naming
-        the family and the field."""
+        """Inverse of to_json; a missing field, or a k or n0 that is not a
+        number, raises ``ValueError`` naming the family and the field."""
         family = str(_json_field(data, "isotropic Gaussian", "family"))
-        k, n0 = (float(_json_field(data, family, name)) for name in ("k", "n0"))
+        k, n0 = (_json_number(data, family, name) for name in ("k", "n0"))
         return cls(family, k, n0)
 
 

@@ -48,12 +48,6 @@ class NcResult:
     def to_json(self):
         return self.n if self.n is not None else "exceeds_cap"
 
-    def __str__(self) -> str:
-        if self.n is not None:
-            return str(self.n)
-        tag = "divergent" if self.proven_divergent else f"> {self.cap}"
-        return tag
-
 
 @dataclass(frozen=True)
 class NoiseReport:

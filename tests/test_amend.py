@@ -33,7 +33,14 @@ from noisegauge import (
     sandwich,
     search_filter,
 )
-from noisegauge.amend import _cube_root_floor, _euler_lattice, _order_scan, _rot, _scan_base
+import noisegauge.amend as amend_module
+from noisegauge.amend import (
+    _axis_rotations,
+    _cube_root_floor,
+    _euler_lattice,
+    _order_scan,
+    _scan_base,
+)
 from noisegauge.channels import PAULIS, as_kraus, ptm
 from noisegauge.gad import amend_boundary_s1, p_n
 from noisegauge.linalg import polar_decompose
@@ -43,6 +50,11 @@ LAM = np.diag([0.73, 0.5, 0.5])
 SWAP_XY = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
 T = SWAP_XY @ LAM
 SWAP_FILTER = FilterCandidate.orthogonal(SWAP_XY)
+
+
+def rot(axis, angle):
+    """Right-handed rotation about a coordinate axis (0=x, 1=y, 2=z)."""
+    return _axis_rotations(axis, [angle])[0]
 
 
 def bloch_of_unitary(u):
@@ -70,8 +82,33 @@ class TestFilterCandidate:
 
     def test_r2r1_composition_order(self):
         # x quarter turn applied first, then y quarter turn
-        expected = _rot(1, np.pi / 2) @ _rot(0, np.pi / 2)
+        expected = rot(1, np.pi / 2) @ rot(0, np.pi / 2)
         assert np.abs(FilterCandidate.r2r1().bloch_matrix() - expected).max() == 0.0
+
+    @pytest.mark.parametrize("kind", ["s1", "s2", "s3", "r2r1"])
+    def test_bloch_matrix_is_a_fresh_array(self, kind):
+        filt = FilterCandidate(kind)
+        first = filt.bloch_matrix()
+        expected = first.copy()
+        first[:] = 7.0
+        assert np.array_equal(filt.bloch_matrix(), expected)
+        assert filt.bloch_matrix() is not filt.bloch_matrix()
+
+    @pytest.mark.parametrize("channel", [UnitalChannel(LAM), GadParams(0.61, 0.25)],
+                             ids=["unital", "gad"])
+    def test_search_scores_the_named_filters_first(self, monkeypatch, channel):
+        # the scan of search_filter opens with s1, s2, s3, r2r1, in that order
+        stacks = []
+
+        def recording_scan(base, rotations, cap):
+            stacks.append(rotations.copy())
+            return _order_scan(base, rotations, cap)
+
+        monkeypatch.setattr(amend_module, "_order_scan", recording_scan)
+        search_filter(channel, budget=8)
+        named = [FilterCandidate(kind).bloch_matrix() for kind in ("s1", "s2", "s3", "r2r1")]
+        assert len(stacks) == 1
+        assert np.array_equal(stacks[0][:4], np.array(named))
 
     def test_orthogonal_roundtrip(self):
         rng = np.random.default_rng(51)
@@ -319,6 +356,12 @@ class TestSearchFilter:
     def test_budget_rounds_to_a_cube(self, budget, per_axis):
         assert _cube_root_floor(budget) == per_axis
 
+    def test_cube_root_floor_matches_integer_search(self):
+        k = 1
+        for n in range(1, 30000):
+            k += (k + 1) ** 3 <= n
+            assert _cube_root_floor(n) == k, n
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.floats(-1, 1), min_size=3, max_size=3),
@@ -464,7 +507,7 @@ class TestOrderScan:
         assert len(lattice) == len(points)
         for m, (a, b, t) in zip(lattice, points):
             assert np.array_equal(m, FilterCandidate.euler(a, b, t).bloch_matrix())
-            assert np.array_equal(m, _rot(2, a) @ _rot(1, b) @ _rot(2, t))
+            assert np.array_equal(m, rot(2, a) @ rot(1, b) @ rot(2, t))
 
 
 class TestInvariance:

@@ -14,7 +14,14 @@ import pytest
 import noisegauge
 import noisegauge.cli
 from helpers import kraus_gad_amendable, sdp_mu_c
-from noisegauge import GadParams, gad_kraus, sandwich
+from noisegauge import (
+    GadParams,
+    gad_kraus,
+    mu_c_search,
+    n_c_amplification,
+    n_c_attenuation,
+    sandwich,
+)
 from noisegauge.amend import FilterCandidate
 from noisegauge.cli import main
 
@@ -129,6 +136,26 @@ class TestAnalyze:
         assert code == 3
         assert err.strip() == f"error: {kind} channel JSON is missing the field {field!r}"
 
+    @pytest.mark.parametrize("command", ["analyze", "amend"])
+    @pytest.mark.parametrize("payload,message", [
+        ({"kind": "kraus", "ops": 5}, "kraus channel JSON field 'ops' must be a list"),
+        ({"kind": "kraus", "ops": {"a": 1}}, "kraus channel JSON field 'ops' must be a list"),
+        ({"kind": "gad", "p": None, "gamma": 0.3}, "gad channel JSON field 'p' must be a number"),
+        ({"kind": "gad", "p": 0.3, "gamma": "x"},
+         "gad channel JSON field 'gamma' must be a number"),
+        ({"kind": "gad", "p": [0.3], "gamma": 0.3},
+         "gad channel JSON field 'p' must be a number"),
+        ({"family": "attenuation", "k": None, "n0": 0.1},
+         "attenuation channel JSON field 'k' must be a number"),
+        ({"family": "amplification", "k": 1.5, "n0": [1]},
+         "amplification channel JSON field 'n0' must be a number"),
+    ], ids=["kraus-ops-int", "kraus-ops-object", "gad-p-null", "gad-gamma-string",
+            "gad-p-list", "attenuation-k-null", "amplification-n0-list"])
+    def test_field_of_wrong_type_is_named(self, capsys, command, payload, message):
+        code, out, err = run(capsys, command, json.dumps(payload))
+        assert (code, out) == (3, "")
+        assert err == f"error: {message}\n"
+
     def test_missing_family_is_named(self):
         with pytest.raises(ValueError, match="Gaussian channel JSON is missing the field 'family'"):
             noisegauge.IsoChannel.from_json({"k": 0.5, "n0": 0.1})
@@ -228,6 +255,39 @@ class TestSweep:
         upper, lower = sdp_mu_c(sandwich(gad_kraus(GadParams(float(p), 0.1)), FilterCandidate.pauli(1)))
         assert lower - 1e-12 <= float(value) <= upper + 1e-10
         assert abs(float(value) - upper) <= 1e-10
+
+    def test_fig4_reads_the_damping_channels_own_ptm(self, capsys, tmp_path):
+        """Each mu_c_filtered cell is the searched threshold of
+        sandwich(GadParams(p, gamma), f), to the bit, and within 1e-14 of the
+        same search on the channel's Kraus form."""
+        cases = [((), 0.1, "s1"), (("--steps", "41", "--fixed", "gamma=0.4",
+                                    "--fixed", "filter=r2r1"), 0.4, "r2r1")]
+        for flags, gamma, name in cases:
+            out_path = tmp_path / f"f4-{name}.csv"
+            code, _, _ = run(capsys, "sweep", "fig4", "--out", str(out_path), *flags)
+            assert code == 0
+            filt = FilterCandidate(name)
+            for p_s, _, value in read_rows(out_path)[1:]:
+                p = float(p_s)
+                expected = mu_c_search(sandwich(GadParams(p, gamma), filt)).value
+                assert float(value) == expected, p
+                kraus = mu_c_search(sandwich(gad_kraus(GadParams(p, gamma)), filt)).value
+                assert abs(float(value) - kraus) <= 1e-14, p
+
+    @pytest.mark.parametrize("flags", [(), ("--cap", "2")], ids=["cap64", "cap2"])
+    def test_fig5_rows_match_the_family_functions(self, capsys, tmp_path, flags):
+        out_path = tmp_path / "f5.csv"
+        code, _, _ = run(capsys, "sweep", "fig5", "--out", str(out_path), "--steps", "9", *flags)
+        assert code == 0
+        rows = read_rows(out_path)[1:]
+        cap = int(flags[1]) if flags else 64
+        of_family = {"attenuation": n_c_attenuation, "amplification": n_c_amplification}
+        assert sorted({r[2] for r in rows}) == sorted(of_family)
+        assert len(rows) == 2 * 9 * 9
+        for k, n0, family, cell in rows:
+            order = of_family[family](float(k), float(n0), cap)
+            assert cell == (str(order.n) if order.is_finite else "inf")
+        assert any(r[3] == "inf" for r in rows) and any(r[3] != "inf" for r in rows)
 
     def test_fig5_attenuation_boundary(self, capsys, tmp_path):
         out_path = tmp_path / "f5.csv"
@@ -344,6 +404,19 @@ class TestSweep:
         assert err.startswith("error: grid bounds must be finite") and err.count("\n") == 1
         assert flags[-1] in err
         assert out_path.read_bytes() == before
+
+    def test_unparsable_fixed_value_names_the_flag(self, capsys, tmp_path):
+        out_path = tmp_path / "keep.csv"
+        before = b"p,gamma,amendable,filter_kind\n0.5,0.5,false,\n"
+        out_path.write_bytes(before)
+        for figure, flag in (("fig1", "lambda3=abc"), ("fig4", "gamma=x"),
+                             ("fig2-inset", "gamma=")):
+            code, _, err = run(capsys, "sweep", figure, "--out", str(out_path), "--steps", "3",
+                               "--fixed", flag)
+            assert code == 3
+            name = flag.split("=")[0]
+            assert err == f"error: bad --fixed flag {flag!r}; {name} must be a number\n"
+            assert out_path.read_bytes() == before
 
     def test_fig3_default_grid_pinned(self, capsys, tmp_path):
         out_path = tmp_path / "fig3.csv"

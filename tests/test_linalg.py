@@ -134,9 +134,32 @@ def _small_literals(tree: ast.AST) -> list:
     ]
 
 
+def _bound_names(stmt) -> list:
+    """Names a module-level statement defines (imports are references)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _references(tree, name: str) -> bool:
+    """Does `tree` load `name`, read it as an attribute or import it?"""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == name and not isinstance(node.ctx, ast.Store):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        if isinstance(node, ast.alias) and node.name == name:
+            return True
+    return False
+
+
 class TestTolerancePolicy:
-    """Every slack in the package is one of two names in ``linalg``, and every
-    default cap is ``report.DEFAULT_CAP``."""
+    """Every slack in the package is one of two names in ``linalg``, every
+    default cap is ``report.DEFAULT_CAP``, every default search budget and
+    seed is ``amend.DEFAULT_BUDGET`` / ``amend.DEFAULT_SEED``, and every
+    module-level private name is in use."""
 
     MODULES = sorted(Path(noisegauge.__file__).parent.glob("*.py"))
 
@@ -155,29 +178,66 @@ class TestTolerancePolicy:
                 assert {t.id for node in tree.body if isinstance(node, ast.Assign)
                         for t in node.targets} == expected
 
-    def test_every_cap_default_is_default_cap(self):
-        """A ``cap`` parameter default or a ``--cap`` flag default is the
-        name ``DEFAULT_CAP``, and only ``report`` assigns that name."""
+    def _named_defaults(self, param: str, constant: str, owner: str) -> list:
+        """(module, default) of every `param` parameter default and every
+        ``--param`` flag default in src, after checking that only `owner`
+        assigns `constant`."""
         defaults = []
         for path in self.MODULES:
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Assign) and any(
-                        isinstance(t, ast.Name) and t.id == "DEFAULT_CAP" for t in node.targets):
-                    assert path.stem == "report", f"{path.name} assigns DEFAULT_CAP"
+                        isinstance(t, ast.Name) and t.id == constant for t in node.targets):
+                    assert path.stem == owner, f"{path.name} assigns {constant}"
                 if isinstance(node, (ast.FunctionDef, ast.Lambda)):
                     a = node.args
                     positional = a.posonlyargs + a.args
                     pairs = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
                     pairs += [(arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d]
-                    defaults += [(path.name, d) for arg, d in pairs if arg.arg == "cap"]
+                    defaults += [(path.name, d) for arg, d in pairs if arg.arg == param]
                 if isinstance(node, ast.Call) and any(
-                        isinstance(arg, ast.Constant) and arg.value == "--cap" for arg in node.args):
+                        isinstance(arg, ast.Constant) and arg.value == f"--{param}"
+                        for arg in node.args):
                     defaults += [(path.name, k.value) for k in node.keywords if k.arg == "default"]
+        return defaults
+
+    def test_every_cap_default_is_default_cap(self):
+        """A ``cap`` parameter default or a ``--cap`` flag default is the
+        name ``DEFAULT_CAP``, and only ``report`` assigns that name."""
+        defaults = self._named_defaults("cap", "DEFAULT_CAP", "report")
         stray = [(name, d.lineno) for name, d in defaults
                  if not (isinstance(d, ast.Name) and d.id == "DEFAULT_CAP")]
         assert stray == []
         # the three --cap flags and the eight scans with a cap parameter
         assert len(defaults) == 11
+
+    @pytest.mark.parametrize("param, constant", [("budget", "DEFAULT_BUDGET"),
+                                                 ("seed", "DEFAULT_SEED")])
+    def test_every_search_default_is_named(self, param, constant):
+        """A ``budget`` or ``seed`` default, of a parameter or of the
+        ``amend`` flag, is the name ``amend`` assigns for it."""
+        defaults = self._named_defaults(param, constant, "amend")
+        stray = [(name, d.lineno) for name, d in defaults
+                 if not (isinstance(d, ast.Name) and d.id == constant)]
+        assert stray == []
+        # search_filter's parameter and the amend flag
+        assert sorted(name for name, _ in defaults) == ["amend.py", "cli.py"]
+
+    def test_every_private_name_is_used(self):
+        """Every module-level private name in src is referenced in src outside
+        its own definition, so no dead helper is left behind."""
+        trees = {path.name: ast.parse(path.read_text()) for path in self.MODULES}
+        checked, unused = 0, []
+        for module, tree in trees.items():
+            for stmt in tree.body:
+                for name in _bound_names(stmt):
+                    if not name.startswith("_") or name.startswith("__"):
+                        continue
+                    checked += 1
+                    if not any(_references(node, name) for other in trees.values()
+                               for node in other.body if node is not stmt):
+                        unused.append(f"{module}:{name}")
+        assert unused == []
+        assert checked >= 30
 
     def test_no_small_float_literal_outside_policy(self):
         """Allowed: ``linalg`` itself, the stopping rule ``measures.FATOL``,

@@ -28,6 +28,10 @@ families byte for byte.  The families:
   1e-13) as parameters and in Kraus form, ``amend`` on diag(0.3, 0.3, 1),
   ``analyze`` on diag(-1, 0.1, 0.5) and ``sweep fig1 --fixed lambda3=1`` on
   a 2x2 grid around (0.3, 0.3).
+
+Under ``sweeps`` and ``sweep-errors`` one indented line per figure follows,
+with the digest of that figure's calls alone, so a moved cell is traced to
+its figure.  The family line is the digest of all its calls, as before.
 """
 
 from __future__ import annotations
@@ -54,16 +58,22 @@ FIG5_VARIANTS = (
 )
 
 
-def _run(cli, digest, argv, csv=None) -> None:
+def _run(cli, digest, argv, csv=None, figures=None) -> None:
+    """Run one call and feed its record to `digest` and, when `figures` is
+    given, to the digest of its figure (``argv[1]``) in that dict."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(list(argv))
-    for part in (repr(tuple(argv)), str(rc), out.getvalue(), err.getvalue()):
-        digest.update(part.encode())
-        digest.update(b"\0")
+    parts = [repr(tuple(argv)), str(rc), out.getvalue(), err.getvalue()]
+    record = b"".join(part.encode() + b"\0" for part in parts)
     if csv is not None:
-        digest.update(csv.read_bytes() if csv.exists() else b"<no file>")
+        record += csv.read_bytes() if csv.exists() else b"<no file>"
         csv.unlink(missing_ok=True)
+    digest.update(record)
+    if figures is not None:
+        figure = figures.setdefault(argv[1], [0, hashlib.sha256()])
+        figure[0] += 1
+        figure[1].update(record)
 
 
 def _analyze_mix(cli, workloads, digest) -> int:
@@ -103,12 +113,13 @@ def _amend_rotated(cli, workloads, digest) -> int:
     return 100
 
 
-def _sweeps(cli, workloads, digest) -> int:
+def _sweeps(cli, workloads, digest, figures) -> int:
     runs = [(fig,) for fig in ("fig1", "fig2", "fig2-inset", "fig3", "fig4", "fig5")]
     runs += [("fig5",) + flags for flags in FIG5_VARIANTS]
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for fig, *flags in runs:
-            _run(cli, digest, ("sweep", fig, "--out", "out.csv", *flags), Path("out.csv"))
+            _run(cli, digest, ("sweep", fig, "--out", "out.csv", *flags), Path("out.csv"),
+                 figures)
     return len(runs)
 
 
@@ -173,12 +184,13 @@ SWEEP_ERRORS = (
 SENTINEL = b"p,gamma,amendable,filter_kind\n0.5,0.5,false,\n"
 
 
-def _sweep_errors(cli, workloads, digest) -> int:
+def _sweep_errors(cli, workloads, digest, figures) -> int:
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for fig, *flags in SWEEP_ERRORS:
             out = Path("out.csv")
             out.write_bytes(SENTINEL)
-            _run(cli, digest, ("sweep", fig, "--out", str(out), "--steps", "3", *flags), out)
+            _run(cli, digest, ("sweep", fig, "--out", str(out), "--steps", "3", *flags), out,
+                 figures)
     return len(SWEEP_ERRORS)
 
 
@@ -234,9 +246,14 @@ def main(argv) -> int:
     import workloads
 
     for name, family in FAMILIES.items():
-        digest = hashlib.sha256()
-        count = family(cli, workloads, digest)
+        digest, figures = hashlib.sha256(), {}
+        if name in ("sweeps", "sweep-errors"):
+            count = family(cli, workloads, digest, figures)
+        else:
+            count = family(cli, workloads, digest)
         print(f"{name:14s} {count:4d} {digest.hexdigest()}")
+        for fig, (calls, fig_digest) in sorted(figures.items()):
+            print(f"  {fig:12s} {calls:4d} {fig_digest.hexdigest()}")
     return 0
 
 
