@@ -325,6 +325,15 @@ def _json_number(data: dict, kind: str, name: str) -> float:
         raise ValueError(f"{kind} channel JSON field {name!r} must be a number") from None
 
 
+def _json_floats(value, kind: str, name: str) -> np.ndarray:
+    """The value of field `name` as a float array, or a ``ValueError`` naming
+    the kind and the field when an entry is not a number."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{kind} channel JSON field {name!r} must hold numbers only") from None
+
+
 def channel_from_json(data: dict) -> Channel:
     """Inverse of channel_to_json. Raises ValueError on malformed payloads,
     naming the kind and the field when a field is missing or of the wrong
@@ -333,7 +342,7 @@ def channel_from_json(data: dict) -> Channel:
         raise ValueError("channel JSON must be an object with a 'kind' field")
     kind = data["kind"]
     if kind == "unital":
-        t = np.asarray(_json_field(data, kind, "t"), dtype=float)
+        t = _json_floats(_json_field(data, kind, "t"), kind, "t")
         if t.size != 9:
             raise ValueError("unital channel needs 9 row-major entries in 't'")
         return UnitalChannel(t.reshape(3, 3))
@@ -346,7 +355,7 @@ def channel_from_json(data: dict) -> Channel:
             raise ValueError("kraus channel JSON field 'ops' must be a list")
         ops = []
         for entry in entries:
-            flat = np.asarray(entry, dtype=float)
+            flat = _json_floats(entry, kind, "ops")
             if flat.shape != (4, 2):
                 raise ValueError("each Kraus operator needs 4 [re, im] pairs")
             ops.append((flat[:, 0] + 1j * flat[:, 1]).reshape(2, 2))

@@ -19,14 +19,15 @@ table per channel, then (c (x) c) @ table and one 4x4 eigvalsh per state
 (``_mu_threshold``).
 
 ``mu_c`` minimizes that threshold over the prepared state rho0.  Unital and
-damping channels have exact closed forms; everything else runs one
-derivative-free Nelder-Mead search (``nelder_mead``) over the Bloch ball,
-with the closed forms and a convex-programming oracle checking it in the
-test suite.  One start suffices because the threshold is quasi-convex in
-rho0: at a fixed mixing weight the EB condition is a PSD constraint affine
-in rho0.  The search runs on the folded coordinate w = sin(|x|) x / |x|,
-which maps R^3 onto the closed ball with no plateau, so an optimum on the
-sphere is an interior minimum of the folded objective.
+damping channels have exact closed forms; everything else solves the convex
+program of the threshold (``mu_c_search``).  With X = mu rho0 the mixture is
+EB exactly when (1 - tr X) G + X (x) 1/2 and X are PSD, so mu_c is the least
+tr X over that set: the robustness program of Vidal and Tarrach (PRA 59,
+141, 1999), an SDP in the four real entries of X.  A barrier method solves
+it, and its duality gap certifies a lower bound next to the value.  The
+closed forms, a derivative-free search over the Bloch ball and a second
+barrier solve check it in the test suite.  ``nelder_mead``, the simplex
+method of that search, serves the amendability refinement.
 
 ``n_c`` is the smallest number of self-compositions after which the channel
 breaks entanglement; by monotonicity of the EB^n families a single upward
@@ -61,6 +62,7 @@ from .channels import (
     ptm,
     validate_density,
 )
+from .linalg import ROUND_TOL
 from .report import DEFAULT_CAP, NcResult, NoiseReport, check_cap
 from .separability import ChoiState, decide_eb, ptm_partial_transpose
 
@@ -84,16 +86,18 @@ def mu_c_unital(c: UnitalChannel) -> float:
 _SIGMA_1 = np.array([np.kron(s, IDENTITY_2) for s in PAULIS])
 
 
-def _threshold_table(c: Channel) -> np.ndarray | None:
-    """The 16x16 table with row 4j + k holding Q_jk / 2 (module docstring),
-    or None when the channel is entanglement breaking (threshold 0); a map
-    that is not completely positive raises ``ValueError``."""
+def _threshold_table(c: Channel) -> tuple[np.ndarray, np.ndarray] | None:
+    """The 16x16 table with row 4j + k holding Q_jk / 2 (module docstring)
+    and the partial transpose G it inverts, or None when the channel is
+    entanglement breaking (threshold 0); a map that is not completely
+    positive raises ``ValueError``."""
     r = ptm(c)
     ChoiState(choi_from_ptm(r))
     if decide_eb(r)[0]:
         return None
-    q = (_SIGMA_1 @ np.linalg.inv(ptm_partial_transpose(r)))[:, None] @ _SIGMA_1
-    return 0.5 * q.reshape(16, 16)
+    g = ptm_partial_transpose(r)
+    q = (_SIGMA_1 @ np.linalg.inv(g))[:, None] @ _SIGMA_1
+    return 0.5 * q.reshape(16, 16), g
 
 
 def _mu_threshold(table: np.ndarray, w) -> float:
@@ -128,8 +132,8 @@ def mu_given_rho0(c: Channel, rho0) -> float:
     docstring).  Returns 0 when the channel is already entanglement breaking.
     """
     w = density_to_bloch(validate_density(rho0))
-    table = _threshold_table(c)
-    return 0.0 if table is None else _mu_threshold(table, w.tolist())
+    solved = _threshold_table(c)
+    return 0.0 if solved is None else _mu_threshold(solved[0], w.tolist())
 
 
 def _by_value(sim: list, fsim: list) -> tuple[list, list]:
@@ -221,70 +225,117 @@ def nelder_mead(f, x0, maxiter: int) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class MuSearchResult:
-    """Outcome of the generic threshold minimization over rho0."""
+    """Outcome of the threshold minimization over rho0: the value, the Bloch
+    vector of the prepared state that attains it, the Newton steps taken
+    and a certified lower bound on the threshold."""
 
     value: float
     bloch: np.ndarray
     evaluations: int
+    lower: float
 
 
-def _fold(x) -> list[float]:
-    """The Bloch vector sin(|x|) x / |x| of a point x of R^3, and x at 0."""
-    r = math.hypot(*x)
-    if r == 0.0:
-        return x
-    s = math.sin(r) / r
-    return [s * v for v in x]
+# sigma_k (x) 1 / 4 for k = 1..3: how the barrier's 4x4 block moves with b.
+_PT_SIGMA = _SIGMA_1[1:] / 4
+# a^2 - |b|^2 = v . (_CONE * v) for v = (a, b).
+_CONE = np.array([1.0, -1.0, -1.0, -1.0])
+# The barrier parameter grows 100-fold per centering up to _T_MAX.  A solve
+# may take _NEWTON_STEPS steps; random channels take a median of about 25,
+# channels within 1e-9 of the EB boundary about 60.
+_T_MAX = 1e11
+_NEWTON_STEPS = 200
+
+
+def _barrier_solve(g: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Barrier method (Boyd & Vandenberghe, Convex Optimization, ch. 11) for
+    the threshold program of the partial transpose G, from v = (1, 0, 0, 0):
+    the last iterate v = (a, b), a certified lower bound on the optimum and
+    the number of Newton steps.
+
+    With X = (a + b.sigma)/2 the program is min a subject to
+    M = (1 - a) G + X (x) 1/2 >= 0 and a >= |b|.  Damped Newton steps
+    minimize t a - log det M - log(a^2 - |b|^2), centering for t = 1, 100,
+    ..., up to ``_T_MAX``.  The barrier has parameter 4 + 2 = 6, so the
+    centre at t lies within 6/t above the optimum; a centering stops at
+    Newton decrement lam <= ROUND_TOL ** 0.25, and such a point lies within
+    3 lam / t in a of the centre (Nesterov, Introductory Lectures, 4.1-4.2).
+    So each finished centering certifies a - (6 + 3 lam) / t.  Every iterate
+    is strictly feasible.  After ``_NEWTON_STEPS`` steps the solve stops
+    where it is, with the bound of its last finished centering (0 before
+    the first).
+    """
+    basis = np.concatenate(((0.25 * np.eye(4) - g)[None], _PT_SIGMA))
+    flat_basis = basis.reshape(4, 16)
+    v = np.array([1.0, 0.0, 0.0, 0.0])
+    t, lower, steps = 1.0, 0.0, 0
+    while steps < _NEWTON_STEPS:
+        steps += 1
+        # M^-1 dM/dv_k, stacked; M = 1/4 at the start
+        mb = np.linalg.inv(g + (v @ flat_basis).reshape(4, 4)) @ basis
+        flat = mb.reshape(4, 16)
+        jv = _CONE * v
+        q = v @ jv
+        grad = -2.0 * jv / q - flat[:, ::5].sum(axis=1).real
+        grad[0] += t
+        hess = (flat @ mb.transpose(0, 2, 1).reshape(4, 16).T).real
+        hess += np.outer(jv, 4.0 * jv / (q * q)) - np.diag(2.0 * _CONE / q)
+        step = np.linalg.solve(hess, -grad)
+        dec = float(-grad @ step)
+        if dec <= math.sqrt(ROUND_TOL):
+            lower = max(0.0, float(v[0]) - (6.0 + 3.0 * math.sqrt(max(dec, 0.0))) / t)
+            if t == _T_MAX:
+                break
+            t = min(100.0 * t, _T_MAX)
+        else:
+            # a damped step stays inside the domain of a self-concordant barrier
+            v = v + (step / (1.0 + math.sqrt(dec)) if dec > 0.0625 else step)
+    return v, lower, steps
 
 
 def mu_c_search(c: Channel) -> MuSearchResult:
     """Minimize mu_given_rho0 over the Bloch ball, any channel with a valid
-    Choi matrix.
+    Choi matrix, by solving its convex program (``_barrier_solve``).
 
-    The threshold is quasi-convex in the Bloch vector w of rho0: mixing with
-    weight m is EB exactly when (1-m) G + m rho0 (x) 1/2 is PSD, which is
-    affine in rho0, so every sublevel set {w : mu(w) <= m} is convex.  Its
-    minimizers form one convex set, with no second basin to trap a local
-    search, so one Nelder-Mead run (``nelder_mead``, at most 600
-    iterations) from x = (0.01, 0.01, 0.01) suffices.  It
-    runs on the folded coordinate w = sin(|x|) x / |x|, which maps R^3 onto
-    the closed ball with no plateau: a minimum on the sphere (a pure rho0)
-    becomes a smooth interior minimum at |x| = pi/2, where a radial
-    projection would leave the simplex on rays of constant value.
-
-    Each evaluation is the exact solve of `mu_given_rho0` at one point, with
-    its 16x16 table built once per search.  The returned value is the
-    smallest evaluation and `bloch` the folded point that gave it.
+    The program's variable X = mu rho0 = (a + b.sigma)/2 gives two prepared
+    states: w = b/a and the pure state b/|b| of the same direction.  The
+    value is the least of a, which is feasible, and the exact solves of
+    `mu_given_rho0` at those states.  At a pure optimum w stays about 1/(t a)
+    inside the sphere, where the solve reads up to ~1e-11 high; on the
+    sphere it agrees with the derivative-free search to ~1e-16.  `bloch` is
+    the state that gave the value (w when it is a).  `lower` is the
+    certified bound of the barrier's duality gap, within about 6e-11 of the
+    value; `evaluations` counts Newton steps, 0 for an entanglement-breaking
+    channel, whose threshold is 0.  The solve never raises: a run that
+    exhausts its steps reports its feasible point and the bound of its last
+    finished centering.
     """
-    table = _threshold_table(c)
-    if table is None:
-        return MuSearchResult(0.0, np.zeros(3), 1)
-
-    count = 0
-
-    def objective(x) -> float:
-        nonlocal count
-        count += 1
-        return _mu_threshold(table, _fold(x))
-
-    x, value = nelder_mead(objective, (0.01, 0.01, 0.01), maxiter=600)
-    point = np.array(_fold(x.tolist()))
+    solved = _threshold_table(c)
+    if solved is None:
+        return MuSearchResult(0.0, np.zeros(3), 0, 0.0)
+    table, g = solved
+    v, lower, steps = _barrier_solve(g)
+    a, b = float(v[0]), v[1:]
+    radius = math.hypot(*b)
+    value, point = a, b / a
+    for w in (b / a, b / radius) if radius > 0.0 else (b / a,):
+        mu = _mu_threshold(table, w.tolist())
+        if mu < value:
+            value, point = mu, w
     # rho0 = 1/2 meets the bound d/(1+d) for every channel (the partial
     # transpose of a two-qubit state has no eigenvalue below -1/2).  For a
-    # unitary channel the minimum sits there; Nelder-Mead stops a few 1e-6
-    # away, where the exact solve reads up to ~1e-12 above the bound.
+    # unitary channel the minimum sits there, and a and the exact solves read
+    # up to about 6/t above it.
     bound = mu_c_upper_bound(2)
     if value > bound:
         value, point = bound, np.zeros(3)
-    return MuSearchResult(value, point, count)
+    return MuSearchResult(value, point, steps, lower)
 
 
 def mu_c(c: Channel) -> float:
     """Depolarizing threshold of a channel, never above d/(1+d) = 2/3.
 
-    Closed forms for unital and damping channels; otherwise the one-start
-    search ``mu_c_search``, which the threshold's quasi-convexity in rho0
-    makes global.
+    Closed forms for unital and damping channels; otherwise the barrier
+    solve of its convex program, ``mu_c_search``.
     """
     if isinstance(c, UnitalChannel):
         return mu_c_unital(c)

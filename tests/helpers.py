@@ -16,6 +16,7 @@ from noisegauge.channels import (
     GadParams,
     KrausChannel,
     as_kraus,
+    bloch_to_density,
     choi,
     compose_kraus,
     gad_kraus,
@@ -26,7 +27,6 @@ from noisegauge.gaussian import IsoChannel
 from noisegauge.linalg import ROUND_TOL, partial_transpose, polar_decompose, trace_norm
 from noisegauge.measures import (
     MuSearchResult,
-    _fold,
     _mu_threshold,
     _threshold_table,
     mu_c_upper_bound,
@@ -154,20 +154,35 @@ def coarse_bloch_grid() -> list[np.ndarray]:
     return pts
 
 
+def _fold(x) -> list[float]:
+    """The Bloch vector sin(|x|) x / |x| of a point x of R^3, and x at 0."""
+    r = math.hypot(*x)
+    if r == 0.0:
+        return x
+    s = math.sin(r) / r
+    return [s * v for v in x]
+
+
 def fold_search(c) -> MuSearchResult:
-    """``mu_c_search`` by scipy's Nelder-Mead, one point per call, each
+    """``mu_c_search`` by a derivative-free search over the Bloch ball: one
+    run of scipy's Nelder-Mead from x = (0.01, 0.01, 0.01), each point
     scored by ``measures._mu_threshold`` at the folded Bloch vector
-    sin(|x|) x / |x|.  An oracle for the local simplex port."""
-    table = _threshold_table(c)
-    if table is None:
-        return MuSearchResult(0.0, np.zeros(3), 1)
+    w = sin(|x|) x / |x|.  One start suffices because the threshold is
+    quasi-convex in rho0, and the fold maps R^3 onto the closed ball with no
+    plateau, so a pure optimum is an interior minimum at |x| = pi/2.  Its
+    `evaluations` count threshold solves, and it certifies no lower bound
+    beyond 0.  An oracle for the barrier solve."""
+    solved = _threshold_table(c)
+    if solved is None:
+        return MuSearchResult(0.0, np.zeros(3), 1, 0.0)
+    table = solved[0]
     res = minimize(lambda x: _mu_threshold(table, _fold(x)), np.full(3, 0.01),
                    method="Nelder-Mead", options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 600})
     value, point = float(res.fun), np.array(_fold(res.x.tolist()))
     bound = mu_c_upper_bound(2)
     if value > bound:
         value, point = bound, np.zeros(3)
-    return MuSearchResult(value, point, int(res.nfev))
+    return MuSearchResult(value, point, int(res.nfev), 0.0)
 
 
 def sdp_mu_c(c) -> tuple[float, float]:
@@ -182,9 +197,10 @@ def sdp_mu_c(c) -> tuple[float, float]:
     `lower` = a - 6/t lies below the optimum; `upper` is the exact threshold
     of ``measures._mu_threshold`` at the feasible Bloch vector w = b/a.  An EB
     channel gives (0, 0)."""
-    table = _threshold_table(c)
-    if table is None:
+    solved = _threshold_table(c)
+    if solved is None:
         return 0.0, 0.0
+    table = solved[0]
     g = partial_transpose(choi(c))
     # dM/dv for v = (a, b_x, b_y, b_z)
     basis = np.array([np.eye(4) / 4 - g] + [np.kron(s, IDENTITY_2) / 4 for s in PAULI_VECTOR])
@@ -213,6 +229,28 @@ def sdp_mu_c(c) -> tuple[float, float]:
         t *= 10.0
     a, b = float(v[0]), v[1:]
     return _mu_threshold(table, b / a), a - 6.0 / t
+
+
+def eigenvector_dual_bound(c, value: float, bloch) -> float:
+    """Weak-duality lower bound on mu_c from one eigenvector, valid for any
+    claimed optimum (value, bloch).
+
+    Take v, the eigenvector of the smallest eigenvalue of the onset matrix
+    (1 - value) G + value rho0 (x) 1/2 at the Bloch vector `bloch`, G the
+    partial transpose of the Choi matrix.  Let g_v = <v|G|v> and s the
+    largest eigenvalue of tr_2 |v><v|.  For any feasible X = mu rho0,
+    0 <= <v|(1 - tr X) G + X (x) 1/2|v> <= (1 - tr X) g_v + tr X s/2, so
+    tr X >= -g_v / (s/2 - g_v) when g_v < 0 (Boyd & Vandenberghe, §5.2).
+    Returns 0 when g_v >= 0."""
+    g = partial_transpose(choi(c))
+    prepared = np.kron(bloch_to_density(bloch), IDENTITY_2 / 2)
+    v = np.linalg.eigh((1.0 - value) * g + value * prepared)[1][:, 0]
+    g_v = float((v.conj() @ g @ v).real)
+    if g_v >= 0.0:
+        return 0.0
+    half = v.reshape(2, 2)
+    s = float(np.linalg.eigvalsh(half @ half.conj().T)[-1])
+    return -g_v / (s / 2 - g_v)
 
 
 def choi_state(c) -> ChoiState:

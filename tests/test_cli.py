@@ -149,8 +149,12 @@ class TestAnalyze:
          "attenuation channel JSON field 'k' must be a number"),
         ({"family": "amplification", "k": 1.5, "n0": [1]},
          "amplification channel JSON field 'n0' must be a number"),
+        ({"kind": "unital", "t": "abc"}, "unital channel JSON field 't' must hold numbers only"),
+        ({"kind": "kraus", "ops": [[["a", 0], [0, 0], [0, 0], [1, 0]]]},
+         "kraus channel JSON field 'ops' must hold numbers only"),
     ], ids=["kraus-ops-int", "kraus-ops-object", "gad-p-null", "gad-gamma-string",
-            "gad-p-list", "attenuation-k-null", "amplification-n0-list"])
+            "gad-p-list", "attenuation-k-null", "amplification-n0-list", "unital-t-string",
+            "kraus-op-string"])
     def test_field_of_wrong_type_is_named(self, capsys, command, payload, message):
         code, out, err = run(capsys, command, json.dumps(payload))
         assert (code, out) == (3, "")

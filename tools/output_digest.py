@@ -1,6 +1,8 @@
-"""Print one sha256 per family of CLI outputs of a noisegauge checkout.
+"""Print one sha256 per family of CLI outputs of a noisegauge checkout, or
+compare the outputs of two checkouts field by field.
 
 Usage: python tools/output_digest.py ROOT
+       python tools/output_digest.py --compare ROOT_A ROOT_B
 
 ROOT is a checkout (its ``src/`` and ``perfbench/`` are used).  Every call
 runs ``noisegauge.cli.main`` in this process with one BLAS thread, and its
@@ -32,6 +34,17 @@ families byte for byte.  The families:
 Under ``sweeps`` and ``sweep-errors`` one indented line per figure follows,
 with the digest of that figure's calls alone, so a moved cell is traced to
 its figure.  The family line is the digest of all its calls, as before.
+
+``--compare`` runs every call on both checkouts, each in a fresh process,
+and prints per family either ``identical`` or the largest absolute change
+of each numeric field that moved (a JSON key of stdout, list indices
+written ``[]``, or a CSV column), followed by one indented line per
+non-numeric difference: an argv, exit code, stderr or non-JSON stdout that
+differs, a string, boolean or non-finite field that differs, JSON of
+another shape, or a number that is zero on one side only (``mu_c`` reads 0
+exactly when the channel is entanglement breaking).  A gate such as "every
+number within 1e-11, everything else byte-identical" is then one read of
+its output.
 """
 
 from __future__ import annotations
@@ -42,9 +55,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import contextlib
+import csv as csvlib
 import hashlib
 import io
 import json
+import math
+import multiprocessing
 import sys
 import tempfile
 from pathlib import Path
@@ -58,46 +74,43 @@ FIG5_VARIANTS = (
 )
 
 
-def _run(cli, digest, argv, csv=None, figures=None) -> None:
-    """Run one call and feed its record to `digest` and, when `figures` is
-    given, to the digest of its figure (``argv[1]``) in that dict."""
+def _run(cli, sink, argv, csv=None) -> None:
+    """Run one call and pass its record (argv, exit code, stdout, stderr,
+    and the bytes of the CSV at `csv`, b"<no file>" when there is none, or
+    None when the call writes no CSV) to `sink`."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(list(argv))
-    parts = [repr(tuple(argv)), str(rc), out.getvalue(), err.getvalue()]
-    record = b"".join(part.encode() + b"\0" for part in parts)
+    data = None
     if csv is not None:
-        record += csv.read_bytes() if csv.exists() else b"<no file>"
+        data = csv.read_bytes() if csv.exists() else b"<no file>"
         csv.unlink(missing_ok=True)
-    digest.update(record)
-    if figures is not None:
-        figure = figures.setdefault(argv[1], [0, hashlib.sha256()])
-        figure[0] += 1
-        figure[1].update(record)
+    sink((tuple(argv), rc, out.getvalue(), err.getvalue(), data))
 
 
-def _analyze_mix(cli, workloads, digest) -> int:
-    count = 0
+def _encode(record) -> bytes:
+    """The bytes of a record that the digests hash."""
+    argv, rc, out, err, data = record
+    parts = [repr(argv), str(rc), out, err]
+    return b"".join(part.encode() + b"\0" for part in parts) + (data or b"")
+
+
+def _analyze_mix(cli, workloads, sink) -> None:
     for seed in range(2001, 2011):
         w = workloads.analyze_mix(seed)
         argvs = [c.argv for c in w.calls] + [c.argv for c in w.probes]
         argvs += [w.twins[i] for i in sorted(w.twins)]
         for argv in argvs:
-            _run(cli, digest, argv)
-        count += len(argvs)
-    return count
+            _run(cli, sink, argv)
 
 
-def _amend_search(cli, workloads, digest) -> int:
-    count = 0
+def _amend_search(cli, workloads, sink) -> None:
     for seed in range(5001, 5011):
         for call in workloads.amend_search(seed).calls:
-            _run(cli, digest, call.argv)
-            count += 1
-    return count
+            _run(cli, sink, call.argv)
 
 
-def _amend_rotated(cli, workloads, digest) -> int:
+def _amend_rotated(cli, workloads, sink) -> None:
     rng = np.random.default_rng(7001)
     for i in range(100):
         gamma = float(rng.uniform(0.05, 0.95))
@@ -109,18 +122,15 @@ def _amend_rotated(cli, workloads, digest) -> int:
         u, v = workloads._su2(rng), workloads._su2(rng)
         ops = [u @ e @ v for e in workloads._gad_ops(p, gamma)]
         seed = str(int(rng.integers(1 << 30)))
-        _run(cli, digest, ("amend", workloads._kraus_json(ops), "--seed", seed))
-    return 100
+        _run(cli, sink, ("amend", workloads._kraus_json(ops), "--seed", seed))
 
 
-def _sweeps(cli, workloads, digest, figures) -> int:
+def _sweeps(cli, workloads, sink) -> None:
     runs = [(fig,) for fig in ("fig1", "fig2", "fig2-inset", "fig3", "fig4", "fig5")]
     runs += [("fig5",) + flags for flags in FIG5_VARIANTS]
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for fig, *flags in runs:
-            _run(cli, digest, ("sweep", fig, "--out", "out.csv", *flags), Path("out.csv"),
-                 figures)
-    return len(runs)
+            _run(cli, sink, ("sweep", fig, "--out", "out.csv", *flags), Path("out.csv"))
 
 
 SWEEP_ERRORS = (
@@ -184,22 +194,19 @@ SWEEP_ERRORS = (
 SENTINEL = b"p,gamma,amendable,filter_kind\n0.5,0.5,false,\n"
 
 
-def _sweep_errors(cli, workloads, digest, figures) -> int:
+def _sweep_errors(cli, workloads, sink) -> None:
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for fig, *flags in SWEEP_ERRORS:
             out = Path("out.csv")
             out.write_bytes(SENTINEL)
-            _run(cli, digest, ("sweep", fig, "--out", str(out), "--steps", "3", *flags), out,
-                 figures)
-    return len(SWEEP_ERRORS)
+            _run(cli, sink, ("sweep", fig, "--out", str(out), "--steps", "3", *flags), out)
 
 
-def _verify(cli, workloads, digest) -> int:
-    _run(cli, digest, ("verify",))
-    return 1
+def _verify(cli, workloads, sink) -> None:
+    _run(cli, sink, ("verify",))
 
 
-def _edges(cli, workloads, digest) -> int:
+def _edges(cli, workloads, sink) -> None:
     from noisegauge import GadParams, UnitalChannel, as_kraus, channel_to_json, p_n
 
     def forms(c):
@@ -217,12 +224,11 @@ def _edges(cli, workloads, digest) -> int:
         ("analyze", json.dumps(channel_to_json(UnitalChannel(np.diag([-1.0, 0.1, 0.5]))))),
     ]
     for argv in argvs:
-        _run(cli, digest, argv)
+        _run(cli, sink, argv)
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        _run(cli, digest, ("sweep", "fig1", "--out", "out.csv", "--fixed", "lambda3=1",
-                           "--grid", "lambda1=0.2:0.4:2", "--grid", "lambda2=0.2:0.4:2"),
+        _run(cli, sink, ("sweep", "fig1", "--out", "out.csv", "--fixed", "lambda3=1",
+                         "--grid", "lambda1=0.2:0.4:2", "--grid", "lambda2=0.2:0.4:2"),
              Path("out.csv"))
-    return len(argvs) + 1
 
 
 FAMILIES = {
@@ -236,25 +242,134 @@ FAMILIES = {
 }
 
 
-def main(argv) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    root = Path(argv[0]).resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+# Families with one digest line per figure, keyed by argv[1].
+PER_FIGURE = ("sweeps", "sweep-errors")
+
+
+def _collect(root: str) -> dict:
+    """Every family's records on the checkout at `root`, whose ``src/`` and
+    ``perfbench/`` this process imports."""
+    sys.path[:0] = [str(Path(root) / "src"), str(Path(root) / "perfbench")]
     from noisegauge import cli
     import workloads
 
+    records = {}
     for name, family in FAMILIES.items():
+        records[name] = []
+        family(cli, workloads, records[name].append)
+    return records
+
+
+def _print_digests(records: dict) -> None:
+    for name, calls in records.items():
         digest, figures = hashlib.sha256(), {}
-        if name in ("sweeps", "sweep-errors"):
-            count = family(cli, workloads, digest, figures)
+        for record in calls:
+            data = _encode(record)
+            digest.update(data)
+            if name in PER_FIGURE:
+                figure = figures.setdefault(record[0][1], [0, hashlib.sha256()])
+                figure[0] += 1
+                figure[1].update(data)
+        print(f"{name:14s} {len(calls):4d} {digest.hexdigest()}")
+        for fig, (count, fig_digest) in sorted(figures.items()):
+            print(f"  {fig:12s} {count:4d} {fig_digest.hexdigest()}")
+
+
+def _json_leaves(value, path=""):
+    """(path, leaf) pairs of parsed JSON, list indices written []."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _json_leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _json_leaves(item, path + "[]")
+    else:
+        yield path, value
+
+
+def _csv_cells(data: bytes):
+    """(column, cell) pairs of a CSV, each cell a float when it parses as
+    one and its text otherwise."""
+    rows = list(csvlib.reader(io.StringIO(data.decode())))
+    for row in rows[1:]:
+        for j, cell in enumerate(row):
+            column = rows[0][j] if j < len(rows[0]) else str(j)
+            try:
+                yield column, float(cell)
+            except ValueError:
+                yield column, cell
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _compare_fields(a: list, b: list, where: str, changes: dict, odd: list) -> None:
+    """Record in `changes` the largest absolute change per numeric field and
+    in `odd` each other difference between two lists of (field, value)."""
+    if [f for f, _ in a] != [f for f, _ in b]:
+        odd.append(f"{where}: fields differ")
+        return
+    for (field, x), (_, y) in zip(a, b):
+        if repr(x) == repr(y):
+            continue
+        if _is_number(x) and _is_number(y):
+            changes[field] = max(changes.get(field, 0.0), abs(x - y))
+            if (x == 0) != (y == 0):
+                odd.append(f"{where}: {field} {x!r} -> {y!r}, zero on one side only")
         else:
-            count = family(cli, workloads, digest)
-        print(f"{name:14s} {count:4d} {digest.hexdigest()}")
-        for fig, (calls, fig_digest) in sorted(figures.items()):
-            print(f"  {fig:12s} {calls:4d} {fig_digest.hexdigest()}")
-    return 0
+            odd.append(f"{where}: {field} {x!r} -> {y!r}")
+
+
+def _compare_records(a, b, where: str, changes: dict, odd: list) -> None:
+    (argv_a, rc_a, out_a, err_a, data_a), (argv_b, rc_b, out_b, err_b, data_b) = a, b
+    for label, x, y in (("argv", argv_a, argv_b), ("exit code", rc_a, rc_b),
+                        ("stderr", err_a, err_b)):
+        if x != y:
+            odd.append(f"{where}: {label} differs")
+    if out_a != out_b:
+        try:
+            parsed = [list(_json_leaves(json.loads(text))) for text in (out_a, out_b)]
+        except json.JSONDecodeError:
+            odd.append(f"{where}: stdout differs")
+        else:
+            _compare_fields(*parsed, where, changes, odd)
+    if data_a != data_b:
+        if data_a is None or data_b is None:
+            odd.append(f"{where}: CSV differs")
+        else:
+            _compare_fields(list(_csv_cells(data_a)), list(_csv_cells(data_b)), where,
+                            changes, odd)
+
+
+def _print_comparison(left: dict, right: dict) -> None:
+    for name in FAMILIES:
+        a, b = left[name], right[name]
+        changes, odd = {}, []
+        if len(a) != len(b):
+            odd.append(f"{len(a)} calls against {len(b)}")
+        for i, (x, y) in enumerate(zip(a, b)):
+            _compare_records(x, y, f"call {i} {repr(x[0])[:60]}", changes, odd)
+        moved = ", ".join(f"{field} {change:.3g}" for field, change in sorted(changes.items()))
+        print(f"{name:14s} {len(a):4d} {moved or ('identical' if not odd else 'no numeric change')}")
+        for line in odd:
+            print(f"  {line}")
+
+
+def main(argv) -> int:
+    if len(argv) == 1:
+        _print_digests(_collect(str(Path(argv[0]).resolve())))
+        return 0
+    if len(argv) == 3 and argv[0] == "--compare":
+        # each checkout in a fresh interpreter, so the two never share an import
+        records = []
+        for root in argv[1:]:
+            with multiprocessing.get_context("spawn").Pool(1) as pool:
+                records.append(pool.apply(_collect, (str(Path(root).resolve()),)))
+        _print_comparison(*records)
+        return 0
+    print("\n".join(__doc__.strip().splitlines()[3:5]), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":
