@@ -47,14 +47,11 @@ from .channels import (
 )
 from .gad import (
     amend_boundary_s1,
+    mu_c_axial,
     mu_c_gad,
     mu_c_gad_squared,
-    mu_vs_vz,
     n_c_gad,
     p_n,
-    pbar,
-    pbarbar,
-    vbar,
 )
 from .gaussian import (
     IsoChannel,

@@ -353,10 +353,9 @@ def _verify_fixtures():
          lambda: gadforms.p_n(0.5, 1), 1e-12, "band formula at gamma = 1/2"),
         ("second damping band edge", 2 - sqrt2,
          lambda: gadforms.p_n(0.5, 2), 1e-12, "band formula at gamma = 1/2"),
-        ("threshold cross-identity", 0.0,
-         lambda: abs(gadforms.mu_c_gad(gadforms.pbar(0.3), 0.3)
-                     - gadforms.mu_c_gad_squared(gadforms.pbarbar(0.3), 0.3)), 1e-9,
-         "one-use and two-use branch values coincide"),
+        ("s1-sandwiched damping threshold", gadforms.mu_c_axial(0.6, 0.36, -0.128),
+         lambda: mu_c_search(sandwich(GadParams(0.4, 0.1), FilterCandidate("s1"))).value,
+         1e-10, "R s1 R is axial (1 - p, (1 - p)^2, p^2 (2 gamma - 1)); p = 0.4, gamma = 0.1"),
         ("deep-band damping order", "1",
          lambda: _nc_cell(gadforms.n_c_gad(0.9, 0.5)), None,
          "0.9 above the first band edge"),

@@ -1,18 +1,15 @@
 """Closed forms for generalized amplitude-damping channels.
 
-The (p, gamma) damping channel commutes with rotations about the z axis, so
-its minimal depolarizing admixture is attained with the fixed point on the z
-axis and reduces to a one-dimensional minimization over v_z with an explicit
-solution.  All formulas below are stated for gamma <= 1/2; the channel at
-(p, 1 - gamma) is unitarily equivalent to the one at (p, gamma) via
-conjugation with sigma_x, so inputs with gamma > 1/2 are reflected first.
+The (p, gamma) damping channel has Bloch matrix diag(sqrt(1-p), sqrt(1-p),
+1-p) and shift (0, 0, p (2 gamma - 1)): it is axially symmetric, so its
+minimal depolarizing admixture is ``mu_c_axial`` of those three numbers.
 n uses of the (p, gamma) channel are one use at 1 - (1 - p)^n: hence the
 band edges ``p_n``, and the two-use threshold is the one-use one at
 p (2 - p).  Band edges are compared exactly.
 
 Every closed form here is cross-checked in the test suite against the
-representation-independent route (Choi matrix, partial transpose, exact
-threshold solve along the mixing segment).
+representation-independent route (Choi matrix, partial transpose, the
+convex program of the threshold) and against the paper's two-branch form.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ import math
 
 import numpy as np
 
-from .linalg import ROUND_TOL
 from .report import DEFAULT_CAP, NcResult
 
 
@@ -32,107 +28,68 @@ def _check_unit(name: str, value: float) -> float:
     return value
 
 
-def mu_vs_vz(p: float, gamma: float, vz: float) -> float:
-    """Minimal admixture towards the z-axis state with bias vz.
+def mu_c_axial(lam_perp: float, lam_z: float, t_z: float) -> float:
+    """Exact minimal depolarizing admixture of an axially symmetric channel.
 
-    Evaluates, for gamma <= 1/2:
+    The channel, or any rotation of it on either side, has Bloch matrix
+    diag(lam_perp, lam_perp, lam_z) and shift (0, 0, t_z), and is assumed
+    completely positive.  It commutes with rotations about z, so the convex
+    program of the threshold (least a with X = (a + b.sigma)/2 PSD and
+    M = (1 - a) G + X (x) 1/2 PSD, G the partial transpose of the Choi
+    matrix) has an optimum on the z axis, X = (a + b sigma_z)/2.  There G
+    is X-shaped: its two 1x1 blocks are Choi diagonal entries, which
+    a >= |b| keeps nonnegative, and its 2x2 block makes the block of 4 M
 
-        mu = [p (4 p (g-1) g - 2 g vz + vz - 3) + 4 - sqrt(R)]
-             / [4 p^2 (g-1) g + 2 p (-2 vz g + vz - 1) + vz^2 + 3],
-        R  = p^2 (vz - 2g + 1)^2 + 4 p (vz^2 - 1) - 4 vz^2 + 4,
+        [[(1-a) u' + a + b,  2 (1-a) lam_perp],
+         [2 (1-a) lam_perp,  (1-a) w' + a - b]],
+        u' = 1 - lam_z + t_z,  w' = 1 - lam_z - t_z.
 
-    clamped to [0, 1].  A negative R within ``ROUND_TOL`` of zero counts as
-    zero (R vanishes exactly on region boundaries).
+    Its determinant is concave in b with its peak at b = -(1 - a) t_z, where
+    it is PSD exactly when (1 - a) d <= 1, d = 2 |lam_perp| + lam_z.  If
+    |t_z| <= d - 1 that peak is admissible (|b| <= a) at a = (d - 1) / d,
+    which is then the answer.  Otherwise the optimum is on the pure-state
+    edge b = -a sign(t_z), where the determinant is (1 - a) times a function
+    increasing linearly in a, with root
+
+        a = (4 lam_perp^2 - u w) / (u (2 - w) + 4 lam_perp^2),
+        u = 1 + |t_z| - lam_z,  w = 1 - |t_z| - lam_z,
+
+    clamped at 0.  The denominator vanishes only with lam_perp = 0 and
+    u (2 - w) = 0, entanglement-breaking corners such as complete dephasing
+    (0, 1, 0), which return 0.  (Symmetry reduction: Gatermann & Parrilo,
+    J. Pure Appl. Algebra 192, 2004; X states: Yu & Eberly, QIC 7, 2007.)
     """
-    p = _check_unit("p", p)
-    g = float(gamma)
-    if not 0.0 <= g <= 0.5:
-        raise ValueError(f"gamma = {g} outside [0, 1/2]; reflect gamma first")
-    vz = float(vz)
-    if not -1.0 <= vz <= 1.0:
-        raise ValueError(f"vz = {vz} outside [-1, 1]")
-    rad = p * p * (vz - 2 * g + 1) ** 2 + 4 * p * (vz * vz - 1) - 4 * vz * vz + 4
-    if rad < 0.0:
-        if rad < -ROUND_TOL:
-            raise ValueError(f"negative discriminant {rad} beyond guard")
-        rad = 0.0
-    num = p * (4 * p * (g - 1) * g - 2 * g * vz + vz - 3) + 4 - np.sqrt(rad)
-    den = 4 * p * p * (g - 1) * g + 2 * p * (-2 * vz * g + vz - 1) + vz * vz + 3
+    d = 2.0 * abs(lam_perp) + lam_z
+    if abs(t_z) <= d - 1.0:
+        return (d - 1.0) / d
+    u, w = 1.0 + abs(t_z) - lam_z, 1.0 - abs(t_z) - lam_z
+    den = u * (2.0 - w) + 4.0 * lam_perp * lam_perp
     if den == 0.0:
-        # only at (p, g, vz) = (1, 0, -1), where the map is the constant
-        # excited-state preparation and the threshold is zero
         return 0.0
-    return float(min(1.0, max(0.0, num / den)))
-
-
-def pbar(gamma: float) -> float:
-    """Threshold p below which the optimal v_z lies strictly inside (-1, 1):
-
-        pbar = (sqrt(4 g^2 - 8 g + 5) - 1) / (2 (1 - g)^2).
-    """
-    g = float(gamma)
-    if not 0.0 <= g <= 0.5:
-        raise ValueError(f"gamma = {g} outside [0, 1/2]")
-    return float((np.sqrt(4 * g * g - 8 * g + 5) - 1) / (2 * (1 - g) ** 2))
-
-
-def pbarbar(gamma: float) -> float:
-    """Interior/endpoint threshold for the twice-applied channel, where
-    p (2 - p) reaches pbar:
-
-        pbarbar = 1 - sqrt(1 - pbar).
-    """
-    return float(1.0 - np.sqrt(1.0 - pbar(gamma)))
-
-
-def vbar(p: float, gamma: float) -> float:
-    """Interior minimizer of mu_vs_vz over v_z, valid for p <= pbar(gamma):
-
-        vbar = p (p + 2 sqrt(1-p)) (1 - 2g) / (4 - p (p + 4)).
-    """
-    p = _check_unit("p", p)
-    g = float(gamma)
-    if p > pbar(g):
-        raise ValueError(
-            f"p = {p} > pbar = {pbar(g)}: the minimum sits at the endpoint vz = 1"
-        )
-    return float(p * (p + 2 * np.sqrt(1 - p)) * (1 - 2 * g) / (4 - p * (p + 4)))
-
-
-def _mu_down(p: float) -> float:
-    return (p * p + 3 * p + 2 * np.sqrt(1 - p) - 4) / (p * p + 2 * p - 3)
-
-
-def _mu_up(p: float, g: float) -> float:
-    return (p * (p * (g - 1) * g - 1) + 1) / (p * g * (p * (g - 1) - 1) + 1)
+    return max(0.0, (4.0 * lam_perp * lam_perp - u * w) / den)
 
 
 def mu_c_gad(p: float, gamma: float) -> float:
     """Minimal depolarizing admixture of the (p, gamma) damping channel.
 
-    Two branches meeting continuously at pbar: below it the minimum over v_z
-    is interior (and gamma drops out), above it the minimum sits at vz = 1.
-    The upper branch vanishes on the first band edge p_1 = p_n(gamma, 1), so
-    the threshold is zero exactly when p >= p_1, the comparison that gives
-    ``n_c_gad`` its order 1.  Within a few ulps below p_1 the branch value
-    can round to zero or below; it then reads as the smallest positive float.
-    The ``p_n`` call checks gamma, which is then reflected to gamma <= 1/2.
+    The threshold is zero exactly when p >= p_1 = p_n(gamma, 1), the
+    comparison that gives ``n_c_gad`` its order 1.  Within a few ulps below
+    p_1 the axial value can round to zero; it then reads as the smallest
+    positive float.  The ``p_n`` call checks gamma.
     """
     p = _check_unit("p", p)
     if p >= p_n(gamma, 1):
         return 0.0
-    g = min(float(gamma), 1.0 - float(gamma))
-    value = _mu_down(p) if p <= pbar(g) else _mu_up(p, g)
-    return max(math.ulp(0.0), float(value))
+    return max(math.ulp(0.0), mu_c_axial(math.sqrt(1 - p), 1 - p, p * (2 * gamma - 1)))
 
 
 def mu_c_gad_squared(p: float, gamma: float) -> float:
     """Minimal depolarizing admixture of the twice-applied damping channel.
 
     Its transfer matrix is the one at 1 - (1 - p)^2, so this is ``mu_c_gad``
-    at p (2 - p), with its branch point at pbarbar.  It is zero exactly when
-    p >= p_n(gamma, 2), as ``n_c_gad`` has order <= 2: near that edge
-    p (2 - p) can round to the other side of p_1.
+    at p (2 - p).  It is zero exactly when p >= p_n(gamma, 2), as ``n_c_gad``
+    has order <= 2: near that edge p (2 - p) can round to the other side of
+    p_1.
     """
     p = _check_unit("p", p)
     if p >= p_n(gamma, 2):

@@ -7,7 +7,7 @@ Such a channel is entanglement breaking exactly when its scalar noise
 satisfies b >= (1 + k^2) / 2, that is N0 >= k^2 (attenuation) and N0 >= 1
 (amplification).  The n-fold composition stays in its family, with gain k^n
 and added noise N0 sum_{j<n} k^(2j), so the order n_c is read off
-closed-form bands in N0, closed within ``linalg.ROUND_TOL``.
+closed-form bands in N0, closed within a relative ``linalg.ROUND_TOL``.
 
 The general triplet form (K, l, beta), its composition law and the
 entanglement-breaking split test live in the test suite
@@ -74,23 +74,22 @@ def is_eb_iso(c: IsoChannel) -> bool:
     return n_c_iso(c, 1).is_finite
 
 
-def _n_fold_threshold(family: str, k: float, n: int) -> float:
-    """N0 above which the n-fold composition is entanglement breaking."""
-    partial = sum(k ** (2 * j) for j in range(n))
-    if family == "attenuation":
-        return k ** (2 * n) / partial
-    return 1.0 / partial
-
-
 def n_c_iso(c: IsoChannel, cap: int = DEFAULT_CAP) -> NcResult:
-    """Order of either isotropic family member."""
-    family, k, n0 = c.family, c.k, c.n0
+    """Order of either isotropic family member: the first n whose threshold,
+    k^(2n) / S_n (attenuation) or 1 / S_n (amplification) with
+    S_n = sum_{j<n} k^(2j), N0 reaches within a relative ``ROUND_TOL``.
+    S_n is a running sum and k^(2n) a running product, so a huge gain
+    overflows to an infinite sum and a zero threshold instead of raising."""
+    k2, n0 = c.k * c.k, c.n0
     if n0 == 0.0:
         # The threshold is strictly positive for every n, so a noiseless
         # channel in either family never breaks entanglement.
         return NcResult(None, cap, proven_divergent=True)
+    partial, power = 0.0, 1.0
     for n in range(1, cap + 1):
-        if n0 >= _n_fold_threshold(family, k, n) - ROUND_TOL:
+        partial, power = partial + power, power * k2
+        threshold = (power if c.family == "attenuation" else 1.0) / partial
+        if n0 >= threshold * (1.0 - ROUND_TOL):
             return NcResult(n, cap)
     return NcResult(None, cap)
 

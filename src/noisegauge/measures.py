@@ -18,9 +18,10 @@ Q_jk with Q_jk = (sigma_j (x) 1) G^-1 (sigma_k (x) 1), sigma_0 = 1: one 16x16
 table per channel, then (c (x) c) @ table and one 4x4 eigvalsh per state
 (``_mu_threshold``).
 
-``mu_c`` minimizes that threshold over the prepared state rho0.  Unital and
-damping channels have exact closed forms; everything else solves the convex
-program of the threshold (``mu_c_search``).  With X = mu rho0 the mixture is
+``mu_c`` minimizes that threshold over the prepared state rho0.  Unital
+channels have an exact closed form, and damping channels the exact one of
+axially symmetric channels (``gad.mu_c_axial``); everything else solves the
+convex program of the threshold (``mu_c_search``).  With X = mu rho0 the mixture is
 EB exactly when (1 - tr X) G + X (x) 1/2 and X are PSD, so mu_c is the least
 tr X over that set: the robustness program of Vidal and Tarrach (PRA 59,
 141, 1999), an SDP in the four real entries of X.  A barrier method solves

@@ -488,6 +488,91 @@ def kraus_gad_amendable(p: float, gamma: float, f) -> bool:
     return is_separable(ChoiState(kraus_choi(two_use)))
 
 
+# The paper's two-branch damping threshold, an oracle for ``gad.mu_c_axial``.
+# Every formula is stated for gamma <= 1/2; the channel at (p, 1 - gamma) is
+# the one at (p, gamma) conjugated with sigma_x.
+
+
+def mu_vs_vz(p: float, gamma: float, vz: float) -> float:
+    """Minimal admixture of the (p, gamma) damping channel towards the
+    z-axis state with bias vz, for gamma <= 1/2:
+
+        mu = [p (4 p (g-1) g - 2 g vz + vz - 3) + 4 - sqrt(R)]
+             / [4 p^2 (g-1) g + 2 p (-2 vz g + vz - 1) + vz^2 + 3],
+        R  = p^2 (vz - 2g + 1)^2 + 4 p (vz^2 - 1) - 4 vz^2 + 4,
+
+    clamped to [0, 1].  A negative R within ``ROUND_TOL`` of zero counts as
+    zero (R vanishes exactly on region boundaries)."""
+    p, g, vz = float(p), float(gamma), float(vz)
+    if not (0.0 <= p <= 1.0 and 0.0 <= g <= 0.5 and -1.0 <= vz <= 1.0):
+        raise ValueError(f"(p, gamma, vz) = ({p}, {g}, {vz}) outside [0, 1] x [0, 1/2] x [-1, 1]")
+    rad = p * p * (vz - 2 * g + 1) ** 2 + 4 * p * (vz * vz - 1) - 4 * vz * vz + 4
+    if rad < 0.0:
+        if rad < -ROUND_TOL:
+            raise ValueError(f"negative discriminant {rad} beyond guard")
+        rad = 0.0
+    num = p * (4 * p * (g - 1) * g - 2 * g * vz + vz - 3) + 4 - np.sqrt(rad)
+    den = 4 * p * p * (g - 1) * g + 2 * p * (-2 * vz * g + vz - 1) + vz * vz + 3
+    if den == 0.0:
+        # only at (p, g, vz) = (1, 0, -1), where the map is the constant
+        # excited-state preparation and the threshold is zero
+        return 0.0
+    return float(min(1.0, max(0.0, num / den)))
+
+
+def pbar(gamma: float) -> float:
+    """Threshold p below which the optimal v_z lies strictly inside (-1, 1):
+
+        pbar = (sqrt(4 g^2 - 8 g + 5) - 1) / (2 (1 - g)^2)."""
+    g = float(gamma)
+    if not 0.0 <= g <= 0.5:
+        raise ValueError(f"gamma = {g} outside [0, 1/2]")
+    return float((np.sqrt(4 * g * g - 8 * g + 5) - 1) / (2 * (1 - g) ** 2))
+
+
+def pbarbar(gamma: float) -> float:
+    """Interior/endpoint threshold for the twice-applied channel, where
+    p (2 - p) reaches pbar: pbarbar = 1 - sqrt(1 - pbar)."""
+    return float(1.0 - np.sqrt(1.0 - pbar(gamma)))
+
+
+def vbar(p: float, gamma: float) -> float:
+    """Interior minimizer of mu_vs_vz over v_z, valid for p <= pbar(gamma):
+
+        vbar = p (p + 2 sqrt(1-p)) (1 - 2g) / (4 - p (p + 4))."""
+    p, g = float(p), float(gamma)
+    if p > pbar(g):
+        raise ValueError(f"p = {p} > pbar = {pbar(g)}: the minimum sits at the endpoint vz = 1")
+    return float(p * (p + 2 * np.sqrt(1 - p)) * (1 - 2 * g) / (4 - p * (p + 4)))
+
+
+def _mu_down(p: float) -> float:
+    return (p * p + 3 * p + 2 * np.sqrt(1 - p) - 4) / (p * p + 2 * p - 3)
+
+
+def _mu_up(p: float, g: float) -> float:
+    return (p * (p * (g - 1) * g - 1) + 1) / (p * g * (p * (g - 1) - 1) + 1)
+
+
+def two_branch_mu_c_gad(p: float, gamma: float) -> float:
+    """The damping threshold as two branches meeting at pbar: below it the
+    minimum over v_z is interior (and gamma drops out), above it the minimum
+    sits at vz = 1.  Zero for p >= p_1, the smallest positive float where a
+    branch rounds to zero or below it."""
+    if p >= p_n(gamma, 1):
+        return 0.0
+    g = min(float(gamma), 1.0 - float(gamma))
+    value = _mu_down(p) if p <= pbar(g) else _mu_up(p, g)
+    return max(math.ulp(0.0), float(value))
+
+
+def two_branch_mu_c_gad_squared(p: float, gamma: float) -> float:
+    """``two_branch_mu_c_gad`` at p (2 - p), zero for p >= p_2."""
+    if p >= p_n(gamma, 2):
+        return 0.0
+    return max(math.ulp(0.0), two_branch_mu_c_gad(p * (2 - p), gamma))
+
+
 def explicit_mu_c_gad_squared(p: float, gamma: float) -> float:
     """Two-use damping threshold with both branches written out in p; an
     oracle for ``gad.mu_c_gad_squared``, which evaluates the one-use

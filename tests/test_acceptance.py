@@ -9,7 +9,16 @@ import math
 
 import numpy as np
 
-from helpers import channel_power, n_c_iso_iterated, random_cp_unital, random_density, random_rotation
+from helpers import (
+    channel_power,
+    mu_vs_vz,
+    n_c_iso_iterated,
+    pbar,
+    pbarbar,
+    random_cp_unital,
+    random_density,
+    random_rotation,
+)
 from noisegauge import (
     FilterCandidate,
     GadParams,
@@ -27,13 +36,10 @@ from noisegauge import (
     mu_c_search,
     mu_c_unital,
     mu_given_rho0,
-    mu_vs_vz,
     n_c,
     n_c_iso,
     p_n,
     pauli_decompose,
-    pbar,
-    pbarbar,
     sandwich,
 )
 from noisegauge.cli import main

@@ -80,6 +80,17 @@ class TestAnalyze:
         data = json.loads(out)
         assert data["mu_c"] is None and data["n_c"] == 2
 
+    def test_huge_gain_reads_order_two(self, capsys, tmp_path):
+        # k^2 overflows to inf: the order-2 threshold 1 / (1 + k^2) is 0
+        code, out, _ = run(capsys, "analyze", '{"family":"amplification","k":1e200,"n0":0.5}')
+        assert code == 0 and json.loads(out)["n_c"] == 2
+        out_path = tmp_path / "f5.csv"
+        code, _, _ = run(capsys, "sweep", "fig5", "--out", str(out_path),
+                         "--fixed", "family=amplification",
+                         "--grid", "k=2:1e200:3", "--grid", "n0=0.1:1:2")
+        assert code == 0
+        assert [row[3] for row in read_rows(out_path)[1:]] == ["3", "1", "2", "1", "2", "1"]
+
     def test_reads_from_file(self, capsys, tmp_path):
         path = tmp_path / "channel.json"
         path.write_text(NEWT_JSON)

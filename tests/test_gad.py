@@ -2,27 +2,35 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import explicit_mu_c_gad_squared
+from helpers import (
+    explicit_mu_c_gad_squared,
+    mu_vs_vz,
+    pbar,
+    pbarbar,
+    rotated_kraus,
+    two_branch_mu_c_gad,
+    two_branch_mu_c_gad_squared,
+    unitary_from_quaternion,
+    vbar,
+)
 from noisegauge import (
     GadParams,
     amend_boundary_s1,
     as_kraus,
+    mu_c_axial,
     mu_c_gad,
+    mu_c_search,
     mu_c_gad_squared,
     mu_given_rho0,
-    mu_vs_vz,
     n_c,
     n_c_gad,
     p_n,
-    pbar,
-    pbarbar,
-    vbar,
 )
 from noisegauge.amend import FilterCandidate, sandwich
-from noisegauge.channels import gad_kraus
+from noisegauge.channels import choi_from_ptm, gad_kraus, kraus_from_choi
 from noisegauge.separability import is_eb
 
 SQRT2 = math.sqrt(2.0)
@@ -112,6 +120,71 @@ class TestMuCGad:
                 assert mu_c_gad(p, gamma) == pytest.approx(
                     mu_c_gad(p, 1 - gamma), abs=1e-12
                 )
+
+
+QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+
+
+def axial_kraus(lam_perp, lam_z, t_z, q1, q2):
+    """The axial channel in Kraus form, rotated on both sides."""
+    r = np.zeros((4, 4))
+    r[0, 0], r[1, 1], r[2, 2], r[3, 3], r[3, 0] = 1.0, lam_perp, lam_perp, lam_z, t_z
+    c = kraus_from_choi(choi_from_ptm(r))
+    return rotated_kraus(c, unitary_from_quaternion(q1), unitary_from_quaternion(q2))
+
+
+class TestMuCAxial:
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+           QUATERNIONS, QUATERNIONS)
+    @example(0.5, 0.0, 1.0, [1, 0, 0, 0], [0, 1, 0, 0])
+    @example(0.0, 0.0, -1.0, [1, 0, 0, 0], [1, 0, 0, 0])
+    @example(0.3, 0.999999, 1.0, [1, 2, 3, 4], [4, 3, 2, 1])
+    @example(-0.6, 0.3, 1 - 1e-9, [0, 0, 1, 0], [1, 1, 0, 0])
+    def test_within_barrier_bounds(self, lz, t_frac, perp_frac, q1, q2):
+        """(lz, t_frac, perp_frac) spans the CP axial channels: |t_z| <=
+        1 - |lz| and 4 lam_perp^2 <= (1 + lz)^2 - t_z^2, both with sign."""
+        assume(np.linalg.norm(q1) > 1e-3 and np.linalg.norm(q2) > 1e-3)
+        t_z = t_frac * (1.0 - abs(lz))
+        lam_perp = perp_frac * math.sqrt(max(0.0, (1.0 + lz) ** 2 - t_z * t_z)) / 2.0
+        res = mu_c_search(axial_kraus(lam_perp, lz, t_z, q1, q2))
+        got = mu_c_axial(lam_perp, lz, t_z)
+        assert res.lower - 1e-13 <= got <= res.value + 1e-12
+
+    def test_complete_dephasing_corner(self):
+        assert mu_c_axial(0.0, 1.0, 0.0) == 0.0
+
+    def test_identity_and_replacement(self):
+        assert mu_c_axial(1.0, 1.0, 0.0) == pytest.approx(2 / 3, abs=1e-15)
+        assert mu_c_axial(0.0, 0.0, 1.0) == 0.0
+
+
+def _near_edges(gamma, draws):
+    """p at 10^-k and a few ulps from p_1, p_2, pbar and pbarbar."""
+    g = min(gamma, 1.0 - gamma)
+    anchors = [p_n(gamma, 1), p_n(gamma, 2), pbar(g), pbarbar(g)]
+    points = list(draws)
+    for a in anchors:
+        points += [a + s * 10.0 ** -k for k in range(1, 17) for s in (-1, 1)]
+        for direction in (0.0, 2.0):
+            x = a
+            for _ in range(8):
+                x = math.nextafter(x, direction)
+                points.append(x)
+    return [min(1.0, max(0.0, p)) for p in points]
+
+
+class TestTwoBranchOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+           st.lists(st.floats(0.0, 1.0), max_size=8))
+    def test_matches_two_branch_form(self, gamma, draws):
+        for p in _near_edges(gamma, draws):
+            for closed, oracle in ((mu_c_gad, two_branch_mu_c_gad),
+                                   (mu_c_gad_squared, two_branch_mu_c_gad_squared)):
+                got, want = closed(p, gamma), oracle(p, gamma)
+                assert abs(got - want) <= 2e-15, (closed.__name__, p, gamma)
+                assert (got == 0.0) == (want == 0.0), (closed.__name__, p, gamma)
 
 
 class TestMuCGadSquared:

@@ -154,13 +154,22 @@ class TestOrderBands:
     def test_bands_tile_noise_axis(self):
         # thresholds strictly decrease with n, so bands partition (0, inf)
         for family, k in (("attenuation", 0.6), ("amplification", 1.7)):
-            from noisegauge.gaussian import _n_fold_threshold
-
-            cuts = [_n_fold_threshold(family, k, n) for n in range(1, 17)]
+            partials = [sum(k ** (2 * j) for j in range(n)) for n in range(1, 17)]
+            tops = [k ** (2 * n) if family == "attenuation" else 1.0 for n in range(1, 17)]
+            cuts = [top / partial for top, partial in zip(tops, partials)]
             assert all(a > b for a, b in zip(cuts, cuts[1:]))
             for n0 in np.linspace(1e-4, 1.4, 57):
                 orders = n_c_iso(IsoChannel(family, k, float(n0)), 64)
                 assert orders.n is not None
+
+    @pytest.mark.parametrize("family,k,n0,order", [
+        ("amplification", 1e10, 1e-30, 3),
+        ("amplification", 1.5, 1e-30, None),
+        ("attenuation", 1e-7, 1e-15, 2),
+    ])
+    def test_tiny_thresholds_are_compared_relatively(self, family, k, n0, order):
+        # thresholds far below ROUND_TOL: an absolute slack would absorb them
+        assert n_c_iso(IsoChannel(family, k, n0), 64).n == order
 
     def test_amplification_boundary_limits(self):
         # strong amplification: the order-2 onset collapses to zero noise

@@ -21,6 +21,7 @@ from helpers import (
     kraus_from_isometry,
     kron_threshold,
     loop_n_c,
+    mu_vs_vz,
     noisy_choi,
     random_cp_unital,
     random_density,
@@ -51,7 +52,6 @@ from noisegauge import (
     mu_c_unital,
     mu_c_upper_bound,
     mu_given_rho0,
-    mu_vs_vz,
     n_c,
     noise_report,
     sandwich,

@@ -49,3 +49,15 @@ def test_text_and_shape_changes_are_not_numeric():
     assert odd == ["call 0: stdout differs"]
     _, odd = compare(record('{"n_c": 2}'), record('{"n_c": "exceeds_cap", "cap": 2}'))
     assert odd == ["call 0: fields differ"]
+
+
+def test_family_line_counts_zero_flips():
+    changes, odd = compare(record('{"mu_c": 0.0, "x": 0.5}'), record('{"mu_c": 5e-324, "x": 0.0}'))
+    assert digest._family_line("edges", 1, changes, odd) == (
+        "edges             1 mu_c 4.94e-324, x 0.5; zero flips 2")
+    changes, odd = compare(record('{"mu_c": 0.25}'), record('{"mu_c": 0.5}'))
+    assert digest._family_line("edges", 1, changes, odd) == "edges             1 mu_c 0.25; zero flips 0"
+    assert digest._family_line("edges", 1, {}, []) == "edges             1 identical"
+    _, odd = compare(record("a\n"), record("b\n"))
+    assert digest._family_line("verify", 1, {}, odd) == (
+        "verify            1 no numeric change; zero flips 0")

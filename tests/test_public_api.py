@@ -39,13 +39,13 @@ PUBLIC_API = [
     "kraus_from_choi",
     "min_pt_eigenvalue",
     "mu_c",
+    "mu_c_axial",
     "mu_c_gad",
     "mu_c_gad_squared",
     "mu_c_search",
     "mu_c_unital",
     "mu_c_upper_bound",
     "mu_given_rho0",
-    "mu_vs_vz",
     "n_c",
     "n_c_amplification",
     "n_c_attenuation",
@@ -55,14 +55,11 @@ PUBLIC_API = [
     "p_n",
     "partial_transpose",
     "pauli_decompose",
-    "pbar",
-    "pbarbar",
     "polar_decompose",
     "sandwich",
     "search_filter",
     "trace_norm",
     "validate_density",
-    "vbar",
 ]
 
 

@@ -42,9 +42,10 @@ written ``[]``, or a CSV column), followed by one indented line per
 non-numeric difference: an argv, exit code, stderr or non-JSON stdout that
 differs, a string, boolean or non-finite field that differs, JSON of
 another shape, or a number that is zero on one side only (``mu_c`` reads 0
-exactly when the channel is entanglement breaking).  A gate such as "every
-number within 1e-11, everything else byte-identical" is then one read of
-its output.
+exactly when the channel is entanglement breaking).  A family that is not
+identical ends its line with the count of those zero flips.  A gate such as
+"every number within 1e-11, no zero flips, everything else byte-identical"
+is then one read of its output.
 """
 
 from __future__ import annotations
@@ -342,6 +343,17 @@ def _compare_records(a, b, where: str, changes: dict, odd: list) -> None:
                             changes, odd)
 
 
+def _family_line(name: str, count: int, changes: dict, odd: list) -> str:
+    """The summary line of one family: ``identical``, or the largest change
+    of each numeric field followed by how many numbers are zero on one side
+    only, a count that a largest change of 5e-324 would hide."""
+    if not changes and not odd:
+        return f"{name:14s} {count:4d} identical"
+    moved = ", ".join(f"{field} {change:.3g}" for field, change in sorted(changes.items()))
+    flips = sum(line.endswith(", zero on one side only") for line in odd)
+    return f"{name:14s} {count:4d} {moved or 'no numeric change'}; zero flips {flips}"
+
+
 def _print_comparison(left: dict, right: dict) -> None:
     for name in FAMILIES:
         a, b = left[name], right[name]
@@ -350,8 +362,7 @@ def _print_comparison(left: dict, right: dict) -> None:
             odd.append(f"{len(a)} calls against {len(b)}")
         for i, (x, y) in enumerate(zip(a, b)):
             _compare_records(x, y, f"call {i} {repr(x[0])[:60]}", changes, odd)
-        moved = ", ".join(f"{field} {change:.3g}" for field, change in sorted(changes.items()))
-        print(f"{name:14s} {len(a):4d} {moved or ('identical' if not odd else 'no numeric change')}")
+        print(_family_line(name, len(a), changes, odd))
         for line in odd:
             print(f"  {line}")
 
