@@ -9,13 +9,14 @@ conjugations s1, s2, s3 and the rotation pair r2r1, whose Bloch rotations
 are built once, in the table ``_NAMED_BLOCH``).  For a unital channel its
 inverse polar rotation is provably optimal (Horn's inequality), so the
 search stops there; any other channel adds a seeded Euler-angle grid (by
-default at most ``DEFAULT_BUDGET`` points, seed ``DEFAULT_SEED``) and a
-simplex refinement.  A stack of filters (the named ones and the grid) is
-scored by one batched scan, ``measures._order_scan``; one filter (a point of the refinement, the filter
-of ``amend_order``) by the one-filter scan ``measures._filter_order``.  Both
+default at most ``DEFAULT_BUDGET`` points, seed ``DEFAULT_SEED``) and
+refines its best point on ever finer 3x3x3 grids around it.  Every stack of
+filters (the named ones, the grid, each refining grid) is scored by one
+batched scan, ``measures._order_scan``; one filter (the filter of
+``amend_order``) by the one-filter scan ``measures._filter_order``.  Both
 take the same products and ``decide_eb`` kernels per filter, and an Euler
-filter's Bloch matrix has the same bits alone (``_euler_rotation``) and in
-the grid (``_euler_lattice``), so a filter scores the same on either route.
+filter's Bloch matrix is its row of the one-point ``_euler_lattice``, so a
+filter scores the same on either route.
 ``gad_amendable`` decides the damping-channel amendable region on scalars or
 on whole (p, gamma) arrays, with one stacked product R F R for all points of
 an array.
@@ -55,7 +56,6 @@ from .measures import (
     _scan_base,
     ebn_member,
     n_c,
-    nelder_mead,
 )
 from .report import DEFAULT_CAP, NcResult
 from .separability import decide_eb
@@ -95,17 +95,6 @@ def _euler_lattice(alphas, betas, thetas) -> np.ndarray:
     outer = _axis_rotations(2, alphas)[:, None] @ _axis_rotations(1, betas)[None, :]
     inner = _axis_rotations(2, thetas)[None, None, :]
     return (outer[:, :, None] @ inner).reshape(-1, 3, 3)
-
-
-def _euler_rotation(angles) -> np.ndarray:
-    """Bloch matrix R_z(alpha) R_y(beta) R_z(theta) of one Euler filter,
-    angles (alpha, beta, theta).  The same cosines, sines and products as its
-    row of ``_euler_lattice``, so the same bits."""
-    (ca, cb, ct), (sa, sb, st) = np.cos(angles).tolist(), np.sin(angles).tolist()
-    rz_alpha = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    ry_beta = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
-    rz_theta = np.array([[ct, -st, 0.0], [st, ct, 0.0], [0.0, 0.0, 1.0]])
-    return rz_alpha @ ry_beta @ rz_theta
 
 
 @dataclass(frozen=True)
@@ -159,7 +148,7 @@ class FilterCandidate:
         if self.kind in _NAMED_BLOCH:
             return _NAMED_BLOCH[self.kind].copy()
         if self.kind == "euler":
-            return _euler_rotation(self.params)
+            return _euler_lattice(*np.reshape(self.params, (3, 1)))[0]
         return np.asarray(self.params, dtype=float).reshape(3, 3)
 
     def inverse(self) -> "FilterCandidate":
@@ -262,15 +251,35 @@ def _first_max(scores: np.ndarray) -> int:
     return int(np.argmax(scores >= scores.max() - ROUND_TOL))
 
 
-def _negated_score(base: np.ndarray, angles, cap: int) -> float:
-    """Minus the score (order plus margin) of the Euler filter with these
-    angles, what the refinement in ``search_filter`` minimizes.  One point is
-    one filter, so it takes the one-filter scan ``measures._filter_order``,
-    with no stack to build or index.  Its bits are those of the point's row
-    in a stacked ``_order_scan``: the rotation is built as its lattice row is,
-    and each step takes the row's products and ``decide_eb`` kernels."""
-    order, margin = _filter_order(base, _euler_rotation(angles), cap)
-    return -(order + margin)
+# Halvings of the refinement step in ``search_filter``: the last round
+# steps below 1e-4 rad on every axis, 2 pi / 2**16 from a one-point lattice.
+_REFINE_ROUNDS = 16
+
+
+def _lattice_point(axes, index: int) -> tuple:
+    """Angles (alpha, beta, theta) of row `index` of ``_euler_lattice(*axes)``."""
+    ijk = np.unravel_index(index, [len(a) for a in axes])
+    return tuple(float(a[i]) for a, i in zip(axes, ijk))
+
+
+def _refine(base: np.ndarray, point: tuple, spacing: np.ndarray, cap: int) -> tuple:
+    """Pattern search on Euler angles from `point`, a lattice point whose
+    axes step by `spacing` (Hooke & Jeeves, J. ACM 8, 1961; Torczon, SIAM
+    J. Optim. 7, 1997).  Each of ``_REFINE_ROUNDS`` rounds halves the step,
+    scores the 3x3x3 ``_euler_lattice`` at offsets (0, -1, +1) steps around
+    the point by one ``_order_scan`` and moves to its first best row.  The
+    point is row 0, so it moves only for a score higher by more than
+    ``ROUND_TOL``.  Returns the last point with the order and score of its
+    row in the last scan."""
+    offsets = np.array([0.0, -1.0, 1.0])
+    for _ in range(_REFINE_ROUNDS):
+        spacing = spacing / 2
+        axes = [x + offsets * step for x, step in zip(point, spacing)]
+        orders, margins = _order_scan(base, _euler_lattice(*axes), cap)
+        scores = orders + margins
+        best = _first_max(scores)
+        point, order, score = _lattice_point(axes, best), orders[best], scores[best]
+    return point, order, score
 
 
 def search_filter(
@@ -298,12 +307,12 @@ def search_filter(
 
     Any other channel also scores a seeded Euler-angle lattice of k^3 points,
     k^3 the largest cube not above `budget`, in the same scan after the
-    named filters, then refines the first best lattice point with the local
-    Nelder-Mead simplex method ``measures.nelder_mead``.  Each point it asks
-    for is one filter, scored by the one-filter scan (``_negated_score``),
-    which gives a filter the bits of its row in the stacked scan.
-    The refined filter wins only by more than ``ROUND_TOL``.  Deterministic
-    for a fixed seed; the ``amend`` flags default to the same budget and seed.
+    named filters, then refines the first best lattice point by ``_refine``:
+    ``_REFINE_ROUNDS`` stacked scans of a 3x3x3 lattice around it whose step
+    starts at the seeded spacing and halves each round.  The refined filter
+    wins only by more than ``ROUND_TOL``, with the order of its row in the
+    last scan.  Deterministic for a fixed seed; the ``amend`` flags default
+    to the same budget and seed.
 
     The report is amendable when the channel's order, found within `cap`,
     is at most 2 and the winning filter's order exceeds 2.
@@ -322,10 +331,8 @@ def search_filter(
     if not unital:
         rng = np.random.default_rng(seed)
         per_axis = _cube_root_floor(budget)
-        axes = [
-            rng.uniform(0.0, span / per_axis) + np.arange(per_axis) * (span / per_axis)
-            for span in (2 * math.pi, math.pi, 2 * math.pi)
-        ]
+        spacing = np.array([2 * math.pi, math.pi, 2 * math.pi]) / per_axis
+        axes = [rng.uniform(0.0, step) + np.arange(per_axis) * step for step in spacing]
         rotations = np.concatenate([rotations, _euler_lattice(*axes)])
     base = _scan_base(c)
     orders, margins = _order_scan(base, rotations, cap)
@@ -333,22 +340,17 @@ def search_filter(
     best = _first_max(scores)
     best_score = scores[best]
     best_result = _order_result(orders[best], cap)
-
-    def lattice_point(index: int) -> tuple:
-        ijk = np.unravel_index(index, (per_axis,) * 3)
-        return tuple(float(axes[k][ijk[k]]) for k in range(3))
-
     if best < len(named):
         best_filter = named[best]
     else:
-        best_filter = FilterCandidate.euler(*lattice_point(best - len(named)))
+        best_filter = FilterCandidate.euler(*_lattice_point(axes, best - len(named)))
 
     if not unital:
-        start = lattice_point(_first_max(scores[len(named):]))
-        x, fun = nelder_mead(lambda a: _negated_score(base, a, cap), start, maxiter=200)
-        if -fun > best_score + ROUND_TOL:
-            best_filter = FilterCandidate.euler(*(float(a) for a in x))
-            best_result = amend_order(c, best_filter, cap)
+        start = _lattice_point(axes, _first_max(scores[len(named):]))
+        point, order, score = _refine(base, start, spacing, cap)
+        if score > best_score + ROUND_TOL:
+            best_filter = FilterCandidate.euler(*point)
+            best_result = _order_result(order, cap)
 
     base_nc = n_c(c, cap)
     amendable = base_nc.is_finite and base_nc.n <= 2 < best_result.order_key()

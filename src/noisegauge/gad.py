@@ -86,15 +86,18 @@ def mu_c_gad(p: float, gamma: float) -> float:
 def mu_c_gad_squared(p: float, gamma: float) -> float:
     """Minimal depolarizing admixture of the twice-applied damping channel.
 
-    Its transfer matrix is the one at 1 - (1 - p)^2, so this is ``mu_c_gad``
-    at p (2 - p).  It is zero exactly when p >= p_n(gamma, 2), as ``n_c_gad``
-    has order <= 2: near that edge p (2 - p) can round to the other side of
-    p_1.
+    It is the damping channel at q = p (2 - p) = 1 - (1 - p)^2, with Bloch
+    matrix diag(1 - p, 1 - p, (1 - p)^2) and shift (0, 0, q (2 gamma - 1)),
+    so ``mu_c_axial`` of those numbers; 1 - p is exact where sqrt(1 - q)
+    is not.  It is zero exactly when p >= p_n(gamma, 2), as ``n_c_gad`` has
+    order <= 2.  Below that edge q can round onto p_1, so the answer is
+    taken from p, not from a one-use gate at q; where it rounds to zero it
+    reads as the smallest positive float.  The ``p_n`` call checks gamma.
     """
     p = _check_unit("p", p)
     if p >= p_n(gamma, 2):
         return 0.0
-    return max(math.ulp(0.0), mu_c_gad(p * (2 - p), gamma))
+    return max(math.ulp(0.0), mu_c_axial(1 - p, (1 - p) ** 2, p * (2 - p) * (2 * gamma - 1)))
 
 
 def p_n(gamma: float, n: int) -> float:

@@ -27,8 +27,7 @@ tr X over that set: the robustness program of Vidal and Tarrach (PRA 59,
 141, 1999), an SDP in the four real entries of X.  A barrier method solves
 it, and its duality gap certifies a lower bound next to the value.  The
 closed forms, a derivative-free search over the Bloch ball and a second
-barrier solve check it in the test suite.  ``nelder_mead``, the simplex
-method of that search, serves the amendability refinement.
+barrier solve check it in the test suite.
 
 ``n_c`` is the smallest number of self-compositions after which the channel
 breaks entanglement; by monotonicity of the EB^n families a single upward
@@ -135,93 +134,6 @@ def mu_given_rho0(c: Channel, rho0) -> float:
     w = density_to_bloch(validate_density(rho0))
     solved = _threshold_table(c)
     return 0.0 if solved is None else _mu_threshold(solved[0], w.tolist())
-
-
-def _by_value(sim: list, fsim: list) -> tuple[list, list]:
-    """Vertices and values in the order of ``np.argsort`` on the values."""
-    ind = np.array(fsim).argsort().tolist()
-    return [sim[i] for i in ind], [fsim[i] for i in ind]
-
-
-# Stopping tolerances of ``nelder_mead``, in each coordinate and in value.
-XATOL = 1e-4
-FATOL = 1e-12
-
-
-def nelder_mead(f, x0, maxiter: int) -> tuple[np.ndarray, float]:
-    """Minimize a scalar f from x0 by the unbounded, non-adaptive Nelder-Mead
-    simplex method (Nelder & Mead 1965; Lagarias, Reeds, Wright & Wright
-    1998), and return the best vertex and the smallest value.
-
-    The initial simplex scales each coordinate of x0 by 1.05, or sets it to
-    0.00025 when it is zero.  The reflection, expansion, contraction and
-    shrink coefficients are 1, 2, 0.5 and 0.5.  The run stops once every
-    vertex lies within ``XATOL`` of the best one in each coordinate and
-    within ``FATOL`` of it in value, or after `maxiter` iterations.  It
-    follows the reference implementation the test suite holds it to, so f
-    sees the same points (lists of floats, which it must leave unchanged) in
-    the same order and the result agrees bit for bit: the vertices take the
-    reference's operations in its order, and ``np.argsort`` orders them, as
-    in the reference, because ``sorted`` breaks exact ties differently.
-    """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = [float(v) for v in x0]
-    n = len(x0)
-    sim = [x0]
-    for k in range(n):
-        y = list(x0)
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    fsim = [f(x) for x in sim]
-    # The reference sorts twice here; argsort need not be stable on ties.
-    for _ in range(2):
-        sim, fsim = _by_value(sim, fsim)
-
-    iterations = 1
-    while iterations < maxiter:
-        best, fbest = sim[0], fsim[0]
-        if (all(abs(v - b) <= XATOL for s in sim[1:] for v, b in zip(s, best))
-                and all(abs(fbest - fs) <= FATOL for fs in fsim[1:])):
-            break
-        worst = sim[-1]
-        # Summed vertex by vertex, as the reference does: from Python 3.12
-        # on, sum() compensates the rounding of a float sum.
-        xbar = sim[0]
-        for s in sim[1:-1]:
-            xbar = [m + v for m, v in zip(xbar, s)]
-        xbar = [m / n for m in xbar]
-        xr = [(1 + rho) * m - rho * v for m, v in zip(xbar, worst)]
-        fxr = f(xr)
-        doshrink = False
-        if fxr < fsim[0]:
-            xe = [(1 + rho * chi) * m - rho * chi * v for m, v in zip(xbar, worst)]
-            fxe = f(xe)
-            if fxe < fxr:
-                sim[-1], fsim[-1] = xe, fxe
-            else:
-                sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:
-            xc = [(1 + psi * rho) * m - psi * rho * v for m, v in zip(xbar, worst)]
-            fxc = f(xc)
-            if fxc <= fxr:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                doshrink = True
-        else:
-            xcc = [(1 - psi) * m + psi * v for m, v in zip(xbar, worst)]
-            fxcc = f(xcc)
-            if fxcc < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc
-            else:
-                doshrink = True
-        if doshrink:
-            sim[1:] = [[b + sigma * (v - b) for v, b in zip(s, best)] for s in sim[1:]]
-            fsim[1:] = [f(x) for x in sim[1:]]
-        iterations += 1
-        sim, fsim = _by_value(sim, fsim)
-    return np.array(sim[0]), min(fsim)
 
 
 @dataclass(frozen=True)
@@ -396,7 +308,8 @@ def _filter_ptms(rotations: np.ndarray) -> np.ndarray:
 def _filter_order(base: np.ndarray, rotation: np.ndarray, cap: int) -> tuple[int, float]:
     """Order and tie-break margin of the filtered channel O . c for one Bloch
     rotation O and `base` = ``_scan_base(c)``: what ``_order_scan`` gives the
-    row O of a stack, to the bit, without a stack's bookkeeping.
+    row O of a stack, to the bit, without a stack's bookkeeping.  The route
+    of ``n_c`` (the identity filter) and of ``amend.amend_order``.
 
     It takes that row's steps, F @ base once and then power @ step with one
     ``decide_eb`` per power until the first entanglement-breaking one.  The

@@ -7,7 +7,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from noisegauge import UnitalChannel
-from noisegauge.amend import AmendReport, FilterCandidate
+from noisegauge.amend import _REFINE_ROUNDS, AmendReport, FilterCandidate
 from noisegauge.channels import (
     IDENTITY_2,
     SIGMA_X,
@@ -129,29 +129,6 @@ def kron_threshold(ginv: np.ndarray, rho0) -> float:
     half = np.kron(_qubit_sqrt(validate_density(rho0)), IDENTITY_2)
     nu = 0.5 * float(np.linalg.eigvalsh(half @ ginv @ half).min())
     return 1.0 / (1.0 - nu) if nu < 0.0 else 1.0
-
-
-def coarse_bloch_grid() -> list[np.ndarray]:
-    """26 points: 6 axis poles, 8 cube corners and 12 cube edge midpoints,
-    the latter two rescaled to radius 0.7."""
-    pts = []
-    for i in range(3):
-        for s in (1.0, -1.0):
-            w = np.zeros(3)
-            w[i] = s
-            pts.append(w)
-    for sx in (-1.0, 1.0):
-        for sy in (-1.0, 1.0):
-            for sz in (-1.0, 1.0):
-                pts.append(0.7 * np.array([sx, sy, sz]) / np.sqrt(3))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for si in (-1.0, 1.0):
-                for sj in (-1.0, 1.0):
-                    w = np.zeros(3)
-                    w[i], w[j] = si, sj
-                    pts.append(0.7 * w / np.sqrt(2))
-    return pts
 
 
 def _fold(x) -> list[float]:
@@ -383,43 +360,42 @@ def order_and_margin(c, f, cap: int) -> tuple:
 
 def loop_search_filter(c, cap: int, budget: int, seed: int) -> AmendReport:
     """``search_filter`` with every candidate built as a ``FilterCandidate``
-    and scored on its own by ``order_and_margin``; an oracle for the batched
-    search."""
+    and scored on its own by ``order_and_margin``, the refinement's rounds
+    of 27 candidates included; an oracle for the batched search."""
 
     def score(f):
         result, margin = order_and_margin(c, f, cap)
         return result, (cap + 1.0 if result.n is None else float(result.n)) + margin
-
-    candidates = [FilterCandidate.pauli(k) for k in (1, 2, 3)] + [FilterCandidate.r2r1()]
-    if isinstance(c, UnitalChannel):
-        candidates.append(FilterCandidate.orthogonal(polar_decompose(c.t)[0].T))
-    rng = np.random.default_rng(seed)
-    per_axis = max(k for k in range(1, budget + 1) if k ** 3 <= budget)
-    spans = (2 * math.pi, math.pi, 2 * math.pi)
-    offsets = [rng.uniform(0.0, span / per_axis) for span in spans]
-    axes = [offsets[k] + np.arange(per_axis) * (spans[k] / per_axis) for k in range(3)]
-    candidates.extend(
-        FilterCandidate.euler(float(a), float(b), float(t))
-        for a in axes[0] for b in axes[1] for t in axes[2]
-    )
-    scored = [(cand, *score(cand)) for cand in candidates]
 
     def first_max(entries):
         # scores within ROUND_TOL of the maximum tie; the first one wins
         top = max(value for _, _, value in entries)
         return next(e for e in entries if e[2] >= top - ROUND_TOL)
 
+    def euler_grid(axes):
+        return [FilterCandidate.euler(float(a), float(b), float(t))
+                for a in axes[0] for b in axes[1] for t in axes[2]]
+
+    candidates = [FilterCandidate.pauli(k) for k in (1, 2, 3)] + [FilterCandidate.r2r1()]
+    if isinstance(c, UnitalChannel):
+        candidates.append(FilterCandidate.orthogonal(polar_decompose(c.t)[0].T))
+    rng = np.random.default_rng(seed)
+    per_axis = max(k for k in range(1, budget + 1) if k ** 3 <= budget)
+    steps = [span / per_axis for span in (2 * math.pi, math.pi, 2 * math.pi)]
+    offsets = [rng.uniform(0.0, step) for step in steps]
+    axes = [offsets[k] + np.arange(per_axis) * steps[k] for k in range(3)]
+    candidates.extend(euler_grid(axes))
+    scored = [(cand, *score(cand)) for cand in candidates]
     best_filter, best_result, best_score = first_max(scored)
-    best_euler = first_max([e for e in scored if e[0].kind == "euler"])[0]
-    res = minimize(
-        lambda angles: -score(FilterCandidate.euler(*angles))[1],
-        np.asarray(best_euler.params, dtype=float),
-        method="Nelder-Mead",
-        options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 200},
-    )
-    if -res.fun > best_score + ROUND_TOL:
-        best_filter = FilterCandidate.euler(*(float(a) for a in res.x))
-        best_result = score(best_filter)[0]
+    if not isinstance(c, UnitalChannel):
+        refined = first_max([e for e in scored if e[0].kind == "euler"])
+        for _ in range(_REFINE_ROUNDS):
+            steps = [step / 2 for step in steps]
+            axes = [[x + k * step for k in (0.0, -1.0, 1.0)]
+                    for x, step in zip(refined[0].params, steps)]
+            refined = first_max([(cand, *score(cand)) for cand in euler_grid(axes)])
+        if refined[2] > best_score + ROUND_TOL:
+            best_filter, best_result, _ = refined
     base_nc = n_c(c, cap)
     amendable = base_nc.is_finite and base_nc.n <= 2 < best_result.order_key()
     return AmendReport(base_nc, best_result, best_filter, amendable)

@@ -16,6 +16,7 @@ from helpers import (
     order_and_margin,
     random_cp_unital,
     random_rotation,
+    rotated_kraus,
     rotation_from_quaternion,
     su2_from_so3,
 )
@@ -43,7 +44,7 @@ from noisegauge.amend import (
 )
 from noisegauge.channels import PAULIS, as_kraus, ptm
 from noisegauge.gad import amend_boundary_s1, p_n
-from noisegauge.linalg import polar_decompose
+from noisegauge.linalg import ROUND_TOL, polar_decompose
 from noisegauge.measures import _filter_order
 
 LAM = np.diag([0.73, 0.5, 0.5])
@@ -55,6 +56,27 @@ SWAP_FILTER = FilterCandidate.orthogonal(SWAP_XY)
 def rot(axis, angle):
     """Right-handed rotation about a coordinate axis (0=x, 1=y, 2=z)."""
     return _axis_rotations(axis, [angle])[0]
+
+
+def rotated_damping(rng, band: int):
+    """A damping channel of order `band`, rotated on both sides by random
+    SU(2) elements and given in Kraus form."""
+    gamma = rng.uniform(0.05, 0.95)
+    p = rng.uniform(p_n(gamma, band), p_n(gamma, band - 1))
+    u, v = (su2_from_so3(random_rotation(rng)) for _ in range(2))
+    return rotated_kraus(gad_kraus(GadParams(p, gamma)), u, v)
+
+
+def named_and_lattice(budget: int, seed: int) -> np.ndarray:
+    """The Bloch rotations that ``search_filter`` scans before it refines,
+    for a channel given in Kraus form: the named filters, then the seeded
+    Euler lattice."""
+    rng = np.random.default_rng(seed)
+    k = _cube_root_floor(budget)
+    axes = [rng.uniform(0.0, span / k) + np.arange(k) * (span / k)
+            for span in (2 * math.pi, math.pi, 2 * math.pi)]
+    named = [FilterCandidate(kind).bloch_matrix() for kind in ("s1", "s2", "s3", "r2r1")]
+    return np.concatenate([named, _euler_lattice(*axes)])
 
 
 def bloch_of_unitary(u):
@@ -107,8 +129,10 @@ class TestFilterCandidate:
         monkeypatch.setattr(amend_module, "_order_scan", recording_scan)
         search_filter(channel, budget=8)
         named = [FilterCandidate(kind).bloch_matrix() for kind in ("s1", "s2", "s3", "r2r1")]
-        assert len(stacks) == 1
         assert np.array_equal(stacks[0][:4], np.array(named))
+        # then one 3x3x3 stack per refinement round, for all but unital channels
+        refining = 0 if isinstance(channel, UnitalChannel) else amend_module._REFINE_ROUNDS
+        assert [len(stack) for stack in stacks[1:]] == [27] * refining
 
     def test_orthogonal_roundtrip(self):
         rng = np.random.default_rng(51)
@@ -405,22 +429,36 @@ class TestSearchFilter:
         for seed, c in enumerate(channels):
             report = search_filter(c, cap=16, budget=8, seed=seed)
             assert report.filtered_nc == amend_order(c, report.filter, cap=16)
+        # the refined order comes from the refining scan
+        for band in (2, 3, 4):
+            for seed in range(2):
+                c = rotated_damping(rng, band)
+                for budget in (1, 1000):
+                    report = search_filter(c, cap=16, budget=budget, seed=seed)
+                    assert report.filtered_nc == amend_order(c, report.filter, cap=16)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 4), st.sampled_from([1, 8, 64]), st.integers(0, 2 ** 32 - 1))
+    def test_refinement_never_loses_to_the_lattice(self, band, budget, seed):
+        """The winning filter, re-scored alone, scores at least the best named
+        or lattice filter, up to the ``ROUND_TOL`` of a tie."""
+        c = rotated_damping(np.random.default_rng(seed), band)
+        base = _scan_base(c)
+        report = search_filter(c, cap=16, budget=budget, seed=seed)
+        order, margin = _filter_order(base, report.filter.bloch_matrix(), 16)
+        orders, margins = _order_scan(base, named_and_lattice(budget, seed), 16)
+        assert order + margin >= (orders + margins).max() - ROUND_TOL
 
     def test_refinement_finds_what_the_lattice_misses(self):
         """A rotated damping channel of order 2 that no named filter and no
         point of the seeded 10x10x10 lattice lifts above order 2; the
-        Nelder-Mead refinement from the best lattice point reaches order 3."""
+        halving-lattice refinement from the best lattice point reaches
+        order 3."""
         euler = FilterCandidate.euler(3.239124460046525, 1.6372916822486154, 5.633130245903468)
         c = apply_filter(euler, gad_kraus(GadParams(0.5872318330764819, 0.45003038868240186)))
         report = search_filter(c, cap=64, budget=1000, seed=42)
         assert (report.base_nc.n, report.filtered_nc.n, report.amendable) == (2, 3, True)
-
-        rng = np.random.default_rng(42)
-        spans = (2 * math.pi, math.pi, 2 * math.pi)
-        axes = [rng.uniform(0.0, span / 10) + np.arange(10) * (span / 10) for span in spans]
-        named = [FilterCandidate.pauli(k) for k in (1, 2, 3)] + [FilterCandidate.r2r1()]
-        rotations = np.concatenate([[f.bloch_matrix() for f in named], _euler_lattice(*axes)])
-        orders, _ = _order_scan(_scan_base(c), rotations, 64)
+        orders, _ = _order_scan(_scan_base(c), named_and_lattice(1000, 42), 64)
         assert orders.max() == 2
 
     def test_report_json_schema(self):

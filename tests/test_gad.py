@@ -194,6 +194,13 @@ class TestMuCGadSquared:
     def test_vanishing_point(self):
         assert mu_c_gad_squared(2 - SQRT2, 0.5) == pytest.approx(0.0, abs=1e-9)
 
+    def test_ulps_below_second_edge(self):
+        """2 - sqrt 2 lies 2 ulps below p_n(0.5, 2), where p (2 - p) rounds
+        onto p_1; the value there is 2.7343e-16 (50-digit arithmetic)."""
+        got = mu_c_gad_squared(2 - SQRT2, 0.5)
+        assert got != math.ulp(0.0)
+        assert abs(got - 2.7343234630647685e-16) <= 1e-16
+
     def test_cross_identity(self):
         for gamma in np.linspace(0.02, 0.5, 20):
             assert mu_c_gad(pbar(gamma), gamma) == pytest.approx(

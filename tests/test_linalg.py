@@ -240,19 +240,16 @@ class TestTolerancePolicy:
         assert checked >= 30
 
     def test_no_small_float_literal_outside_policy(self):
-        """Allowed: ``linalg`` itself, the stopping rule ``measures.FATOL``,
-        and the test tolerances of the fixture table ``cli._verify_fixtures``."""
+        """Allowed: ``linalg`` itself and the test tolerances of the fixture
+        table ``cli._verify_fixtures``."""
         for path in self.MODULES:
             if path.stem == "linalg":
                 continue
             tree = ast.parse(path.read_text())
             allowed = set()
             for node in ast.walk(tree):
-                fatol = path.stem == "measures" and isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "FATOL" for t in node.targets)
-                fixtures = path.stem == "cli" and isinstance(node, ast.FunctionDef) \
-                    and node.name == "_verify_fixtures"
-                if fatol or fixtures:
+                if path.stem == "cli" and isinstance(node, ast.FunctionDef) \
+                        and node.name == "_verify_fixtures":
                     allowed.update(map(id, _small_literals(node)))
             stray = [n.lineno for n in _small_literals(tree) if id(n) not in allowed]
             assert stray == [], f"{path.name}: float literals <= 1e-8 on lines {stray}"

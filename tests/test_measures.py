@@ -8,13 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
 
 from helpers import (
     bisect_threshold,
     channel_power,
     choi_state,
-    coarse_bloch_grid,
     compose_unital,
     eigenvector_dual_bound,
     fold_search,
@@ -57,19 +55,16 @@ from noisegauge import (
     sandwich,
 )
 from noisegauge import measures
-from noisegauge.amend import _euler_lattice, _euler_rotation, _negated_score, _scan_base
+from noisegauge.amend import _euler_lattice, _scan_base
 from noisegauge.cli import main
 from noisegauge.gad import p_n
 from noisegauge.linalg import ROUND_TOL, partial_transpose, polar_decompose, trace_norm
 from noisegauge.measures import (
-    FATOL,
-    XATOL,
     _filter_order,
     _mu_threshold,
     _order_result,
     _order_scan,
     _threshold_table,
-    nelder_mead,
 )
 
 LAM = np.diag([0.73, 0.5, 0.5])
@@ -275,100 +270,11 @@ class TestMuCSearch:
             assert got == pytest.approx(mu_c_gad(p, gamma), abs=1e-9)
 
 
-def _mu_objective(c):
-    solved = _threshold_table(c)
-    assert solved is not None
-    return lambda w: _mu_threshold(solved[0], w)
-
-
-def _negated_filter_score(c, cap=16):
-    """The objective that ``search_filter`` refines: minus the order plus
-    margin of each Euler filter, flat between the integer orders."""
-    base = _scan_base(c)
-    return lambda angles: _negated_score(base, angles, cap)
-
-
 def _non_eb_channel(kind, rng):
     while True:
         c = _seeded_channel(kind, rng)
         if _threshold_table(c) is not None:
             return c
-
-
-class TestNelderMead:
-    """The local simplex method against scipy's, bit for bit."""
-
-    @staticmethod
-    def _both(f, x0, maxiter=600):
-        """Run the port and scipy from x0 on the scalar objective f; require
-        the same points evaluated in the same order and the same x, fun and
-        nfev.  Returns scipy's result and the points."""
-        def traced(seen):
-            def g(x):
-                seen.append(np.asarray(x, dtype=float).tobytes())
-                return f(x)
-            return g
-
-        points, seen = [], []
-        x, fun = nelder_mead(traced(points), x0, maxiter=maxiter)
-        res = minimize(traced(seen), x0, method="Nelder-Mead",
-                       options={"xatol": XATOL, "fatol": FATOL, "maxiter": maxiter})
-        assert points == seen
-        assert len(points) == res.nfev
-        assert x.tobytes() == res.x.tobytes()
-        assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
-        return res, points
-
-    @pytest.mark.parametrize("kind", ["damping", "unital"])
-    def test_threshold_search_restarts(self, kind):
-        rng = np.random.default_rng(61 if kind == "damping" else 62)
-        grid = coarse_bloch_grid()
-        for _ in range(5):
-            f = _mu_objective(_non_eb_channel(kind, rng))
-            ranking = np.argsort([f(w) for w in grid], kind="stable")
-            for idx in ranking[:3]:
-                self._both(f, grid[int(idx)])
-
-    def test_filter_score_takes_the_shrink_path(self):
-        rng = np.random.default_rng(63)
-        channels = [random_cp_unital(rng) for _ in range(4)]
-        for _ in range(3):
-            gamma = rng.uniform(0.05, 0.95)
-            channels.append(gad_kraus(GadParams(rng.uniform(p_n(gamma, 2), p_n(gamma, 1)), gamma)))
-        shrinks = 0
-        for c in channels:
-            x0 = rng.uniform(0.0, [2 * np.pi, np.pi, 2 * np.pi])
-            res, _ = self._both(_negated_filter_score(c), x0, maxiter=200)
-            # without a shrink an iteration costs at most two evaluations
-            shrinks += res.nfev > 4 + 2 * (res.nit - 1)
-        assert shrinks > 0
-
-    def test_zero_entries_start_at_the_small_step(self):
-        f = _mu_objective(gad_kraus(GadParams(0.3, 0.2)))
-        _, seen = self._both(f, np.array([0.0, 0.5, 0.0]))
-        start = [np.frombuffer(b) for b in seen[1:4]]
-        assert start[0].tolist() == [0.00025, 0.5, 0.0]
-        assert start[1].tolist() == [0.0, 1.05 * 0.5, 0.0]
-        assert start[2].tolist() == [0.0, 0.5, 0.00025]
-
-    def test_stops_at_maxiter(self):
-        f = _mu_objective(gad_kraus(GadParams(0.3, 0.2)))
-        res, _ = self._both(f, coarse_bloch_grid()[7], maxiter=9)
-        assert res.nit == 9 and res.status == 2
-
-    def test_start_beyond_the_ball_matches_scipy(self):
-        """Outside the ball the objective is constant along each ray, so the
-        simplex meets exact ties; the vertex order must still be scipy's."""
-        rng = np.random.default_rng(67)
-        grid = coarse_bloch_grid()
-        ties = 0
-        for kind in ("damping", "unital", "filtered"):
-            f = _mu_objective(_non_eb_channel(kind, rng))
-            for idx in (0, 6, 14):
-                _, points = self._both(f, 3.0 * grid[idx])
-                start = [f(np.frombuffer(b)) for b in points[:4]]
-                ties += len(set(start)) < 4
-        assert ties > 0
 
 
 class TestMuCSearchOracle:
@@ -749,14 +655,13 @@ SCAN_CAPS = st.integers(1, 64)
 
 
 def _one_filter_matches_lattice_row(c, angles, cap) -> int:
-    """The refinement's score of an Euler point, the one-filter scan and
-    ``amend_order`` against the one-point lattice scan the refinement ran
-    before it had a route of its own: the same bits and the same order."""
+    """The one-filter scan of an Euler filter's Bloch matrix and
+    ``amend_order`` against the one-point lattice scan: the same bits and
+    the same order."""
     base = _scan_base(c)
     orders, margins = _order_scan(base, _euler_lattice(*np.reshape(angles, (3, 1))), cap)
-    order, margin = _filter_order(base, _euler_rotation(angles), cap)
+    order, margin = _filter_order(base, FilterCandidate.euler(*angles).bloch_matrix(), cap)
     assert (order, margin.hex()) == (int(orders[0]), float(margins[0]).hex())
-    assert _negated_score(base, angles, cap).hex() == float(-(orders[0] + margins[0])).hex()
     assert amend_order(c, FilterCandidate.euler(*angles), cap) == _order_result(order, cap)
     return order
 

@@ -17,6 +17,10 @@ families byte for byte.  The families:
   SU(2) elements and given in Kraus form, at budget 1000.  Half are drawn
   from band 2, half from the top 2% of band 3, where a rotation often makes
   an amendable channel of order 2;
+- ``amend-budgets``: 60 damping channels rotated on both sides and given in
+  Kraus form, 20 from each of bands 2, 3 and 4, half of them drawn from the
+  whole band and half from its top 5%, each at ``--budget`` 1, 8 and 64,
+  where the refinement has the most to add to a coarse lattice;
 - ``sweeps``: the six figures at their default grids plus three fig5
   variants;
 - ``sweep-errors``: small sweeps with a bad axis, fixed value, cap or flag,
@@ -124,6 +128,23 @@ def _amend_rotated(cli, workloads, sink) -> None:
         ops = [u @ e @ v for e in workloads._gad_ops(p, gamma)]
         seed = str(int(rng.integers(1 << 30)))
         _run(cli, sink, ("amend", workloads._kraus_json(ops), "--seed", seed))
+
+
+def _amend_budgets(cli, workloads, sink) -> None:
+    rng = np.random.default_rng(7002)
+    for i in range(60):
+        band, gamma = 2 + i % 3, float(rng.uniform(0.05, 0.95))
+        if i % 2 == 0:
+            p = workloads._in_band(rng, gamma, band)
+        else:
+            top = workloads.oracle.p_n(gamma, band - 1)
+            edge = workloads.oracle.p_n(gamma, band)
+            p = float(rng.uniform(top - 0.05 * (top - edge), top))
+        u, v = workloads._su2(rng), workloads._su2(rng)
+        text = workloads._kraus_json([u @ e @ v for e in workloads._gad_ops(p, gamma)])
+        seed = str(int(rng.integers(1 << 30)))
+        for budget in ("1", "8", "64"):
+            _run(cli, sink, ("amend", text, "--budget", budget, "--seed", seed))
 
 
 def _sweeps(cli, workloads, sink) -> None:
@@ -236,6 +257,7 @@ FAMILIES = {
     "analyze-mix": _analyze_mix,
     "amend-search": _amend_search,
     "amend-rotated": _amend_rotated,
+    "amend-budgets": _amend_budgets,
     "sweeps": _sweeps,
     "sweep-errors": _sweep_errors,
     "verify": _verify,
