@@ -10,13 +10,13 @@ are built once, in the table ``_NAMED_BLOCH``).  For a unital channel its
 inverse polar rotation is provably optimal (Horn's inequality), so the
 search stops there; any other channel adds a seeded Euler-angle grid (by
 default at most ``DEFAULT_BUDGET`` points, seed ``DEFAULT_SEED``) and
-refines its best point on ever finer 3x3x3 grids around it.  Every stack of
-filters (the named ones, the grid, each refining grid) is scored by one
-batched scan, ``measures._order_scan``; one filter (the filter of
-``amend_order``) by the one-filter scan ``measures._filter_order``.  Both
-take the same products and ``decide_eb`` kernels per filter, and an Euler
-filter's Bloch matrix is its row of the one-point ``_euler_lattice``, so a
-filter scores the same on either route.
+refines its best point on ever finer 3x3x3 grids around it.  Every set of
+filters (the named ones and the grid, each refining grid, the one filter of
+``amend_order``) is scored by one ``measures._order_scan`` of its filtered
+steps, ``_filter_matrix`` times the channel's transfer matrix.  A step scores
+the same bits in any stack as alone, and an Euler filter's Bloch matrix is
+its row of the one-point ``_euler_lattice``, so a filter scores the same
+whichever scan it is in.
 ``gad_amendable`` decides the damping-channel amendable region on scalars or
 on whole (p, gamma) arrays, with one stacked product R F R for all points of
 an array.
@@ -44,21 +44,12 @@ from .channels import (
     choi_from_ptm,
     gad_ptm,
     kraus_from_choi,
-    ptm,
 )
 from .gad import p_n
 from .linalg import INPUT_TOL, ROUND_TOL, as_real3, polar_decompose
-from .measures import (
-    _filter_order,
-    _filter_ptms,
-    _order_result,
-    _order_scan,
-    _scan_base,
-    ebn_member,
-    n_c,
-)
-from .report import DEFAULT_CAP, NcResult
-from .separability import decide_eb
+from .measures import _order_result, _order_scan, ebn_member, n_c
+from .report import DEFAULT_CAP, NcResult, check_cap
+from .separability import _scan_base, decide_eb
 
 # the lattice budget and seed of ``search_filter``, read by the ``amend`` flags
 DEFAULT_BUDGET = 1000
@@ -151,10 +142,6 @@ class FilterCandidate:
             return _euler_lattice(*np.reshape(self.params, (3, 1)))[0]
         return np.asarray(self.params, dtype=float).reshape(3, 3)
 
-    def inverse(self) -> "FilterCandidate":
-        """Filter realizing the inverse Bloch action."""
-        return FilterCandidate.orthogonal(self.bloch_matrix().T)
-
     def to_json(self) -> dict:
         return {"kind": self.kind, "params": [float(x) for x in self.params]}
 
@@ -163,13 +150,28 @@ class FilterCandidate:
         return cls(data["kind"], tuple(data.get("params", ())))
 
 
+def _filter_matrix(rotations: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Matrix of a filter rotation O, or of a stack (..., 3, 3) of them, on
+    the route of `base`, a Bloch matrix or PTM (or a stack of them): O itself
+    beside a 3x3 Bloch matrix, F = blockdiag(1, O) beside a 4x4 PTM.  An
+    improper O has no unitary realization, so the PTM route raises
+    ``ValueError``."""
+    if base.shape[-1] == 3:
+        return rotations
+    if (np.linalg.det(rotations) < 0).any():
+        raise ValueError("improper orthogonal Bloch action has no unitary realization")
+    filters = np.zeros(rotations.shape[:-2] + (4, 4))
+    filters[..., 0, 0] = 1.0
+    filters[..., 1:, 1:] = rotations
+    return filters
+
+
 def _filtered(c: Channel, f: FilterCandidate, uses: int) -> np.ndarray:
     """Transfer matrix of f . c (one use) or c . f . c (two uses): O T or
     T O T for a ``UnitalChannel``, F R or R F R otherwise (module docstring).
     ``ValueError`` for an improper f on the PTM route."""
     base = _scan_base(c)
-    o = f.bloch_matrix()
-    mid = o if base.shape == (3, 3) else _filter_ptms(o)
+    mid = _filter_matrix(f.bloch_matrix(), base)
     return mid @ base if uses == 1 else base @ mid @ base
 
 
@@ -223,19 +225,24 @@ def is_amendable2(c: Channel, f: FilterCandidate) -> bool:
 def amend_order(c: Channel, f: FilterCandidate, cap: int = DEFAULT_CAP) -> NcResult:
     """Entanglement-breaking order of the filtered iteration (f . c)^m.
 
-    The one-filter scan ``measures._filter_order``, which scores a filter as
-    the scans of ``search_filter`` do, so a report's ``filtered_nc`` equals
-    ``amend_order(c, report.filter, cap)``.  An improper filter raises
-    ``ValueError`` unless c is a ``UnitalChannel``.
+    One ``measures._order_scan`` of the filtered step, which scores a filter
+    as the scans of ``search_filter`` do, so a report's ``filtered_nc``
+    equals ``amend_order(c, report.filter, cap)``.  A cap below 1 raises
+    ``ValueError``, and so, unless c is a ``UnitalChannel``, does an
+    improper filter.
     """
-    order, _ = _filter_order(_scan_base(c), f.bloch_matrix(), cap)
-    return _order_result(order, cap)
+    base = _scan_base(c)
+    check_cap(cap)
+    step = _filter_matrix(f.bloch_matrix(), base) @ base
+    orders, _ = _order_scan(step[None], cap)
+    return _order_result(orders[0], cap)
 
 
-def _is_unitary_channel(c: Channel) -> bool:
-    """T orthogonal in the PTM, whatever the representation.  A channel maps
-    the Bloch sphere into the ball, so an orthogonal T also forces t = 0."""
-    m = ptm(c)[1:, 1:]
+def _is_unitary_channel(base: np.ndarray) -> bool:
+    """Is T orthogonal, for `base` = ``_scan_base(c)``: T itself or the
+    lower-right 3x3 block of the PTM?  A channel maps the Bloch sphere into
+    the ball, so an orthogonal T also forces t = 0."""
+    m = base[-3:, -3:]
     return bool(np.abs(m.T @ m - np.eye(3)).max() <= INPUT_TOL)
 
 
@@ -275,7 +282,7 @@ def _refine(base: np.ndarray, point: tuple, spacing: np.ndarray, cap: int) -> tu
     for _ in range(_REFINE_ROUNDS):
         spacing = spacing / 2
         axes = [x + offsets * step for x, step in zip(point, spacing)]
-        orders, margins = _order_scan(base, _euler_lattice(*axes), cap)
+        orders, margins = _order_scan(_filter_matrix(_euler_lattice(*axes), base) @ base, cap)
         scores = orders + margins
         best = _first_max(scores)
         point, order, score = _lattice_point(axes, best), orders[best], scores[best]
@@ -319,7 +326,8 @@ def search_filter(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if _is_unitary_channel(c):
+    base = _scan_base(c)
+    if _is_unitary_channel(base):
         raise ValueError("unitary channels never break entanglement; nothing to amend")
 
     named = [FilterCandidate(kind) for kind in _NAMED_BLOCH]
@@ -334,8 +342,7 @@ def search_filter(
         spacing = np.array([2 * math.pi, math.pi, 2 * math.pi]) / per_axis
         axes = [rng.uniform(0.0, step) + np.arange(per_axis) * step for step in spacing]
         rotations = np.concatenate([rotations, _euler_lattice(*axes)])
-    base = _scan_base(c)
-    orders, margins = _order_scan(base, rotations, cap)
+    orders, margins = _order_scan(_filter_matrix(rotations, base) @ base, cap)
     scores = orders + margins
     best = _first_max(scores)
     best_score = scores[best]
@@ -376,11 +383,10 @@ def gad_amendable(p, gamma, f: FilterCandidate):
     raises ``ValueError``.
     """
     ps, gs = check_unit_square(p, gamma)
-    mid = _filter_ptms(f.bloch_matrix())
     distinct, index = np.unique(gs, return_inverse=True)
     edge = np.array([p_n(g, 2) for g in distinct])[index.reshape(gs.shape)]
     below = ps < edge
     amendable = np.zeros(ps.shape, dtype=bool)
     r = gad_ptm(ps[below], gs[below])
-    amendable[below] = decide_eb(r @ mid @ r)[0]
+    amendable[below] = decide_eb(r @ _filter_matrix(f.bloch_matrix(), r) @ r)[0]
     return bool(amendable) if amendable.ndim == 0 else amendable

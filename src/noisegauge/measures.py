@@ -32,15 +32,15 @@ barrier solve check it in the test suite.
 ``n_c`` is the smallest number of self-compositions after which the channel
 breaks entanglement; by monotonicity of the EB^n families a single upward
 scan suffices.  Damping channels read it off their closed-form bands.  Every
-other channel runs ``_filter_order`` with the identity filter, which
-multiplies transfer matrices: the 3x3 Bloch matrix of a ``UnitalChannel``,
+other channel runs ``_order_scan`` on its transfer matrix
+(``separability._scan_base``): the 3x3 Bloch matrix of a ``UnitalChannel``,
 judged by trace norms, and the 4x4 PTM otherwise, judged by the smallest
 eigenvalue of the partial transpose (``decide_eb``, slack ``ROUND_TOL``).
-``_filter_order`` scores one filter;
-``_order_scan`` runs the same steps over a stack of filters for the
-amendability search.  Each matrix of a stack takes the products and the
-``decide_eb`` kernels it would take alone, so a filter gets the same order
-and margin, to the bit, from either scan.
+``_order_scan`` is the one order engine: it scans a stack of step matrices,
+the channel alone for ``n_c`` and one filtered channel per filter for
+amendability (``amend``).  Each matrix of a stack takes the products and
+the ``decide_eb`` kernels it would take alone, so a step gets the same order
+and margin, to the bit, in any stack.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .channels import (
 )
 from .linalg import ROUND_TOL
 from .report import DEFAULT_CAP, NcResult, NoiseReport, check_cap
-from .separability import ChoiState, decide_eb, ptm_partial_transpose
+from .separability import ChoiState, _scan_base, decide_eb, ptm_partial_transpose
 
 
 def mu_c_upper_bound(d: int) -> float:
@@ -274,86 +274,47 @@ def n_c(c: Channel, cap: int = DEFAULT_CAP) -> NcResult:
     Monotonicity of the EB^n families makes the upward scan exact.  Damping
     channels go through the closed-form band map, which also certifies
     divergence on the zero-temperature edge; every other channel through
-    ``_filter_order`` with the identity filter.  Both raise ``ValueError``
+    ``_order_scan`` of its transfer matrix alone.  Both raise ``ValueError``
     for a cap below 1.
     """
     if isinstance(c, GadParams):
         return gadforms.n_c_gad(c.p, c.gamma, cap)
-    order, _ = _filter_order(_scan_base(c), np.eye(3), cap)
-    return _order_result(order, cap)
+    orders, _ = _order_scan(_scan_base(c)[None], cap)
+    return _order_result(orders[0], cap)
 
 
 def _order_result(order, cap: int) -> NcResult:
     return NcResult(None if order > cap else int(order), cap)
 
 
-def _scan_base(c: Channel) -> np.ndarray:
-    """What the order scans iterate: the 3x3 Bloch matrix of a
-    ``UnitalChannel``, the 4x4 PTM of any other channel."""
-    return c.t if isinstance(c, UnitalChannel) else ptm(c)
-
-
-def _filter_ptms(rotations: np.ndarray) -> np.ndarray:
-    """PTMs blockdiag(1, O) of a filter rotation O or a stack (..., 3, 3) of
-    them.  An improper O has no unitary realization, so it raises
-    ``ValueError``."""
-    if (np.linalg.det(rotations) < 0).any():
-        raise ValueError("improper orthogonal Bloch action has no unitary realization")
-    filters = np.zeros(rotations.shape[:-2] + (4, 4))
-    filters[..., 0, 0] = 1.0
-    filters[..., 1:, 1:] = rotations
-    return filters
-
-
-def _filter_order(base: np.ndarray, rotation: np.ndarray, cap: int) -> tuple[int, float]:
-    """Order and tie-break margin of the filtered channel O . c for one Bloch
-    rotation O and `base` = ``_scan_base(c)``: what ``_order_scan`` gives the
-    row O of a stack, to the bit, without a stack's bookkeeping.  The route
-    of ``n_c`` (the identity filter) and of ``amend.amend_order``.
-
-    It takes that row's steps, F @ base once and then power @ step with one
-    ``decide_eb`` per power until the first entanglement-breaking one.  The
-    3x3 route takes an improper O; the PTM route rejects it.
-    """
-    check_cap(cap)
-    step = (rotation if base.shape == (3, 3) else _filter_ptms(rotation)) @ base
-    power = np.eye(len(base))
-    for m in range(1, cap + 1):
-        power = power @ step
-        done, margin = decide_eb(power)
-        if done:
-            return m, float(margin)
-    return cap + 1, 0.0
-
-
-def _order_scan(base: np.ndarray, rotations: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orders of the filtered channels O . c for a stack of Bloch rotations O
-    and `base` = ``_scan_base(c)``, each with a tie-break margin in [-1, 0].
+def _order_scan(steps: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orders of the channels whose transfer matrices are stacked in `steps`,
+    (k, 3, 3) Bloch matrices or (k, 4, 4) PTMs, each with a tie-break margin
+    in [-1, 0].
 
     An order above ``cap`` reads cap + 1 with margin 0, so ``orders + margins``
     ranks ExceedsCap first and, within one order, the iterate that turned
     entanglement breaking nearest the boundary.  The margin is the one
-    of ``decide_eb``.  The 3x3 route takes improper rotations; the PTM route
-    rejects them.  Finished candidates drop out after each composition.
-    Each row scores as ``_filter_order`` scores it alone.
+    of ``decide_eb``.  Each step is composed with itself, power @ step, with
+    one ``decide_eb`` per power; finished rows drop out after each
+    composition, and a row scores the same bits in any stack as alone.
     """
     check_cap(cap)
-    filters = rotations if base.shape == (3, 3) else _filter_ptms(rotations)
-    step = filters @ base
-    power = np.eye(len(base))
-    orders = np.full(len(rotations), cap + 1)
-    margins = np.zeros(len(rotations))
-    active = np.arange(len(rotations))
+    power = np.eye(steps.shape[-1])
+    orders = np.full(len(steps), cap + 1)
+    margins = np.zeros(len(steps))
+    active = np.arange(len(steps))
     for m in range(1, cap + 1):
-        power = power @ step
+        power = power @ steps
         done, margin = decide_eb(power)
-        if done.any():
-            orders[active[done]] = m
-            margins[active[done]] = margin[done]
-            keep = ~done
-            active, power, step = active[keep], power[keep], step[keep]
-            if not active.size:
+        hit = done.nonzero()[0]
+        if hit.size:
+            orders[active[hit]] = m
+            margins[active[hit]] = margin[hit]
+            if hit.size == active.size:
                 break
+            keep = ~done
+            active, power, steps = active[keep], power[keep], steps[keep]
     return orders, margins
 
 

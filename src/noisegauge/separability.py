@@ -13,7 +13,9 @@ quartically.  The test suite keeps the determinant as a cross-check.
 Every entanglement-breaking decision on a channel is ``decide_eb``, with the
 slack ``linalg.ROUND_TOL`` of the closed forms, except that ``is_eb`` decides
 a ``GadParams`` channel by its closed-form band edge, as the order and the
-threshold of that representation do.
+threshold of that representation do.  ``is_eb`` and the order scans of
+``measures`` read one matrix per channel, ``_scan_base``: the Bloch matrix
+of a unital channel, the PTM of any other.
 """
 
 from __future__ import annotations
@@ -73,6 +75,13 @@ def ptm_min_pt_eigenvalues(r) -> np.ndarray:
     return np.linalg.eigvalsh(ptm_partial_transpose(r))[..., 0]
 
 
+def _scan_base(c: Channel) -> np.ndarray:
+    """The transfer matrix that ``decide_eb`` and the order scans read: the
+    3x3 Bloch matrix of a ``UnitalChannel``, the 4x4 PTM of any other
+    channel."""
+    return c.t if isinstance(c, UnitalChannel) else ptm(c)
+
+
 def decide_eb(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """EB flags and tie-break margins for a (stack of) channel matrices.
 
@@ -100,4 +109,4 @@ def is_eb(c: Channel) -> bool:
     """
     if isinstance(c, GadParams):
         return c.p >= p_n(c.gamma, 1)
-    return bool(decide_eb(c.t if isinstance(c, UnitalChannel) else ptm(c))[0])
+    return bool(decide_eb(_scan_base(c))[0])

@@ -7,7 +7,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from noisegauge import UnitalChannel
-from noisegauge.amend import _REFINE_ROUNDS, AmendReport, FilterCandidate
+from noisegauge.amend import _REFINE_ROUNDS, AmendReport, FilterCandidate, _filter_matrix
 from noisegauge.channels import (
     IDENTITY_2,
     SIGMA_X,
@@ -28,12 +28,13 @@ from noisegauge.linalg import ROUND_TOL, partial_transpose, polar_decompose, tra
 from noisegauge.measures import (
     MuSearchResult,
     _mu_threshold,
+    _order_scan,
     _threshold_table,
     mu_c_upper_bound,
     n_c,
 )
 from noisegauge.report import NcResult
-from noisegauge.separability import ChoiState, min_pt_eigenvalue
+from noisegauge.separability import ChoiState, _scan_base, min_pt_eigenvalue
 
 PAULI_VECTOR = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
@@ -332,11 +333,18 @@ def kraus_sandwich(c, f):
     return compose_kraus(as_kraus(c), kraus_filtered(f, c))
 
 
+def filtered_scan(c, rotations, cap: int) -> tuple:
+    """``measures._order_scan`` of the filtered steps of a stack of Bloch
+    rotations, the way ``amend.search_filter`` scans them."""
+    base = _scan_base(c)
+    return _order_scan(_filter_matrix(rotations, base) @ base, cap)
+
+
 def order_and_margin(c, f, cap: int) -> tuple:
     """Order of f . c plus its tie-break margin, one filter at a time: the
     trace-norm scan of the filtered Bloch matrix for unital channels, Kraus
     composition and the Choi matrix's partial transpose otherwise.  An oracle
-    for the batched scan ``amend._order_scan``.
+    for the batched scan ``measures._order_scan``.
     """
     filtered = kraus_filtered(f, c)
     if isinstance(filtered, UnitalChannel):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     channel_power,
     filter_unitary,
+    filtered_scan,
     kraus_filtered,
     kraus_gad_amendable,
     kraus_sandwich,
@@ -35,17 +36,12 @@ from noisegauge import (
     search_filter,
 )
 import noisegauge.amend as amend_module
-from noisegauge.amend import (
-    _axis_rotations,
-    _cube_root_floor,
-    _euler_lattice,
-    _order_scan,
-    _scan_base,
-)
+from noisegauge.amend import _axis_rotations, _cube_root_floor, _euler_lattice, _filter_matrix
 from noisegauge.channels import PAULIS, as_kraus, ptm
 from noisegauge.gad import amend_boundary_s1, p_n
 from noisegauge.linalg import ROUND_TOL, polar_decompose
-from noisegauge.measures import _filter_order
+from noisegauge.measures import _order_scan
+from noisegauge.separability import _scan_base
 
 LAM = np.diag([0.73, 0.5, 0.5])
 SWAP_XY = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
@@ -122,14 +118,15 @@ class TestFilterCandidate:
         # the scan of search_filter opens with s1, s2, s3, r2r1, in that order
         stacks = []
 
-        def recording_scan(base, rotations, cap):
-            stacks.append(rotations.copy())
-            return _order_scan(base, rotations, cap)
+        def recording_scan(steps, cap):
+            stacks.append(steps.copy())
+            return _order_scan(steps, cap)
 
         monkeypatch.setattr(amend_module, "_order_scan", recording_scan)
         search_filter(channel, budget=8)
         named = [FilterCandidate(kind).bloch_matrix() for kind in ("s1", "s2", "s3", "r2r1")]
-        assert np.array_equal(stacks[0][:4], np.array(named))
+        base = _scan_base(channel)
+        assert np.array_equal(stacks[0][:4], _filter_matrix(np.array(named), base) @ base)
         # then one 3x3x3 stack per refinement round, for all but unital channels
         refining = 0 if isinstance(channel, UnitalChannel) else amend_module._REFINE_ROUNDS
         assert [len(stack) for stack in stacks[1:]] == [27] * refining
@@ -159,11 +156,6 @@ class TestFilterCandidate:
     def test_improper_composes_with_unital(self):
         out = apply_filter(SWAP_FILTER, UnitalChannel(T))
         assert np.abs(out.t - LAM).max() < 1e-14
-
-    def test_inverse(self):
-        filt = FilterCandidate.euler(0.5, 0.8, 1.9)
-        prod = filt.inverse().bloch_matrix() @ filt.bloch_matrix()
-        assert np.abs(prod - np.eye(3)).max() < 1e-12
 
     def test_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):
@@ -200,9 +192,8 @@ class TestIsAmendable2:
                 base = gad_kraus(GadParams(p, gamma))
                 u = filter_unitary(filt)
                 precomposed = KrausChannel(tuple(e @ u for e in base.ops))
-                assert gad_amendable(p, gamma, filt) == is_amendable2(
-                    precomposed, filt.inverse()
-                )
+                inverse = FilterCandidate.orthogonal(filt.bloch_matrix().T)
+                assert gad_amendable(p, gamma, filt) == is_amendable2(precomposed, inverse)
 
     def test_gad_rotation_pair_sliver(self):
         # gamma = 0.4: the quarter-turn-pair band starts near 0.575, below
@@ -443,11 +434,10 @@ class TestSearchFilter:
         """The winning filter, re-scored alone, scores at least the best named
         or lattice filter, up to the ``ROUND_TOL`` of a tie."""
         c = rotated_damping(np.random.default_rng(seed), band)
-        base = _scan_base(c)
         report = search_filter(c, cap=16, budget=budget, seed=seed)
-        order, margin = _filter_order(base, report.filter.bloch_matrix(), 16)
-        orders, margins = _order_scan(base, named_and_lattice(budget, seed), 16)
-        assert order + margin >= (orders + margins).max() - ROUND_TOL
+        order, margin = filtered_scan(c, report.filter.bloch_matrix()[None], 16)
+        orders, margins = filtered_scan(c, named_and_lattice(budget, seed), 16)
+        assert order[0] + margin[0] >= (orders + margins).max() - ROUND_TOL
 
     def test_refinement_finds_what_the_lattice_misses(self):
         """A rotated damping channel of order 2 that no named filter and no
@@ -458,7 +448,7 @@ class TestSearchFilter:
         c = apply_filter(euler, gad_kraus(GadParams(0.5872318330764819, 0.45003038868240186)))
         report = search_filter(c, cap=64, budget=1000, seed=42)
         assert (report.base_nc.n, report.filtered_nc.n, report.amendable) == (2, 3, True)
-        orders, _ = _order_scan(_scan_base(c), named_and_lattice(1000, 42), 64)
+        orders, _ = filtered_scan(c, named_and_lattice(1000, 42), 64)
         assert orders.max() == 2
 
     def test_report_json_schema(self):
@@ -498,7 +488,7 @@ def _scan_cases():
 class TestOrderScan:
     @pytest.mark.parametrize("c, rotations, cap", _scan_cases())
     def test_matches_loop_oracle(self, c, rotations, cap):
-        orders, margins = _order_scan(_scan_base(c), rotations, cap)
+        orders, margins = filtered_scan(c, rotations, cap)
         for o, margin, rot in zip(orders, margins, rotations):
             result, expected = order_and_margin(c, FilterCandidate.orthogonal(rot), cap)
             assert (None if o > cap else o) == result.n
@@ -511,20 +501,19 @@ class TestOrderScan:
     def test_rows_match_one_filter_scans(self, c, rotations, cap):
         """A filter scores the same, to the bit, in any stack and alone: on
         the PTM route a (k, 16) partial-transpose product would round rows of
-        a stack differently from one row."""
-        base = _scan_base(c)
-        orders, margins = _order_scan(base, rotations, cap)
+        a stack differently from one row.  ``amend_order`` scans the filter
+        alone."""
+        orders, margins = filtered_scan(c, rotations, cap)
         for o, m, rot in zip(orders, margins, rotations):
-            row = (int(o), float(m).hex())
-            one_row = _order_scan(base, rot[None], cap)
-            assert row == (int(one_row[0][0]), float(one_row[1][0]).hex())
-            order, margin = _filter_order(base, rot, cap)
-            assert row == (order, margin.hex())
+            one_row = filtered_scan(c, rot[None], cap)
+            assert (int(o), float(m).hex()) == (int(one_row[0][0]), float(one_row[1][0]).hex())
+            expected = None if o > cap else int(o)
+            assert amend_order(c, FilterCandidate.orthogonal(rot), cap).n == expected
 
     @pytest.mark.parametrize("unital", [True, False])
     def test_cases_cover_eb_at_one_and_exceeded_cap(self, unital):
         scans = [
-            (_order_scan(_scan_base(c), rotations, cap)[0], cap)
+            (filtered_scan(c, rotations, cap)[0], cap)
             for c, rotations, cap in _scan_cases()
             if isinstance(c, UnitalChannel) == unital
         ]
@@ -616,6 +605,6 @@ def test_filters_never_compose_kraus_sets(monkeypatch):
     rescued = KrausChannel(tuple(e @ filter_unitary(s1) for e in c.ops))
     assert isinstance(sandwich(c, s1), KrausChannel)
     assert isinstance(apply_filter(s1, c), KrausChannel)
-    assert is_amendable2(rescued, s1.inverse())
+    assert is_amendable2(rescued, FilterCandidate.orthogonal(s1.bloch_matrix().T))
     assert gad_amendable(0.61, 0.25, s1)
     assert search_filter(rescued, cap=8, budget=8, seed=1).amendable

@@ -151,6 +151,19 @@ class TestMuCAxial:
         got = mu_c_axial(lam_perp, lz, t_z)
         assert res.lower - 1e-13 <= got <= res.value + 1e-12
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the PTM route's fixed ROUND_TOL slack")
+    def test_barrier_bounds_inside_the_slack(self):
+        """The draw lz = 1e-12, t_z = 0, lam_perp = (1 + lz)/2 with identity
+        rotations.  The Kraus form's smallest partial-transpose eigenvalue,
+        about -5e-13, lies within ``ROUND_TOL``, so ``mu_c_search`` calls
+        the channel entanglement breaking and reads 0.0, while
+        ``mu_c_axial`` gives (d - 1)/d = 2.0e-12."""
+        lz = 1e-12
+        lam_perp = (1.0 + lz) / 2.0
+        res = mu_c_search(axial_kraus(lam_perp, lz, 0.0, [1, 0, 0, 0], [1, 0, 0, 0]))
+        got = mu_c_axial(lam_perp, lz, 0.0)
+        assert res.lower - 1e-13 <= got <= res.value + 1e-12
+
     def test_complete_dephasing_corner(self):
         assert mu_c_axial(0.0, 1.0, 0.0) == 0.0
 

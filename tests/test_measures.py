@@ -15,6 +15,7 @@ from helpers import (
     choi_state,
     compose_unital,
     eigenvector_dual_bound,
+    filtered_scan,
     fold_search,
     kraus_from_isometry,
     kron_threshold,
@@ -55,17 +56,12 @@ from noisegauge import (
     sandwich,
 )
 from noisegauge import measures
-from noisegauge.amend import _euler_lattice, _scan_base
+from noisegauge.amend import _euler_lattice, _filter_matrix
 from noisegauge.cli import main
 from noisegauge.gad import p_n
 from noisegauge.linalg import ROUND_TOL, partial_transpose, polar_decompose, trace_norm
-from noisegauge.measures import (
-    _filter_order,
-    _mu_threshold,
-    _order_result,
-    _order_scan,
-    _threshold_table,
-)
+from noisegauge.measures import _mu_threshold, _order_result, _order_scan, _threshold_table
+from noisegauge.separability import _scan_base
 
 LAM = np.diag([0.73, 0.5, 0.5])
 QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
@@ -655,20 +651,21 @@ SCAN_CAPS = st.integers(1, 64)
 
 
 def _one_filter_matches_lattice_row(c, angles, cap) -> int:
-    """The one-filter scan of an Euler filter's Bloch matrix and
-    ``amend_order`` against the one-point lattice scan: the same bits and
-    the same order."""
+    """An Euler filter's one-point lattice row and ``amend_order``, which
+    scans the filter alone: the same bits and the same order."""
     base = _scan_base(c)
-    orders, margins = _order_scan(base, _euler_lattice(*np.reshape(angles, (3, 1))), cap)
-    order, margin = _filter_order(base, FilterCandidate.euler(*angles).bloch_matrix(), cap)
-    assert (order, margin.hex()) == (int(orders[0]), float(margins[0]).hex())
-    assert amend_order(c, FilterCandidate.euler(*angles), cap) == _order_result(order, cap)
-    return order
+    orders, margins = filtered_scan(c, _euler_lattice(*np.reshape(angles, (3, 1))), cap)
+    step = _filter_matrix(FilterCandidate.euler(*angles).bloch_matrix(), base) @ base
+    alone = _order_scan(step[None], cap)
+    assert (int(alone[0][0]), float(alone[1][0]).hex()) == (int(orders[0]), float(margins[0]).hex())
+    assert amend_order(c, FilterCandidate.euler(*angles), cap) == _order_result(orders[0], cap)
+    return int(orders[0])
 
 
 class TestOneFilterScan:
-    """``_filter_order`` scores one filter with the bits of its row in a
-    stacked ``_order_scan``."""
+    """A filter scanned alone, as ``amend_order`` scans it, scores the bits
+    of its row in a stacked ``_order_scan``, and a channel scanned alone, as
+    ``n_c`` scans it, scores the bits of its identity-filter step."""
 
     @settings(max_examples=150, deadline=None)
     @given(unital_maps(), EULER_ANGLES, SCAN_CAPS)
@@ -693,15 +690,36 @@ class TestOneFilterScan:
     def test_examples_cover_eb_at_one_and_exceeded_cap(self, c, cap, order):
         assert _one_filter_matches_lattice_row(c, [0.3, -2.0, 7.5], cap) == order
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(unital_maps(), kraus_channels()), SCAN_CAPS)
+    @example(UnitalChannel(np.zeros((3, 3))), 1)
+    @example(IDENTITY_CH, 64)
+    @example(gad_kraus(GadParams(0.95, 0.5)), 64)
+    @example(as_kraus(IDENTITY_CH), 1)
+    def test_channel_alone_scores_as_the_identity_filter(self, c, cap):
+        """``n_c`` scans the channel's own matrix: the identity filter's
+        product, which it skips, changes no order and no margin bit."""
+        orders, margins = _order_scan(_scan_base(c)[None], cap)
+        expected = filtered_scan(c, np.eye(3)[None], cap)
+        assert (int(orders[0]), float(margins[0]).hex()) == (
+            int(expected[0][0]), float(expected[1][0]).hex())
+        assert n_c(c, cap) == _order_result(orders[0], cap)
+
     def test_improper_rotation_only_on_the_unital_route(self):
-        assert _filter_order(_scan_base(UnitalChannel(T)), SWAP_XY, 16)[0] == 3
+        swap = FilterCandidate.orthogonal(SWAP_XY)
+        assert amend_order(UnitalChannel(T), swap, 16).n == 3
         for c in (gad_kraus(GadParams(0.5, 0.3)), as_kraus(UnitalChannel(LAM))):
             with pytest.raises(ValueError, match="improper"):
-                _filter_order(_scan_base(c), SWAP_XY, 16)
+                amend_order(c, swap, 16)
 
     def test_rejects_cap_below_one(self):
         with pytest.raises(ValueError, match="cap"):
-            _filter_order(_scan_base(UnitalChannel(LAM)), np.eye(3), 0)
+            _order_scan(_scan_base(UnitalChannel(LAM))[None], 0)
+        # the cap is checked before the filter, on either route
+        swap = FilterCandidate.orthogonal(SWAP_XY)
+        for c in (UnitalChannel(LAM), as_kraus(UnitalChannel(LAM))):
+            with pytest.raises(ValueError, match="cap"):
+                amend_order(c, swap, 0)
 
 
 def test_orders_and_eb_decisions_never_compose_kraus_sets(monkeypatch):
