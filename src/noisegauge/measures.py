@@ -10,13 +10,8 @@ state is full rank with exactly one negative eigenvalue, so the segment stays
 nonsingular until the onset of separability, and the onset is the smallest
 root of det((1-mu) G + mu P) = 0 in (0, 1].  With S = sqrt(rho0) (x) 1/sqrt(2)
 the roots are mu = 1/(1 - nu) for the eigenvalues nu < 0 of the Hermitian
-matrix S G^-1 S, so the threshold is one 4x4 eigen-solve.
-
-For rho0 = (1 + w.sigma)/2, sqrt(rho0) = c0 1 + c.sigma with s = sqrt(1-|w|^2)/2,
-c0 = sqrt(1+2s)/2 and c = w / (2 sqrt(1+2s)), so S G^-1 S = (1/2) sum_jk c_j c_k
-Q_jk with Q_jk = (sigma_j (x) 1) G^-1 (sigma_k (x) 1), sigma_0 = 1: one 16x16
-table per channel, then (c (x) c) @ table and one 4x4 eigvalsh per state
-(``_mu_threshold``).
+matrix S G^-1 S, so the threshold is one 4x4 eigen-solve (``_mu_threshold``)
+after one inverse of G per channel.
 
 ``mu_c`` minimizes that threshold over the prepared state rho0.  Unital
 channels have an exact closed form, and damping channels the exact one of
@@ -86,28 +81,25 @@ def mu_c_unital(c: UnitalChannel) -> float:
 _SIGMA_1 = np.array([np.kron(s, IDENTITY_2) for s in PAULIS])
 
 
-def _threshold_table(c: Channel) -> tuple[np.ndarray, np.ndarray] | None:
-    """The 16x16 table with row 4j + k holding Q_jk / 2 (module docstring)
-    and the partial transpose G it inverts, or None when the channel is
-    entanglement breaking (threshold 0); a map that is not completely
-    positive raises ``ValueError``."""
+def _pt_choi(c: Channel) -> np.ndarray | None:
+    """The partial transpose G of the channel's Choi matrix, or None when
+    the channel is entanglement breaking (threshold 0); a map that is not
+    completely positive raises ``ValueError``."""
     r = ptm(c)
     ChoiState(choi_from_ptm(r))
     if decide_eb(r)[0]:
         return None
-    g = ptm_partial_transpose(r)
-    q = (_SIGMA_1 @ np.linalg.inv(g))[:, None] @ _SIGMA_1
-    return 0.5 * q.reshape(16, 16), g
+    return ptm_partial_transpose(r)
 
 
-def _mu_threshold(table: np.ndarray, w) -> float:
+def _mu_threshold(ginv: np.ndarray, w) -> float:
     """Separability onset along (1-mu) G + mu rho0 (x) 1/2 for the Bloch
-    vector w of rho0, given the table of ``_threshold_table``.
+    vector w of rho0, given G^-1.
 
     The roots of det((1-mu) G + mu P) are mu = 1/(1 - nu) for the negative
     eigenvalues nu of S G^-1 S with S S = P; the smallest root comes from the
     most negative nu.  Without a negative nu the segment meets no root before
-    its PSD endpoint P, so the onset is 1.  S G^-1 S is (c (x) c) @ table for
+    its PSD endpoint P, so the onset is 1.  S = sqrt(rho0) (x) 1/sqrt(2) with
     sqrt(rho0) = c0 1 + c.sigma, c0 = sqrt(1+2s)/2, c = w / (2 sqrt(1+2s)),
     s = sqrt(1-|w|^2)/2.  A w outside the ball is projected radially onto it,
     and a non-finite entry raises ``ValueError``.
@@ -121,7 +113,8 @@ def _mu_threshold(table: np.ndarray, w) -> float:
     root = math.sqrt(1.0 + math.sqrt((1.0 - r) * (1.0 + r)))
     k = 0.5 / root
     c = np.array([0.5 * root, k * x, k * y, k * z])
-    nu = float(np.linalg.eigvalsh(((c[:, None] * c).reshape(16) @ table).reshape(4, 4))[0])
+    half = (c @ _SIGMA_1.reshape(4, 16)).reshape(4, 4)
+    nu = 0.5 * float(np.linalg.eigvalsh(half @ ginv @ half)[0])
     return 1.0 / (1.0 - nu) if nu < 0.0 else 1.0
 
 
@@ -132,8 +125,8 @@ def mu_given_rho0(c: Channel, rho0) -> float:
     docstring).  Returns 0 when the channel is already entanglement breaking.
     """
     w = density_to_bloch(validate_density(rho0))
-    solved = _threshold_table(c)
-    return 0.0 if solved is None else _mu_threshold(solved[0], w.tolist())
+    g = _pt_choi(c)
+    return 0.0 if g is None else _mu_threshold(np.linalg.inv(g), w.tolist())
 
 
 @dataclass(frozen=True)
@@ -222,16 +215,16 @@ def mu_c_search(c: Channel) -> MuSearchResult:
     exhausts its steps reports its feasible point and the bound of its last
     finished centering.
     """
-    solved = _threshold_table(c)
-    if solved is None:
+    g = _pt_choi(c)
+    if g is None:
         return MuSearchResult(0.0, np.zeros(3), 0, 0.0)
-    table, g = solved
     v, lower, steps = _barrier_solve(g)
+    ginv = np.linalg.inv(g)
     a, b = float(v[0]), v[1:]
     radius = math.hypot(*b)
     value, point = a, b / a
     for w in (b / a, b / radius) if radius > 0.0 else (b / a,):
-        mu = _mu_threshold(table, w.tolist())
+        mu = _mu_threshold(ginv, w.tolist())
         if mu < value:
             value, point = mu, w
     # rho0 = 1/2 meets the bound d/(1+d) for every channel (the partial
@@ -290,7 +283,7 @@ def _order_result(order, cap: int) -> NcResult:
 def _order_scan(steps: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Orders of the channels whose transfer matrices are stacked in `steps`,
     (k, 3, 3) Bloch matrices or (k, 4, 4) PTMs, each with a tie-break margin
-    in [-1, 0].
+    in [-1, ROUND_TOL].
 
     An order above ``cap`` reads cap + 1 with margin 0, so ``orders + margins``
     ranks ExceedsCap first and, within one order, the iterate that turned

@@ -88,13 +88,14 @@ def decide_eb(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A 3x3 Bloch matrix T is EB when ||T||_1 <= 1 + ROUND_TOL, margin
     ||T||_1 - 1; a 4x4 PTM when its smallest partial-transpose eigenvalue is
     >= -ROUND_TOL, margin minus twice that eigenvalue.  Boundary inclusive.  On
-    EB channels the margin lies in [-1, 0] and nears 0 at the boundary.
+    EB channels the margin lies in [-1, 0], or up to ROUND_TOL above 0 for a
+    Bloch matrix inside the slack, and nears 0 at the boundary.
     """
     if stack.shape[-1] == 3:
         tn = np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
-        return tn <= 1.0 + ROUND_TOL, np.maximum(-1.0, tn - 1.0)
+        return tn <= 1.0 + ROUND_TOL, tn - 1.0
     low = ptm_min_pt_eigenvalues(stack)
-    return low >= -ROUND_TOL, -np.minimum(1.0, 2.0 * np.maximum(0.0, low))
+    return low >= -ROUND_TOL, -2.0 * np.maximum(0.0, low)
 
 
 def is_eb(c: Channel) -> bool:

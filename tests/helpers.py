@@ -4,6 +4,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from noisegauge import UnitalChannel
@@ -29,7 +31,7 @@ from noisegauge.measures import (
     MuSearchResult,
     _mu_threshold,
     _order_scan,
-    _threshold_table,
+    _pt_choi,
     mu_c_upper_bound,
     n_c,
 )
@@ -37,6 +39,7 @@ from noisegauge.report import NcResult
 from noisegauge.separability import ChoiState, _scan_base, min_pt_eigenvalue
 
 PAULI_VECTOR = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
 
 
 def rotation_from_quaternion(q) -> np.ndarray:
@@ -70,6 +73,17 @@ def kraus_from_isometry(z) -> KrausChannel:
     operators."""
     q, _ = np.linalg.qr(np.asarray(z, dtype=complex))
     return KrausChannel(tuple(q[2 * i:2 * i + 2] for i in range(len(q) // 2)))
+
+
+@st.composite
+def kraus_channels(draw):
+    """Channels of Kraus rank 1 to 4, from the isometry of a (2r, 2) complex
+    matrix of rank 2."""
+    rank = draw(st.integers(1, 4))
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=8 * rank, max_size=8 * rank))
+    z = np.reshape(entries, (2 * rank, 2, 2)) @ [1.0, 1j]
+    assume(np.linalg.svd(z, compute_uv=False)[-1] > 1e-3)
+    return kraus_from_isometry(z)
 
 
 def random_rotation(rng) -> np.ndarray:
@@ -150,11 +164,11 @@ def fold_search(c) -> MuSearchResult:
     plateau, so a pure optimum is an interior minimum at |x| = pi/2.  Its
     `evaluations` count threshold solves, and it certifies no lower bound
     beyond 0.  An oracle for the barrier solve."""
-    solved = _threshold_table(c)
-    if solved is None:
+    g = _pt_choi(c)
+    if g is None:
         return MuSearchResult(0.0, np.zeros(3), 1, 0.0)
-    table = solved[0]
-    res = minimize(lambda x: _mu_threshold(table, _fold(x)), np.full(3, 0.01),
+    ginv = np.linalg.inv(g)
+    res = minimize(lambda x: _mu_threshold(ginv, _fold(x)), np.full(3, 0.01),
                    method="Nelder-Mead", options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 600})
     value, point = float(res.fun), np.array(_fold(res.x.tolist()))
     bound = mu_c_upper_bound(2)
@@ -175,10 +189,9 @@ def sdp_mu_c(c) -> tuple[float, float]:
     `lower` = a - 6/t lies below the optimum; `upper` is the exact threshold
     of ``measures._mu_threshold`` at the feasible Bloch vector w = b/a.  An EB
     channel gives (0, 0)."""
-    solved = _threshold_table(c)
-    if solved is None:
+    pt = _pt_choi(c)
+    if pt is None:
         return 0.0, 0.0
-    table = solved[0]
     g = partial_transpose(choi(c))
     # dM/dv for v = (a, b_x, b_y, b_z)
     basis = np.array([np.eye(4) / 4 - g] + [np.kron(s, IDENTITY_2) / 4 for s in PAULI_VECTOR])
@@ -206,7 +219,7 @@ def sdp_mu_c(c) -> tuple[float, float]:
             break
         t *= 10.0
     a, b = float(v[0]), v[1:]
-    return _mu_threshold(table, b / a), a - 6.0 / t
+    return _mu_threshold(np.linalg.inv(pt), b / a), a - 6.0 / t
 
 
 def eigenvector_dual_bound(c, value: float, bloch) -> float:

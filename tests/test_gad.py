@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    QUATERNIONS,
     explicit_mu_c_gad_squared,
     mu_vs_vz,
     pbar,
@@ -120,9 +121,6 @@ class TestMuCGad:
                 assert mu_c_gad(p, gamma) == pytest.approx(
                     mu_c_gad(p, 1 - gamma), abs=1e-12
                 )
-
-
-QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
 
 
 def axial_kraus(lam_perp, lam_z, t_z, q1, q2):

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    QUATERNIONS,
     bisect_threshold,
     channel_power,
     choi_state,
@@ -17,7 +18,7 @@ from helpers import (
     eigenvector_dual_bound,
     filtered_scan,
     fold_search,
-    kraus_from_isometry,
+    kraus_channels,
     kron_threshold,
     loop_n_c,
     mu_vs_vz,
@@ -60,23 +61,10 @@ from noisegauge.amend import _euler_lattice, _filter_matrix
 from noisegauge.cli import main
 from noisegauge.gad import p_n
 from noisegauge.linalg import ROUND_TOL, partial_transpose, polar_decompose, trace_norm
-from noisegauge.measures import _mu_threshold, _order_result, _order_scan, _threshold_table
+from noisegauge.measures import _mu_threshold, _order_result, _order_scan, _pt_choi
 from noisegauge.separability import _scan_base
 
 LAM = np.diag([0.73, 0.5, 0.5])
-QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
-
-
-@st.composite
-def kraus_channels(draw):
-    """Channels of Kraus rank 1 to 4, from the isometry of a (2r, 2) complex
-    matrix of rank 2."""
-    rank = draw(st.integers(1, 4))
-    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=8 * rank, max_size=8 * rank))
-    z = np.reshape(entries, (2 * rank, 2, 2)) @ [1.0, 1j]
-    assume(np.linalg.svd(z, compute_uv=False)[-1] > 1e-3)
-    return kraus_from_isometry(z)
-
 
 SWAP_XY = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
 T = SWAP_XY @ LAM
@@ -153,7 +141,8 @@ def _bloch_point(state, rng):
 
 
 class TestThresholdKernel:
-    """The table kernel against the direct S G^-1 S construction."""
+    """The one-state kernel against the S G^-1 S construction of
+    ``helpers.kron_threshold`` on the Choi-matrix route."""
 
     @pytest.mark.parametrize("kind,seed", [("unital", 51), ("damping", 52), ("filtered", 53)])
     @pytest.mark.parametrize("state", ["mixed", "pure", "centre", "outside"])
@@ -162,29 +151,29 @@ class TestThresholdKernel:
         checked = 0
         while checked < 12:
             c = _seeded_channel(kind, rng)
-            solved = _threshold_table(c)
-            if solved is None:
+            g = _pt_choi(c)
+            if g is None:
                 continue
-            table = solved[0]
+            kernel_ginv = np.linalg.inv(g)
             checked += 1
             ginv = np.linalg.inv(partial_transpose(choi_state(c).g))
             for _ in range(3):
                 w = _bloch_point(state, rng)
                 projected = w / max(1.0, np.linalg.norm(w))
                 expected = kron_threshold(ginv, bloch_to_density(projected))
-                got = _mu_threshold(table, w)
+                got = _mu_threshold(kernel_ginv, w)
                 assert got == pytest.approx(expected, abs=1e-12)
                 if state == "outside":  # constant along each ray beyond the ball
-                    assert _mu_threshold(table, 4.0 * w) == got
+                    assert _mu_threshold(kernel_ginv, 4.0 * w) == got
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_bloch_entry(self, bad):
-        table, _ = _threshold_table(IDENTITY_CH)
+        ginv = np.linalg.inv(_pt_choi(IDENTITY_CH))
         for entry in range(3):
             w = [0.1, 0.2, 0.3]
             w[entry] = bad
             with pytest.raises(ValueError, match="finite"):
-                _mu_threshold(table, w)
+                _mu_threshold(ginv, w)
 
 
 class TestMuCUnital:
@@ -269,7 +258,7 @@ class TestMuCSearch:
 def _non_eb_channel(kind, rng):
     while True:
         c = _seeded_channel(kind, rng)
-        if _threshold_table(c) is not None:
+        if _pt_choi(c) is not None:
             return c
 
 

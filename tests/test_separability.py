@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    QUATERNIONS,
     choi_state,
     is_separable,
+    kraus_channels,
     noisy_choi,
     pt_determinant,
     random_cp_unital,
     random_density,
     random_two_qubit_state,
+    rotation_from_quaternion,
 )
 from noisegauge import (
     ChoiState,
@@ -18,14 +23,40 @@ from noisegauge import (
     is_eb,
     min_pt_eigenvalue,
 )
+from noisegauge.amend import _filter_matrix
 from noisegauge.channels import PSI_PLUS, as_kraus, gad_kraus, ptm
 from noisegauge.gad import p_n
-from noisegauge.linalg import partial_transpose
-from noisegauge.separability import ptm_min_pt_eigenvalues, ptm_partial_transpose
+from noisegauge.linalg import ROUND_TOL, partial_transpose
+from noisegauge.separability import decide_eb, ptm_min_pt_eigenvalues, ptm_partial_transpose
 
 LAM = np.diag([0.73, 0.5, 0.5])
 IDENTITY_CH = UnitalChannel(np.eye(3))
 MIXED = np.eye(2) / 2
+
+
+@st.composite
+def bloch_contractions(draw):
+    """A real 3x3 contraction O1 diag(s) O2 with s in [-1, 1]^3: the Bloch
+    matrix of any unital map that preserves the ball, completely positive
+    or not."""
+    s = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    q1, q2 = draw(QUATERNIONS), draw(QUATERNIONS)
+    assume(np.linalg.norm(q1) > 1e-3 and np.linalg.norm(q2) > 1e-3)
+    return rotation_from_quaternion(q1) @ np.diag(s) @ rotation_from_quaternion(q2)
+
+
+@st.composite
+def kraus_ptms(draw):
+    """The PTM R of a drawn Kraus channel, or of its filtered product F R or
+    R F R with F = blockdiag(1, O) for a drawn rotation O."""
+    r = ptm(draw(kraus_channels()))
+    uses = draw(st.integers(0, 2))
+    if uses == 0:
+        return r
+    q = draw(QUATERNIONS)
+    assume(np.linalg.norm(q) > 1e-3)
+    f = _filter_matrix(rotation_from_quaternion(q), r)
+    return f @ r if uses == 1 else r @ f @ r
 
 
 class TestChoiState:
@@ -140,3 +171,30 @@ class TestPtmPartialTranspose:
         lows = ptm_min_pt_eigenvalues(np.array([ptm(c) for c in channels]))
         for low, c in zip(lows, channels):
             assert abs(low - min_pt_eigenvalue(choi(c))) < 1e-14
+
+
+class TestDecideEbMargins:
+    """``decide_eb`` leaves its margins unclamped.  A trace norm is >= 0, so a
+    Bloch margin is >= -1.  A PTM with first row (1, 0, 0, 0) has a
+    unit-trace partial transpose, whose smallest eigenvalue is <= 1/4, so a
+    PTM margin is >= -1/2."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(bloch_contractions(), min_size=1, max_size=4),
+           st.lists(kraus_ptms(), min_size=1, max_size=4))
+    def test_eb_margins_within_unit_interval(self, blochs, kraus):
+        blochs = np.array(blochs)
+        unital = np.zeros((len(blochs), 4, 4))
+        unital[:, 0, 0] = 1.0
+        unital[:, 1:, 1:] = blochs
+        ptms = np.concatenate((unital, kraus))
+        assert (ptm_min_pt_eigenvalues(ptms) <= 0.25 + 1e-15).all()
+        eb, margin = decide_eb(ptms)
+        assert ((-1.0 <= margin[eb]) & (margin[eb] <= 0.0)).all()
+        # a trace norm inside the slack, in (1, 1 + ROUND_TOL], reads above 0
+        eb, margin = decide_eb(blochs)
+        assert ((-1.0 <= margin[eb]) & (margin[eb] <= ROUND_TOL)).all()
+
+    def test_bloch_margin_inside_the_slack(self):
+        eb, margin = decide_eb(np.diag([0.5, 0.25, 0.25 + 5e-13]))
+        assert eb and 0.0 < margin <= ROUND_TOL
