@@ -189,7 +189,9 @@ def _rows_fig3(grids, fixed, cap):
 
 def _rows_fig4(grids, fixed, cap):
     """Both columns of a row come from one ``GadParams`` c: the closed-form
-    threshold of c . c and the searched one of c . f . c, on the PTM of c."""
+    threshold of c . c and the one ``mu_c_search`` gives for c . f . c.  With
+    the s1 filter c . f . c is a rotation of an axially symmetric channel, so
+    the certified guess answers it without the barrier solve."""
     gamma, name = fixed["gamma"], fixed["filter"]
     check_unit_square(grids["p"], gamma)
     if name not in ("s1", "r2r1"):

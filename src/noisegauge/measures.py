@@ -15,14 +15,21 @@ after one inverse of G per channel.
 
 ``mu_c`` minimizes that threshold over the prepared state rho0.  Unital
 channels have an exact closed form, and damping channels the exact one of
-axially symmetric channels (``gad.mu_c_axial``); everything else solves the
-convex program of the threshold (``mu_c_search``).  With X = mu rho0 the mixture is
-EB exactly when (1 - tr X) G + X (x) 1/2 and X are PSD, so mu_c is the least
-tr X over that set: the robustness program of Vidal and Tarrach (PRA 59,
-141, 1999), an SDP in the four real entries of X.  A barrier method solves
-it, and its duality gap certifies a lower bound next to the value.  The
-closed forms, a derivative-free search over the Bloch ball and a second
-barrier solve check it in the test suite.
+axially symmetric channels (``gad.mu_c_axial``); everything else goes
+through ``mu_c_search``.  With X = mu rho0 the mixture is EB exactly when
+(1 - tr X) G + X (x) 1/2 and X are PSD, so mu_c is the least tr X over that
+set: the robustness program of Vidal and Tarrach (PRA 59, 141, 1999), an SDP
+in the four real entries of X.  mu_c is unchanged by unitaries before and
+after the channel, so it depends only on the channel's normal form (King &
+Ruskai, IEEE Trans. Inf. Theory 47, 2001), and rotations of unital and
+axially symmetric channels have their optimal state in closed form.
+``mu_c_search`` guesses that state from one SVD, takes the exact threshold
+there as the value and a weak-duality bound from one eigenvector as the
+lower bound, and accepts the guess when the two agree within ROUND_TOL
+relative.  Otherwise a barrier method solves the program, and its duality
+gap certifies a lower bound next to the value.  The closed forms, a
+derivative-free search over the Bloch ball, a second barrier solve and the
+eigenvector bound on the Choi-matrix route check it in the test suite.
 
 ``n_c`` is the smallest number of self-compositions after which the channel
 breaks entanglement; by monotonicity of the EB^n families a single upward
@@ -81,11 +88,10 @@ def mu_c_unital(c: UnitalChannel) -> float:
 _SIGMA_1 = np.array([np.kron(s, IDENTITY_2) for s in PAULIS])
 
 
-def _pt_choi(c: Channel) -> np.ndarray | None:
-    """The partial transpose G of the channel's Choi matrix, or None when
-    the channel is entanglement breaking (threshold 0); a map that is not
-    completely positive raises ``ValueError``."""
-    r = ptm(c)
+def _pt_choi(r: np.ndarray) -> np.ndarray | None:
+    """The partial transpose G of the Choi matrix of the channel with PTM r,
+    or None when the channel is entanglement breaking (threshold 0); a map
+    that is not completely positive raises ``ValueError``."""
     ChoiState(choi_from_ptm(r))
     if decide_eb(r)[0]:
         return None
@@ -118,6 +124,28 @@ def _mu_threshold(ginv: np.ndarray, w) -> float:
     return 1.0 / (1.0 - nu) if nu < 0.0 else 1.0
 
 
+def _dual_bound(g: np.ndarray, value: float, w) -> float:
+    """Weak-duality lower bound on mu_c from one eigenvector, valid for any
+    claimed optimum (value, w) (Boyd & Vandenberghe, Convex Optimization,
+    5.2).
+
+    Take v, the eigenvector of the smallest eigenvalue of the onset matrix
+    (1 - value) G + value rho0 (x) 1/2 at the Bloch vector w of rho0, G the
+    partial transpose.  Let g_v = <v|G|v> and s the largest eigenvalue of
+    tr_2 |v><v|.  For any feasible X = mu rho0,
+    0 <= <v|(1 - tr X) G + X (x) 1/2|v> <= (1 - tr X) g_v + tr X s/2, so
+    tr X >= -g_v / (s/2 - g_v) when g_v < 0.  Returns 0 when g_v >= 0.
+    """
+    prepared = (np.concatenate(([1.0], w)) @ _SIGMA_1.reshape(4, 16)).reshape(4, 4) / 4
+    v = np.linalg.eigh((1.0 - value) * g + value * prepared)[1][:, 0]
+    g_v = float((v.conj() @ g @ v).real)
+    if g_v >= 0.0:
+        return 0.0
+    half = v.reshape(2, 2)
+    s = float(np.linalg.eigvalsh(half @ half.conj().T)[-1])
+    return -g_v / (s / 2 - g_v)
+
+
 def mu_given_rho0(c: Channel, rho0) -> float:
     """Minimal mixing probability towards the fixed state rho0, solved exactly:
     the smallest root in (0, 1] of det((1-mu) G + mu rho0 (x) 1/2) = 0, G the
@@ -125,7 +153,7 @@ def mu_given_rho0(c: Channel, rho0) -> float:
     docstring).  Returns 0 when the channel is already entanglement breaking.
     """
     w = density_to_bloch(validate_density(rho0))
-    g = _pt_choi(c)
+    g = _pt_choi(ptm(c))
     return 0.0 if g is None else _mu_threshold(np.linalg.inv(g), w.tolist())
 
 
@@ -133,7 +161,9 @@ def mu_given_rho0(c: Channel, rho0) -> float:
 class MuSearchResult:
     """Outcome of the threshold minimization over rho0: the value, the Bloch
     vector of the prepared state that attains it, the Newton steps taken
-    and a certified lower bound on the threshold."""
+    (0 when the certified guess answers, and for an entanglement-breaking
+    channel) and a certified lower bound on the threshold, never above the
+    value.  On the guess route value - lower <= ROUND_TOL * value."""
 
     value: float
     bloch: np.ndarray
@@ -198,35 +228,77 @@ def _barrier_solve(g: np.ndarray) -> tuple[np.ndarray, float, int]:
     return v, lower, steps
 
 
+def _normal_form_guess(r: np.ndarray) -> np.ndarray:
+    """Bloch vector of the optimal prepared state of the axially symmetric
+    channel nearest to the PTM r = [[1, 0], [t, T]] in its normal form.
+
+    mu_c is unchanged by rotations before and after the channel, and one SVD
+    T = U diag(s) V^T writes the channel as a rotation of the normal form
+    (King & Ruskai, IEEE Trans. Inf. Theory 47, 2001): Bloch matrix
+    diag(s) with the sign of det T on one axis, and shift U^T t.  The two
+    closest singular values average to lam_perp; the third, signed, is
+    lam_z along column k of U, and t_z is the shift along it.  The optimum
+    of ``gad.mu_c_axial`` is the peak w_z = -(1 - a) t_z / a = -t_z / (d - 1),
+    d = 2 lam_perp + lam_z, when |t_z| < d - 1, and the pure state
+    -sign(t_z) otherwise; turned back by U it is w_z times column k.  Both
+    t_z and w_z change sign with that column, so the state does not depend
+    on the signs the SVD picks.  A unital channel that is not entanglement
+    breaking has t_z = 0 and d - 1 = ||T||_1 - 1 > 0, so its guess is the
+    maximally mixed state.
+    """
+    u, s, _ = np.linalg.svd(r[1:, 1:])
+    k = 2 if s[0] - s[1] <= s[1] - s[2] else 0
+    lam_perp = 0.5 * float(s.sum() - s[k])
+    lam_z = math.copysign(float(s[k]), np.linalg.det(r[1:, 1:]))
+    t_z = float(u[:, k] @ r[1:, 0])
+    d = 2.0 * lam_perp + lam_z
+    w_z = -t_z / (d - 1.0) if abs(t_z) < d - 1.0 else -math.copysign(1.0, t_z)
+    return w_z * u[:, k]
+
+
 def mu_c_search(c: Channel) -> MuSearchResult:
     """Minimize mu_given_rho0 over the Bloch ball, any channel with a valid
-    Choi matrix, by solving its convex program (``_barrier_solve``).
+    Choi matrix: guess the optimum from the normal form, certify it, and
+    solve the convex program only when the certificate fails.
 
-    The program's variable X = mu rho0 = (a + b.sigma)/2 gives two prepared
-    states: w = b/a and the pure state b/|b| of the same direction.  The
-    value is the least of a, which is feasible, and the exact solves of
-    `mu_given_rho0` at those states.  At a pure optimum w stays about 1/(t a)
-    inside the sphere, where the solve reads up to ~1e-11 high; on the
-    sphere it agrees with the derivative-free search to ~1e-16.  `bloch` is
-    the state that gave the value (w when it is a).  `lower` is the
-    certified bound of the barrier's duality gap, within about 6e-11 of the
-    value; `evaluations` counts Newton steps, 0 for an entanglement-breaking
-    channel, whose threshold is 0.  The solve never raises: a run that
-    exhausts its steps reports its feasible point and the bound of its last
+    The guess (``_normal_form_guess``) is exact for rotations of unital and
+    axially symmetric channels.  Its value is the exact solve of
+    ``mu_given_rho0`` at the guessed state, an upper bound since every state
+    is feasible, and ``_dual_bound`` there gives `lower`.  When
+    value - lower <= ROUND_TOL * value the guess is the answer, with
+    `evaluations` 0.  Otherwise ``_barrier_solve`` runs: its variable
+    X = mu rho0 = (a + b.sigma)/2 gives two prepared states, w = b/a and the
+    pure state b/|b| of the same direction, and the value is the least of
+    a, which is feasible, and the exact solves at those states.  At a pure
+    optimum w stays about 1/(t a) inside the sphere, where the solve reads
+    up to ~1e-11 high.  `lower` is then the larger of the barrier's
+    certified bound and ``_dual_bound`` at its answer; `evaluations` counts
+    its Newton steps.  On either route `bloch` is the state that gave the
+    value (w when it is a), and `lower` never exceeds the value.  An
+    entanglement-breaking channel has threshold 0 and `evaluations` 0.  The
+    solve never raises: a run that exhausts its steps reports its feasible
+    point and the better of the dual bound there and the bound of its last
     finished centering.
     """
-    g = _pt_choi(c)
+    r = ptm(c)
+    g = _pt_choi(r)
     if g is None:
         return MuSearchResult(0.0, np.zeros(3), 0, 0.0)
-    v, lower, steps = _barrier_solve(g)
     ginv = np.linalg.inv(g)
-    a, b = float(v[0]), v[1:]
-    radius = math.hypot(*b)
-    value, point = a, b / a
-    for w in (b / a, b / radius) if radius > 0.0 else (b / a,):
-        mu = _mu_threshold(ginv, w.tolist())
-        if mu < value:
-            value, point = mu, w
+    point = _normal_form_guess(r)
+    value = _mu_threshold(ginv, point.tolist())
+    lower = _dual_bound(g, value, point)
+    steps = 0
+    if value - lower > ROUND_TOL * value:
+        v, lower, steps = _barrier_solve(g)
+        a, b = float(v[0]), v[1:]
+        radius = math.hypot(*b)
+        value, point = a, b / a
+        for w in (b / a, b / radius) if radius > 0.0 else (b / a,):
+            mu = _mu_threshold(ginv, w.tolist())
+            if mu < value:
+                value, point = mu, w
+        lower = max(lower, _dual_bound(g, value, point))
     # rho0 = 1/2 meets the bound d/(1+d) for every channel (the partial
     # transpose of a two-qubit state has no eigenvalue below -1/2).  For a
     # unitary channel the minimum sits there, and a and the exact solves read
@@ -234,7 +306,7 @@ def mu_c_search(c: Channel) -> MuSearchResult:
     bound = mu_c_upper_bound(2)
     if value > bound:
         value, point = bound, np.zeros(3)
-    return MuSearchResult(value, point, steps, lower)
+    return MuSearchResult(value, point, steps, min(lower, value))
 
 
 def mu_c(c: Channel) -> float:

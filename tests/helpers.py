@@ -20,8 +20,11 @@ from noisegauge.channels import (
     as_kraus,
     bloch_to_density,
     choi,
+    choi_from_ptm,
     compose_kraus,
     gad_kraus,
+    kraus_from_choi,
+    ptm,
     validate_density,
 )
 from noisegauge.gad import p_n
@@ -65,6 +68,14 @@ def unitary_from_quaternion(q) -> np.ndarray:
 def rotated_kraus(c, u, v) -> KrausChannel:
     """The channel rho -> u c(v rho v^dag) u^dag: Kraus operators u E v."""
     return KrausChannel(tuple(u @ e @ v for e in c.ops))
+
+
+def axial_kraus(lam_perp, lam_z, t_z, q1, q2):
+    """The axial channel in Kraus form, rotated on both sides."""
+    r = np.zeros((4, 4))
+    r[0, 0], r[1, 1], r[2, 2], r[3, 3], r[3, 0] = 1.0, lam_perp, lam_perp, lam_z, t_z
+    c = kraus_from_choi(choi_from_ptm(r))
+    return rotated_kraus(c, unitary_from_quaternion(q1), unitary_from_quaternion(q2))
 
 
 def kraus_from_isometry(z) -> KrausChannel:
@@ -164,7 +175,7 @@ def fold_search(c) -> MuSearchResult:
     plateau, so a pure optimum is an interior minimum at |x| = pi/2.  Its
     `evaluations` count threshold solves, and it certifies no lower bound
     beyond 0.  An oracle for the barrier solve."""
-    g = _pt_choi(c)
+    g = _pt_choi(ptm(c))
     if g is None:
         return MuSearchResult(0.0, np.zeros(3), 1, 0.0)
     ginv = np.linalg.inv(g)
@@ -189,7 +200,7 @@ def sdp_mu_c(c) -> tuple[float, float]:
     `lower` = a - 6/t lies below the optimum; `upper` is the exact threshold
     of ``measures._mu_threshold`` at the feasible Bloch vector w = b/a.  An EB
     channel gives (0, 0)."""
-    pt = _pt_choi(c)
+    pt = _pt_choi(ptm(c))
     if pt is None:
         return 0.0, 0.0
     g = partial_transpose(choi(c))
@@ -232,7 +243,8 @@ def eigenvector_dual_bound(c, value: float, bloch) -> float:
     largest eigenvalue of tr_2 |v><v|.  For any feasible X = mu rho0,
     0 <= <v|(1 - tr X) G + X (x) 1/2|v> <= (1 - tr X) g_v + tr X s/2, so
     tr X >= -g_v / (s/2 - g_v) when g_v < 0 (Boyd & Vandenberghe, §5.2).
-    Returns 0 when g_v >= 0."""
+    Returns 0 when g_v >= 0.  The oracle of ``measures._dual_bound``, which
+    reads G off the PTM."""
     g = partial_transpose(choi(c))
     prepared = np.kron(bloch_to_density(bloch), IDENTITY_2 / 2)
     v = np.linalg.eigh((1.0 - value) * g + value * prepared)[1][:, 0]

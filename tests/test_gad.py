@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from helpers import (
     QUATERNIONS,
+    axial_kraus,
     explicit_mu_c_gad_squared,
     mu_vs_vz,
     pbar,
     pbarbar,
-    rotated_kraus,
     two_branch_mu_c_gad,
     two_branch_mu_c_gad_squared,
-    unitary_from_quaternion,
     vbar,
 )
 from noisegauge import (
@@ -31,7 +30,7 @@ from noisegauge import (
     p_n,
 )
 from noisegauge.amend import FilterCandidate, sandwich
-from noisegauge.channels import choi_from_ptm, gad_kraus, kraus_from_choi
+from noisegauge.channels import gad_kraus
 from noisegauge.separability import is_eb
 
 SQRT2 = math.sqrt(2.0)
@@ -121,14 +120,6 @@ class TestMuCGad:
                 assert mu_c_gad(p, gamma) == pytest.approx(
                     mu_c_gad(p, 1 - gamma), abs=1e-12
                 )
-
-
-def axial_kraus(lam_perp, lam_z, t_z, q1, q2):
-    """The axial channel in Kraus form, rotated on both sides."""
-    r = np.zeros((4, 4))
-    r[0, 0], r[1, 1], r[2, 2], r[3, 3], r[3, 0] = 1.0, lam_perp, lam_perp, lam_z, t_z
-    c = kraus_from_choi(choi_from_ptm(r))
-    return rotated_kraus(c, unitary_from_quaternion(q1), unitary_from_quaternion(q2))
 
 
 class TestMuCAxial:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     QUATERNIONS,
+    axial_kraus,
     bisect_threshold,
     channel_power,
     choi_state,
@@ -47,6 +48,7 @@ from noisegauge import (
     is_eb,
     kraus_from_choi,
     mu_c,
+    mu_c_axial,
     mu_c_gad,
     mu_c_search,
     mu_c_unital,
@@ -58,6 +60,7 @@ from noisegauge import (
 )
 from noisegauge import measures
 from noisegauge.amend import _euler_lattice, _filter_matrix
+from noisegauge.channels import ptm
 from noisegauge.cli import main
 from noisegauge.gad import p_n
 from noisegauge.linalg import ROUND_TOL, partial_transpose, polar_decompose, trace_norm
@@ -151,7 +154,7 @@ class TestThresholdKernel:
         checked = 0
         while checked < 12:
             c = _seeded_channel(kind, rng)
-            g = _pt_choi(c)
+            g = _pt_choi(ptm(c))
             if g is None:
                 continue
             kernel_ginv = np.linalg.inv(g)
@@ -168,7 +171,7 @@ class TestThresholdKernel:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_bloch_entry(self, bad):
-        ginv = np.linalg.inv(_pt_choi(IDENTITY_CH))
+        ginv = np.linalg.inv(_pt_choi(ptm(IDENTITY_CH)))
         for entry in range(3):
             w = [0.1, 0.2, 0.3]
             w[entry] = bad
@@ -258,7 +261,7 @@ class TestMuCSearch:
 def _non_eb_channel(kind, rng):
     while True:
         c = _seeded_channel(kind, rng)
-        if _pt_choi(c) is not None:
+        if _pt_choi(ptm(c)) is not None:
             return c
 
 
@@ -284,11 +287,13 @@ class TestMuCSearchOracle:
     def test_search_cost(self):
         """The barrier solve takes a median of at most 40 Newton steps and
         never exhausts its step budget (the Nelder-Mead search took a median
-        of about 200 threshold solves)."""
+        of about 200 threshold solves).  It runs on the G of ``mu_c_search``,
+        whose certified guess answers these channels without it."""
         steps = []
         for kind, seed in self.CASES:
             rng = np.random.default_rng(seed)
-            steps += [mu_c_search(_non_eb_channel(kind, rng)).evaluations for _ in range(4)]
+            steps += [measures._barrier_solve(_pt_choi(ptm(_non_eb_channel(kind, rng))))[2]
+                      for _ in range(4)]
         assert np.median(steps) <= 40
         assert max(steps) < measures._NEWTON_STEPS
 
@@ -304,19 +309,29 @@ class TestMuCSearchOracle:
     @settings(max_examples=20, deadline=None)
     @given(kraus_channels())
     def test_exhausted_step_budget_still_answers(self, c):
-        """With one Newton step allowed, the solve reports its first iterate,
-        a feasible point, and the trivial bound 0; ``analyze`` still exits 0
-        with that value."""
-        _, lower = sdp_mu_c(c)
+        """With one Newton step allowed, ``analyze`` still exits 0 with the
+        value of ``mu_c_search``.  Where the barrier runs, it reports its
+        first iterate, a feasible point, with its own trivial bound 0, which
+        the dual bound at that point replaces; where the guess answers, its
+        certificate holds."""
+        upper, lower = sdp_mu_c(c)
+        g = _pt_choi(ptm(c))
         out = io.StringIO()
         with mock.patch.object(measures, "_NEWTON_STEPS", 1):
             got = mu_c_search(c)
             with contextlib.redirect_stdout(out):
                 rc = main(["analyze", json.dumps(channel_to_json(c))])
+            barrier = None if g is None else measures._barrier_solve(g)
         assert rc == 0
         assert json.loads(out.getvalue())["mu_c"] == got.value
         assert got.value >= lower
-        assert got.evaluations <= 1 and got.lower == 0.0
+        assert got.evaluations <= 1 and got.lower <= got.value
+        if got.evaluations >= 1:
+            assert barrier[1:] == (0.0, 1)
+            assert got.lower == min(got.value, measures._dual_bound(g, got.value, got.bloch))
+            assert got.lower <= upper
+        else:
+            assert got.value - got.lower <= ROUND_TOL * got.value
 
     @settings(max_examples=40, deadline=None)
     @given(kraus_channels())
@@ -331,6 +346,58 @@ class TestMuCSearchOracle:
         self._within_bounds(rotated_kraus(c, unitary_from_quaternion(q1), unitary_from_quaternion(q2)))
 
 
+class TestNormalFormGuess:
+    """Rotations of unital and axially symmetric channels are answered by the
+    certified guess of ``mu_c_search``, with no Newton step.  The certificate
+    is relative, ROUND_TOL * value, and its rounding is absolute, about
+    1e-16, so channels within about 1e-4 of threshold 0 may fall back to
+    the barrier; these draws keep a threshold of at least 1e-3."""
+
+    @staticmethod
+    def _answered_by_guess(c):
+        got = mu_c_search(c)
+        if got.value < 1e-3:
+            return False
+        assert got.evaluations == 0
+        assert got.value - got.lower <= ROUND_TOL * got.value
+        return True
+
+    @pytest.mark.parametrize("kind,seed", [("unital", 81), ("damping", 82),
+                                           ("rotated", 83), ("filtered", 84)])
+    def test_seeded_kinds(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        assert all(self._answered_by_guess(_non_eb_channel(kind, rng)) for _ in range(8))
+
+    def test_rotated_axial(self):
+        rng = np.random.default_rng(85)
+        answered = 0
+        while answered < 24:
+            lz, t_frac, perp_frac = rng.uniform(-1.0, 1.0, 3)
+            t_z = t_frac * (1.0 - abs(lz))
+            lam_perp = perp_frac * math.sqrt((1.0 + lz) ** 2 - t_z * t_z) / 2.0
+            if mu_c_axial(lam_perp, lz, t_z) >= 1e-3:
+                c = axial_kraus(lam_perp, lz, t_z, rng.normal(size=4), rng.normal(size=4))
+                answered += self._answered_by_guess(c)
+
+    @pytest.mark.parametrize("kind,seed", [("unital", 86), ("rotated", 87), ("filtered", 88)])
+    def test_dual_bound_matches_choi_route_oracle(self, kind, seed):
+        """``measures._dual_bound`` on G against ``helpers.eigenvector_dual_bound``
+        on the Choi matrix, at the answer of ``mu_c_search`` and at the exact
+        threshold of random prepared states."""
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            c = _non_eb_channel(kind, rng)
+            g = _pt_choi(ptm(c))
+            best = mu_c_search(c)
+            claims = [(best.value, best.bloch)]
+            for _ in range(3):
+                w = _bloch_point("mixed", rng)
+                claims.append((mu_given_rho0(c, bloch_to_density(w)), w))
+            for value, w in claims:
+                got = measures._dual_bound(g, value, w)
+                assert got == pytest.approx(eigenvector_dual_bound(c, value, w), abs=1e-14)
+
+
 class TestMuCSearchSymmetry:
     """The threshold depends on the channel only up to unitaries before and
     after it, and the damping family is symmetric under gamma -> 1 - gamma
@@ -339,9 +406,15 @@ class TestMuCSearchSymmetry:
     @settings(max_examples=40, deadline=None)
     @given(kraus_channels(), QUATERNIONS, QUATERNIONS)
     def test_unitary_invariance(self, c, q1, q2):
+        """The answers for U . c . V and c agree, each inside the other's
+        certificate [lower, value] up to rounding."""
         assume(np.linalg.norm(q1) > 1e-3 and np.linalg.norm(q2) > 1e-3)
         rotated = rotated_kraus(c, unitary_from_quaternion(q1), unitary_from_quaternion(q2))
-        assert mu_c_search(rotated).value == pytest.approx(mu_c_search(c).value, abs=1e-9)
+        got, want = mu_c_search(rotated), mu_c_search(c)
+        assert got.value == pytest.approx(want.value, abs=1e-9)
+        for x, y in ((got, want), (want, got)):
+            assert x.lower <= x.value
+            assert x.lower <= y.value + 1e-14
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))

@@ -31,9 +31,12 @@ families byte for byte.  The families:
   an answer has depended on the representation or on the slack: the
   dephasing channel diag(1, 0.7, 0.7) in unital and Kraus form at caps 64
   and 200, the damping channel at p_1 - d (gamma = 0.3, d from 1e-9 to
-  1e-13) as parameters and in Kraus form, ``amend`` on diag(0.3, 0.3, 1),
-  ``analyze`` on diag(-1, 0.1, 0.5) and ``sweep fig1 --fixed lambda3=1`` on
-  a 2x2 grid around (0.3, 0.3).
+  1e-13) as parameters, in Kraus form and in Kraus form rotated on both
+  sides by two seeded SU(2) elements, where ``mu_c_search`` reads the
+  channel in its normal frame, one seeded CP unital channel in Kraus form,
+  rotated on both sides, ``amend`` on diag(0.3, 0.3, 1), ``analyze`` on
+  diag(-1, 0.1, 0.5) and ``sweep fig1 --fixed lambda3=1`` on a 2x2 grid
+  around (0.3, 0.3).
 
 Under ``sweeps`` and ``sweep-errors`` one indented line per figure follows,
 with the digest of that figure's calls alone, so a moved cell is traced to
@@ -241,6 +244,14 @@ def _edges(cli, workloads, sink) -> None:
     argvs += [("analyze", text)
               for d in (1e-9, 1e-10, 1e-11, 1e-12, 1e-13)
               for text in forms(GadParams(edge - d, 0.3))]
+    # the normal-form frame on the boundary: the same damping channels and
+    # one CP unital channel in Kraus form, rotated on both sides
+    rng = np.random.default_rng(7003)
+    u, v = workloads._su2(rng), workloads._su2(rng)
+    for d in (1e-9, 1e-10, 1e-11, 1e-12, 1e-13):
+        ops = [u @ e @ v for e in workloads._gad_ops(edge - d, 0.3)]
+        argvs.append(("analyze", workloads._kraus_json(ops)))
+    argvs.append(("analyze", workloads._kraus_json(workloads._cp_unital(rng, eb=False)[0])))
     argvs += [
         ("amend", json.dumps(channel_to_json(UnitalChannel(np.diag([0.3, 0.3, 1.0]))))),
         ("analyze", json.dumps(channel_to_json(UnitalChannel(np.diag([-1.0, 0.1, 0.5]))))),
