@@ -231,10 +231,8 @@ def amend_order(c: Channel, f: FilterCandidate, cap: int = DEFAULT_CAP) -> NcRes
     ``ValueError``, and so, unless c is a ``UnitalChannel``, does an
     improper filter.
     """
-    base = _scan_base(c)
     check_cap(cap)
-    step = _filter_matrix(f.bloch_matrix(), base) @ base
-    orders, _ = _order_scan(step[None], cap)
+    orders, _ = _order_scan(_filtered(c, f, 1)[None], cap)
     return _order_result(orders[0], cap)
 
 

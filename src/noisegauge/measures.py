@@ -23,11 +23,11 @@ in the four real entries of X.  mu_c is unchanged by unitaries before and
 after the channel, so it depends only on the channel's normal form (King &
 Ruskai, IEEE Trans. Inf. Theory 47, 2001), and rotations of unital and
 axially symmetric channels have their optimal state in closed form.
-``mu_c_search`` guesses that state from one SVD, takes the exact threshold
-there as the value and a weak-duality bound from one eigenvector as the
-lower bound, and accepts the guess when the two agree within ROUND_TOL
-relative.  Otherwise a barrier method solves the program, and its duality
-gap certifies a lower bound next to the value.  The closed forms, a
+``mu_c_search`` guesses that state from one SVD, with the exact threshold
+there as the value, and a weak-duality bound from one eigenvector at the
+reported state certifies every answer.  When the bound lies within
+ROUND_TOL relative of the guess's value the guess is the answer; otherwise
+a barrier method finds a better state.  The closed forms, a
 derivative-free search over the Bloch ball, a second barrier solve and the
 eigenvector bound on the Choi-matrix route check it in the test suite.
 
@@ -162,8 +162,9 @@ class MuSearchResult:
     """Outcome of the threshold minimization over rho0: the value, the Bloch
     vector of the prepared state that attains it, the Newton steps taken
     (0 when the certified guess answers, and for an entanglement-breaking
-    channel) and a certified lower bound on the threshold, never above the
-    value.  On the guess route value - lower <= ROUND_TOL * value."""
+    channel) and a certified lower bound, ``_dual_bound`` at (value, bloch)
+    clamped to the value.  On the guess route value - lower <= ROUND_TOL *
+    value."""
 
     value: float
     bloch: np.ndarray
@@ -176,34 +177,30 @@ _PT_SIGMA = _SIGMA_1[1:] / 4
 # a^2 - |b|^2 = v . (_CONE * v) for v = (a, b).
 _CONE = np.array([1.0, -1.0, -1.0, -1.0])
 # The barrier parameter grows 100-fold per centering up to _T_MAX.  A solve
-# may take _NEWTON_STEPS steps; random channels take a median of about 25,
-# channels within 1e-9 of the EB boundary about 60.
+# may take _NEWTON_STEPS steps; random Kraus channels take a median of 30,
+# mixtures within 1e-10 of the EB boundary up to 61.
 _T_MAX = 1e11
 _NEWTON_STEPS = 200
 
 
-def _barrier_solve(g: np.ndarray) -> tuple[np.ndarray, float, int]:
+def _barrier_solve(g: np.ndarray) -> tuple[np.ndarray, int]:
     """Barrier method (Boyd & Vandenberghe, Convex Optimization, ch. 11) for
     the threshold program of the partial transpose G, from v = (1, 0, 0, 0):
-    the last iterate v = (a, b), a certified lower bound on the optimum and
-    the number of Newton steps.
+    the last iterate v = (a, b) and the number of Newton steps.
 
     With X = (a + b.sigma)/2 the program is min a subject to
     M = (1 - a) G + X (x) 1/2 >= 0 and a >= |b|.  Damped Newton steps
     minimize t a - log det M - log(a^2 - |b|^2), centering for t = 1, 100,
-    ..., up to ``_T_MAX``.  The barrier has parameter 4 + 2 = 6, so the
-    centre at t lies within 6/t above the optimum; a centering stops at
-    Newton decrement lam <= ROUND_TOL ** 0.25, and such a point lies within
-    3 lam / t in a of the centre (Nesterov, Introductory Lectures, 4.1-4.2).
-    So each finished centering certifies a - (6 + 3 lam) / t.  Every iterate
-    is strictly feasible.  After ``_NEWTON_STEPS`` steps the solve stops
-    where it is, with the bound of its last finished centering (0 before
-    the first).
+    ..., up to ``_T_MAX``, each until the squared Newton decrement falls
+    to sqrt(ROUND_TOL).  The barrier has parameter 4 + 2 = 6, so the last
+    centre lies about 6 / ``_T_MAX`` above the optimum.  Every iterate is
+    strictly feasible; after ``_NEWTON_STEPS`` steps the solve stops where
+    it is.  It only finds a point: ``mu_c_search`` certifies it.
     """
     basis = np.concatenate(((0.25 * np.eye(4) - g)[None], _PT_SIGMA))
     flat_basis = basis.reshape(4, 16)
     v = np.array([1.0, 0.0, 0.0, 0.0])
-    t, lower, steps = 1.0, 0.0, 0
+    t, steps = 1.0, 0
     while steps < _NEWTON_STEPS:
         steps += 1
         # M^-1 dM/dv_k, stacked; M = 1/4 at the start
@@ -218,14 +215,13 @@ def _barrier_solve(g: np.ndarray) -> tuple[np.ndarray, float, int]:
         step = np.linalg.solve(hess, -grad)
         dec = float(-grad @ step)
         if dec <= math.sqrt(ROUND_TOL):
-            lower = max(0.0, float(v[0]) - (6.0 + 3.0 * math.sqrt(max(dec, 0.0))) / t)
             if t == _T_MAX:
                 break
             t = min(100.0 * t, _T_MAX)
         else:
             # a damped step stays inside the domain of a self-concordant barrier
             v = v + (step / (1.0 + math.sqrt(dec)) if dec > 0.0625 else step)
-    return v, lower, steps
+    return v, steps
 
 
 def _normal_form_guess(r: np.ndarray) -> np.ndarray:
@@ -262,23 +258,22 @@ def mu_c_search(c: Channel) -> MuSearchResult:
     solve the convex program only when the certificate fails.
 
     The guess (``_normal_form_guess``) is exact for rotations of unital and
-    axially symmetric channels.  Its value is the exact solve of
-    ``mu_given_rho0`` at the guessed state, an upper bound since every state
-    is feasible, and ``_dual_bound`` there gives `lower`.  When
-    value - lower <= ROUND_TOL * value the guess is the answer, with
-    `evaluations` 0.  Otherwise ``_barrier_solve`` runs: its variable
-    X = mu rho0 = (a + b.sigma)/2 gives two prepared states, w = b/a and the
-    pure state b/|b| of the same direction, and the value is the least of
-    a, which is feasible, and the exact solves at those states.  At a pure
-    optimum w stays about 1/(t a) inside the sphere, where the solve reads
-    up to ~1e-11 high.  `lower` is then the larger of the barrier's
-    certified bound and ``_dual_bound`` at its answer; `evaluations` counts
-    its Newton steps.  On either route `bloch` is the state that gave the
-    value (w when it is a), and `lower` never exceeds the value.  An
+    axially symmetric channels; its value is the exact solve of
+    ``mu_given_rho0`` there, an upper bound since every state is feasible.
+    One certificate serves every answer: `lower` is ``_dual_bound`` at the
+    reported state, clamped to the value.  When value - lower <=
+    ROUND_TOL * value the guess is the answer, with `evaluations` 0.
+    Otherwise ``_barrier_solve`` finds X = mu rho0 = (a + b.sigma)/2, and
+    the least of the guess's value and the exact solves at w = b/a and at
+    the pure state b/|b| wins.  (a, b) is feasible, so the solve at b/a is
+    at most a.  At a pure optimum w stays about 1/(t a) inside the sphere,
+    where the solve reads up to ~1e-11 high.  `evaluations` counts the
+    Newton steps.  On random Kraus channels the barrier route's relative
+    gap had a median of 4.5e-12 and a maximum of 5.8e-11; near the EB
+    boundary the absolute gap stays at rounding, about 1e-16.  An
     entanglement-breaking channel has threshold 0 and `evaluations` 0.  The
     solve never raises: a run that exhausts its steps reports its feasible
-    point and the better of the dual bound there and the bound of its last
-    finished centering.
+    point, certified the same way.
     """
     r = ptm(c)
     g = _pt_choi(r)
@@ -290,30 +285,31 @@ def mu_c_search(c: Channel) -> MuSearchResult:
     lower = _dual_bound(g, value, point)
     steps = 0
     if value - lower > ROUND_TOL * value:
-        v, lower, steps = _barrier_solve(g)
-        a, b = float(v[0]), v[1:]
+        v, steps = _barrier_solve(g)
+        b = v[1:]
         radius = math.hypot(*b)
-        value, point = a, b / a
-        for w in (b / a, b / radius) if radius > 0.0 else (b / a,):
+        # ties go to the barrier's states, b/a first
+        for w in (b / radius, b / v[0]) if radius > 0.0 else (b / v[0],):
             mu = _mu_threshold(ginv, w.tolist())
-            if mu < value:
+            if mu <= value:
                 value, point = mu, w
-        lower = max(lower, _dual_bound(g, value, point))
+        lower = _dual_bound(g, value, point)
     # rho0 = 1/2 meets the bound d/(1+d) for every channel (the partial
     # transpose of a two-qubit state has no eigenvalue below -1/2).  For a
-    # unitary channel the minimum sits there, and a and the exact solves read
-    # up to about 6/t above it.
+    # unitary channel the minimum sits there, and the exact solves read
+    # above it by rounding.
     bound = mu_c_upper_bound(2)
     if value > bound:
         value, point = bound, np.zeros(3)
+        lower = _dual_bound(g, value, point)
     return MuSearchResult(value, point, steps, min(lower, value))
 
 
 def mu_c(c: Channel) -> float:
     """Depolarizing threshold of a channel, never above d/(1+d) = 2/3.
 
-    Closed forms for unital and damping channels; otherwise the barrier
-    solve of its convex program, ``mu_c_search``.
+    Closed forms for unital and damping channels; otherwise the certified
+    answer of ``mu_c_search``.
     """
     if isinstance(c, UnitalChannel):
         return mu_c_unital(c)

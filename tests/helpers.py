@@ -97,6 +97,23 @@ def kraus_channels(draw):
     return kraus_from_isometry(z)
 
 
+@st.composite
+def near_eb_mixtures(draw):
+    """Mixtures (1 - p) c + p D of a ``kraus_channels`` channel c with the
+    depolarizing map D, at p = p* - d for d from 1e-2 to 1e-10, p* the
+    weight at which the mixture turns entanglement breaking: the smallest
+    partial-transpose eigenvalue lam of the Choi matrix moves as
+    (1 - p) lam + p/4, so p* = -4 lam / (1 - 4 lam).  D has the Kraus
+    operators sigma_j / 2."""
+    c = draw(kraus_channels())
+    lam = min_pt_eigenvalue(choi_state(c))
+    assume(lam < -0.01)
+    p = -4.0 * lam / (1.0 - 4.0 * lam) - 10.0 ** -draw(st.floats(2.0, 10.0))
+    paulis = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+    return KrausChannel(tuple(math.sqrt(1.0 - p) * e for e in c.ops)
+                        + tuple(math.sqrt(p) / 2 * s for s in paulis))
+
+
 def random_rotation(rng) -> np.ndarray:
     """Haar-ish random proper rotation from a normalized quaternion."""
     return rotation_from_quaternion(rng.normal(size=4))

@@ -23,6 +23,7 @@ from helpers import (
     kron_threshold,
     loop_n_c,
     mu_vs_vz,
+    near_eb_mixtures,
     noisy_choi,
     random_cp_unital,
     random_density,
@@ -237,12 +238,16 @@ class TestMuCSearch:
         assert res.value == 0.0 and res.lower == 0.0 and res.evaluations == 0
 
     def test_unitary_channels_stay_at_the_bound(self):
+        """Where the value is capped at 2/3, `lower` is the dual bound at the
+        capped answer."""
         rng = np.random.default_rng(37)
         channels = [sandwich(gad_kraus(GadParams(0.0, 0.1)), FilterCandidate.pauli(1))]
-        channels += [as_kraus(UnitalChannel(random_rotation(rng))) for _ in range(5)]
+        channels += [as_kraus(UnitalChannel(random_rotation(rng))) for _ in range(100)]
         for c in channels:
-            value = mu_c_search(c).value
-            assert 2 / 3 - 1e-9 <= value <= 2 / 3
+            got = mu_c_search(c)
+            assert 2 / 3 - 1e-9 <= got.value <= 2 / 3
+            g = _pt_choi(ptm(c))
+            assert got.lower == min(got.value, measures._dual_bound(g, got.value, got.bloch))
 
     def test_unital_closed_form_to_1e9(self):
         rng = np.random.default_rng(35)
@@ -292,28 +297,41 @@ class TestMuCSearchOracle:
         steps = []
         for kind, seed in self.CASES:
             rng = np.random.default_rng(seed)
-            steps += [measures._barrier_solve(_pt_choi(ptm(_non_eb_channel(kind, rng))))[2]
+            steps += [measures._barrier_solve(_pt_choi(ptm(_non_eb_channel(kind, rng))))[1]
                       for _ in range(4)]
         assert np.median(steps) <= 40
         assert max(steps) < measures._NEWTON_STEPS
 
     @staticmethod
     def _within_bounds(c):
+        """Inside the oracle's bounds, with one certificate: `lower` is the
+        dual bound at the reported state, clamped to the value, on both
+        routes.  On the barrier route the exact solve at b/a is at most a:
+        feasibility of (a, b) means the mixture at weight a with rho0 = b/a
+        is already PPT, so a itself never beats it."""
         upper, lower = sdp_mu_c(c)
         got = mu_c_search(c)
         assert lower - 1e-12 <= got.value <= upper + 1e-10
         assert upper - lower < 1e-9  # the oracle itself is tight
         assert got.lower <= got.value <= got.lower + 1e-9
         assert eigenvector_dual_bound(c, got.value, got.bloch) <= got.value + 1e-14
+        g = _pt_choi(ptm(c))
+        if g is None:
+            assert (got.value, got.lower, got.evaluations) == (0.0, 0.0, 0)
+            return
+        assert got.lower == min(got.value, measures._dual_bound(g, got.value, got.bloch))
+        if got.evaluations:
+            v, steps = measures._barrier_solve(g)
+            assert steps == got.evaluations
+            assert _mu_threshold(np.linalg.inv(g), (v[1:] / v[0]).tolist()) <= v[0] + 1e-15
 
     @settings(max_examples=20, deadline=None)
     @given(kraus_channels())
     def test_exhausted_step_budget_still_answers(self, c):
         """With one Newton step allowed, ``analyze`` still exits 0 with the
         value of ``mu_c_search``.  Where the barrier runs, it reports its
-        first iterate, a feasible point, with its own trivial bound 0, which
-        the dual bound at that point replaces; where the guess answers, its
-        certificate holds."""
+        first iterate, a feasible point, certified by the dual bound there;
+        where the guess answers, its certificate holds."""
         upper, lower = sdp_mu_c(c)
         g = _pt_choi(ptm(c))
         out = io.StringIO()
@@ -327,11 +345,16 @@ class TestMuCSearchOracle:
         assert got.value >= lower
         assert got.evaluations <= 1 and got.lower <= got.value
         if got.evaluations >= 1:
-            assert barrier[1:] == (0.0, 1)
+            assert barrier[1] == 1
             assert got.lower == min(got.value, measures._dual_bound(g, got.value, got.bloch))
             assert got.lower <= upper
         else:
             assert got.value - got.lower <= ROUND_TOL * got.value
+
+    @settings(max_examples=40, deadline=None)
+    @given(near_eb_mixtures())
+    def test_near_eb_mixtures_within_sdp_bounds(self, c):
+        self._within_bounds(c)
 
     @settings(max_examples=40, deadline=None)
     @given(kraus_channels())

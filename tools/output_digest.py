@@ -36,7 +36,14 @@ families byte for byte.  The families:
   channel in its normal frame, one seeded CP unital channel in Kraus form,
   rotated on both sides, ``amend`` on diag(0.3, 0.3, 1), ``analyze`` on
   diag(-1, 0.1, 0.5) and ``sweep fig1 --fixed lambda3=1`` on a 2x2 grid
-  around (0.3, 0.3).
+  around (0.3, 0.3);
+- ``barrier``: calls whose threshold the normal-form guess does not
+  certify, so ``mu_c_search`` runs its barrier solve: ``sweep fig4 --fixed
+  filter=r2r1`` at the default grid, and ``analyze`` on 40 seeded Kraus
+  channels of rank 2 to 4 and on their mixtures with the depolarizing map,
+  1e-2 to 1e-10 in weight inside the entanglement-breaking boundary.  The
+  channels are built with numpy alone, so every checkout gets the same
+  bytes.
 
 Under ``sweeps`` and ``sweep-errors`` one indented line per figure follows,
 with the digest of that figure's calls alone, so a moved cell is traced to
@@ -264,6 +271,40 @@ def _edges(cli, workloads, sink) -> None:
              Path("out.csv"))
 
 
+_PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+           np.diag([1.0, -1.0]))
+
+
+def _kraus_text(ops) -> str:
+    return json.dumps({"kind": "kraus", "ops": [
+        [[float(x.real), float(x.imag)] for x in e.ravel()] for e in ops]})
+
+
+def _barrier(cli, workloads, sink) -> None:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        _run(cli, sink, ("sweep", "fig4", "--out", "out.csv", "--fixed", "filter=r2r1"),
+             Path("out.csv"))
+    rng = np.random.default_rng(7004)
+    kept = 0
+    while kept < 40:
+        rank = int(rng.integers(2, 5))
+        q, _ = np.linalg.qr(rng.normal(size=(2 * rank, 2)) + 1j * rng.normal(size=(2 * rank, 2)))
+        ops = [q[2 * i:2 * i + 2] for i in range(rank)]
+        # the smallest eigenvalue lam of the partial transpose of the Choi
+        # matrix; mixing in the depolarizing map at weight p moves it to
+        # (1 - p) lam + p/4, which is 0 at p = -4 lam / (1 - 4 lam)
+        vecs = np.array([e.T.ravel() for e in ops])
+        choi = np.einsum("ki,kj->ij", vecs, vecs.conj()) / 2
+        lam = np.linalg.eigvalsh(choi.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4))[0]
+        if lam >= -0.01:
+            continue
+        kept += 1
+        p = -4.0 * lam / (1.0 - 4.0 * lam) - 10.0 ** -rng.uniform(2.0, 10.0)
+        mixed = [np.sqrt(1.0 - p) * e for e in ops] + [np.sqrt(p) / 2 * s for s in _PAULIS]
+        for text in (_kraus_text(ops), _kraus_text(mixed)):
+            _run(cli, sink, ("analyze", text))
+
+
 FAMILIES = {
     "analyze-mix": _analyze_mix,
     "amend-search": _amend_search,
@@ -273,6 +314,7 @@ FAMILIES = {
     "sweep-errors": _sweep_errors,
     "verify": _verify,
     "edges": _edges,
+    "barrier": _barrier,
 }
 
 
