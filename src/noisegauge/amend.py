@@ -17,6 +17,16 @@ steps, ``_filter_matrix`` times the channel's transfer matrix.  A step scores
 the same bits in any stack as alone, and an Euler filter's Bloch matrix is
 its row of the one-point ``_euler_lattice``, so a filter scores the same
 whichever scan it is in.
+
+Order 1 is decided once per channel.  A unitary applied after a channel
+keeps its partial-transpose spectrum, and with it its entanglement-breaking
+status (Horodecki, Shor and Ruskai, Rev. Math. Phys. 15, 2003); on the
+Bloch route it keeps the singular values of T.  So every filtered step F R
+breaks entanglement at one use exactly when R does.  ``search_filter`` and
+``amend_order`` read ``decide_eb`` on the channel's own matrix: an
+entanglement-breaking channel has filtered order 1 for every filter, and
+any other channel is scanned from order 2.
+
 ``gad_amendable`` decides the damping-channel amendable region on scalars or
 on whole (p, gamma) arrays, with one stacked product R F R for all points of
 an array.
@@ -225,14 +235,19 @@ def is_amendable2(c: Channel, f: FilterCandidate) -> bool:
 def amend_order(c: Channel, f: FilterCandidate, cap: int = DEFAULT_CAP) -> NcResult:
     """Entanglement-breaking order of the filtered iteration (f . c)^m.
 
-    One ``measures._order_scan`` of the filtered step, which scores a filter
-    as the scans of ``search_filter`` do, so a report's ``filtered_nc``
-    equals ``amend_order(c, report.filter, cap)``.  A cap below 1 raises
+    Order 1 when the channel itself breaks entanglement (module
+    docstring); otherwise one ``measures._order_scan`` of the filtered step
+    from order 2, which scores a filter as the scans of ``search_filter``
+    do, so a report's ``filtered_nc`` equals
+    ``amend_order(c, report.filter, cap)``.  A cap below 1 raises
     ``ValueError``, and so, unless c is a ``UnitalChannel``, does an
     improper filter.
     """
     check_cap(cap)
-    orders, _ = _order_scan(_filtered(c, f, 1)[None], cap)
+    step = _filtered(c, f, 1)  # first, so an improper filter raises on any channel
+    if decide_eb(_scan_base(c))[0]:
+        return _order_result(1, cap)
+    orders, _ = _order_scan(step[None], cap, first=2)
     return _order_result(orders[0], cap)
 
 
@@ -280,7 +295,8 @@ def _refine(base: np.ndarray, point: tuple, spacing: np.ndarray, cap: int) -> tu
     for _ in range(_REFINE_ROUNDS):
         spacing = spacing / 2
         axes = [x + offsets * step for x, step in zip(point, spacing)]
-        orders, margins = _order_scan(_filter_matrix(_euler_lattice(*axes), base) @ base, cap)
+        steps = _filter_matrix(_euler_lattice(*axes), base) @ base
+        orders, margins = _order_scan(steps, cap, first=2)
         scores = orders + margins
         best = _first_max(scores)
         point, order, score = _lattice_point(axes, best), orders[best], scores[best]
@@ -295,9 +311,17 @@ def search_filter(
 ) -> AmendReport:
     """Look for the filter that maximally delays entanglement breaking.
 
-    Scores the named filters (three Pauli conjugations and the x-then-y
-    quarter-turn pair, in the order of ``_NAMED_BLOCH``) by one batched
-    order scan over their stacked Bloch rotations.  Scores within
+    After the checks of `budget`, of a unitary channel and of `cap`, reads
+    ``decide_eb`` on the channel's own matrix (``_scan_base``: a
+    ``GadParams`` is read through its PTM, as its filtered steps are, not
+    by its band).  A unitary filter keeps that decision (module
+    docstring), so on an entanglement-breaking channel every filter ties at
+    order 1 and the first named filter, s1, wins with no scan.  Every scan
+    below starts at order 2.
+
+    Otherwise scores the named filters (three Pauli conjugations and the
+    x-then-y quarter-turn pair, in the order of ``_NAMED_BLOCH``) by one
+    batched order scan over their stacked Bloch rotations.  Scores within
     ``ROUND_TOL`` of the maximum tie, and the first in evaluation order wins.
 
     A ``UnitalChannel`` adds one more named filter, its inverse polar
@@ -327,6 +351,9 @@ def search_filter(
     base = _scan_base(c)
     if _is_unitary_channel(base):
         raise ValueError("unitary channels never break entanglement; nothing to amend")
+    check_cap(cap)
+    if decide_eb(base)[0]:
+        return AmendReport(n_c(c, cap), _order_result(1, cap), FilterCandidate("s1"), False)
 
     named = [FilterCandidate(kind) for kind in _NAMED_BLOCH]
     unital = isinstance(c, UnitalChannel)
@@ -340,7 +367,7 @@ def search_filter(
         spacing = np.array([2 * math.pi, math.pi, 2 * math.pi]) / per_axis
         axes = [rng.uniform(0.0, step) + np.arange(per_axis) * step for step in spacing]
         rotations = np.concatenate([rotations, _euler_lattice(*axes)])
-    orders, margins = _order_scan(_filter_matrix(rotations, base) @ base, cap)
+    orders, margins = _order_scan(_filter_matrix(rotations, base) @ base, cap, first=2)
     scores = orders + margins
     best = _first_max(scores)
     best_score = scores[best]

@@ -42,7 +42,9 @@ eigenvalue of the partial transpose (``decide_eb``, slack ``ROUND_TOL``).
 the channel alone for ``n_c`` and one filtered channel per filter for
 amendability (``amend``).  Each matrix of a stack takes the products and
 the ``decide_eb`` kernels it would take alone, so a step gets the same order
-and margin, to the bit, in any stack.
+and margin, to the bit, in any stack.  A scan may skip the decisions below a
+given power: ``amend`` decides order 1 once on the channel itself, since a
+unitary filter keeps it, and scans every filtered step from order 2.
 """
 
 from __future__ import annotations
@@ -348,7 +350,7 @@ def _order_result(order, cap: int) -> NcResult:
     return NcResult(None if order > cap else int(order), cap)
 
 
-def _order_scan(steps: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _order_scan(steps: np.ndarray, cap: int, first: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Orders of the channels whose transfer matrices are stacked in `steps`,
     (k, 3, 3) Bloch matrices or (k, 4, 4) PTMs, each with a tie-break margin
     in [-1, ROUND_TOL].
@@ -357,8 +359,11 @@ def _order_scan(steps: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
     ranks ExceedsCap first and, within one order, the iterate that turned
     entanglement breaking nearest the boundary.  The margin is the one
     of ``decide_eb``.  Each step is composed with itself, power @ step, with
-    one ``decide_eb`` per power; finished rows drop out after each
-    composition, and a row scores the same bits in any stack as alone.
+    one ``decide_eb`` per power from power `first` on; finished rows drop
+    out after each decision, and a row scores the same bits in any stack as
+    alone.  A caller that already knows no row breaks entanglement before
+    `first` (``amend``: a unitary filter keeps the order-1 decision of the
+    channel) passes it; every row then keeps the bits of the scan from 1.
     """
     check_cap(cap)
     power = np.eye(steps.shape[-1])
@@ -367,6 +372,8 @@ def _order_scan(steps: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
     active = np.arange(len(steps))
     for m in range(1, cap + 1):
         power = power @ steps
+        if m < first:
+            continue
         done, margin = decide_eb(power)
         hit = done.nonzero()[0]
         if hit.size:

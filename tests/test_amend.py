@@ -3,17 +3,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    QUATERNIONS,
     channel_power,
     filter_unitary,
     filtered_scan,
+    kraus_channels,
     kraus_filtered,
     kraus_gad_amendable,
     kraus_sandwich,
     loop_search_filter,
+    near_eb_mixtures,
     order_and_margin,
     random_cp_unital,
     random_rotation,
@@ -41,7 +44,7 @@ from noisegauge.channels import PAULIS, as_kraus, ptm
 from noisegauge.gad import amend_boundary_s1, p_n
 from noisegauge.linalg import ROUND_TOL, polar_decompose
 from noisegauge.measures import _order_scan
-from noisegauge.separability import _scan_base
+from noisegauge.separability import _scan_base, decide_eb, ptm_min_pt_eigenvalues
 
 LAM = np.diag([0.73, 0.5, 0.5])
 SWAP_XY = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
@@ -116,11 +119,12 @@ class TestFilterCandidate:
                              ids=["unital", "gad"])
     def test_search_scores_the_named_filters_first(self, monkeypatch, channel):
         # the scan of search_filter opens with s1, s2, s3, r2r1, in that order
-        stacks = []
+        stacks, firsts = [], []
 
-        def recording_scan(steps, cap):
+        def recording_scan(steps, cap, first=1):
             stacks.append(steps.copy())
-            return _order_scan(steps, cap)
+            firsts.append(first)
+            return _order_scan(steps, cap, first)
 
         monkeypatch.setattr(amend_module, "_order_scan", recording_scan)
         search_filter(channel, budget=8)
@@ -130,6 +134,23 @@ class TestFilterCandidate:
         # then one 3x3x3 stack per refinement round, for all but unital channels
         refining = 0 if isinstance(channel, UnitalChannel) else amend_module._REFINE_ROUNDS
         assert [len(stack) for stack in stacks[1:]] == [27] * refining
+        # the channel is not EB, so no filtered step is, and every scan starts at order 2
+        assert firsts == [2] * (1 + refining)
+
+    @pytest.mark.parametrize("channel", [GadParams(0.9, 0.25), as_kraus(GadParams(0.9, 0.25))],
+                             ids=["gad", "kraus"])
+    def test_search_runs_no_scan_on_eb_channels(self, monkeypatch, channel):
+        # a unitary filter keeps the order-1 decision, so every filter ties
+        # at order 1 and the first named one wins without a scan
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an EB channel needs no order scan")
+
+        monkeypatch.setattr(amend_module, "_order_scan", forbidden)
+        for budget in (8, 1000):
+            report = search_filter(channel, cap=16, budget=budget)
+            assert report.filter == FilterCandidate.pauli(1)
+            assert (report.base_nc.n, report.filtered_nc.n, report.amendable) == (1, 1, False)
+            assert amend_order(channel, FilterCandidate.euler(0.3, 1.1, -0.7), cap=16).n == 1
 
     def test_orthogonal_roundtrip(self):
         rng = np.random.default_rng(51)
@@ -428,6 +449,27 @@ class TestSearchFilter:
                     report = search_filter(c, cap=16, budget=budget, seed=seed)
                     assert report.filtered_nc == amend_order(c, report.filter, cap=16)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            kraus_channels(),
+            near_eb_mixtures(),
+            st.builds(lambda seed, band: rotated_damping(np.random.default_rng(seed), band),
+                      st.integers(0, 2 ** 32 - 1), st.integers(1, 3)),
+        ),
+        st.sampled_from([1, 8]),
+        st.integers(0, 2 ** 32 - 1),
+    )
+    @example(GadParams(0.9, 0.25), 8, 0)
+    @example(gad_kraus(GadParams(0.9, 0.25)), 8, 0)
+    @example(gad_kraus(GadParams(p_n(0.3, 1) - 1e-9, 0.3)), 8, 0)
+    def test_filtered_nc_equals_amend_order_everywhere(self, c, budget, seed):
+        """On EB channels (the short cut), near-EB mixtures and damping
+        channels of bands 1 to 3, rotated, where filters amend."""
+        assume(not amend_module._is_unitary_channel(_scan_base(c)))
+        report = search_filter(c, cap=16, budget=budget, seed=seed)
+        assert report.filtered_nc == amend_order(c, report.filter, cap=16)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 4), st.sampled_from([1, 8, 64]), st.integers(0, 2 ** 32 - 1))
     def test_refinement_never_loses_to_the_lattice(self, band, budget, seed):
@@ -549,6 +591,19 @@ class TestInvariance:
             assert amend_order(c, f, cap=32).order_key() == amend_order(
                 conj_channel, conj_filter, cap=32
             ).order_key()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(kraus_channels(), near_eb_mixtures()), QUATERNIONS)
+    def test_filter_keeps_the_order_one_decision(self, c, q):
+        """F R has the partial-transpose spectrum of R (Horodecki, Shor and
+        Ruskai, Rev. Math. Phys. 15, 2003), so both decide EB alike, except
+        within rounding of the slack edge -``ROUND_TOL``."""
+        assume(np.linalg.norm(q) > 1e-3)
+        r = ptm(c)
+        low = ptm_min_pt_eigenvalues(r)
+        assume(not -2 * ROUND_TOL <= low <= 0.0)
+        filtered = _filter_matrix(rotation_from_quaternion(q), r) @ r
+        assert decide_eb(filtered)[0] == decide_eb(r)[0]
 
     def test_order_not_invariant_under_one_sided_rotation(self):
         # composing with the inverse polar rotation changes the order: the

@@ -807,6 +807,58 @@ class TestOneFilterScan:
                 amend_order(c, swap, 0)
 
 
+@st.composite
+def filtered_stacks(draw, route):
+    """A stack of 1 to 3 filtered steps F R, one channel and one filter per
+    row: PTMs of ``kraus_channels`` beside proper rotations (route "ptm"),
+    or Bloch matrices of ``unital_maps`` beside rotations of either sign of
+    the determinant (route "bloch")."""
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        q = draw(QUATERNIONS)
+        assume(np.linalg.norm(q) > 1e-3)
+        rotation = rotation_from_quaternion(q)
+        if route == "bloch":
+            c = draw(unital_maps())
+            rotation = rotation * draw(st.sampled_from([1.0, -1.0]))
+        else:
+            c = draw(kraus_channels())
+        base = _scan_base(c)
+        rows.append(_filter_matrix(rotation, base) @ base)
+    return np.array(rows)
+
+
+class TestScanFromOrderTwo:
+    """``_order_scan(steps, cap, 2)`` forms the powers the full scan forms and
+    skips only the order-1 decisions: on a stack where the full scan finds
+    no row of order 1, it gives every row the same order and margin bits."""
+
+    @staticmethod
+    def _check(steps, cap):
+        orders, margins = _order_scan(steps, cap)
+        assume((orders != 1).all())
+        from_two = _order_scan(steps, cap, 2)
+        assert np.array_equal(from_two[0], orders)
+        assert from_two[1].tobytes() == margins.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(filtered_stacks("ptm"), SCAN_CAPS)
+    def test_ptm_stacks(self, steps, cap):
+        self._check(steps, cap)
+
+    @settings(max_examples=100, deadline=None)
+    @given(filtered_stacks("bloch"), SCAN_CAPS)
+    def test_bloch_stacks(self, steps, cap):
+        self._check(steps, cap)
+
+    def test_rows_of_order_one_read_two(self):
+        # the decision skipped at power 1 falls to power 2, where the
+        # entanglement-breaking row stays EB
+        steps = np.array([_scan_base(UnitalChannel(np.zeros((3, 3)))), T])
+        assert _order_scan(steps, 16)[0].tolist() == [1, 2]
+        assert _order_scan(steps, 16, 2)[0].tolist() == [2, 2]
+
+
 def test_orders_and_eb_decisions_never_compose_kraus_sets(monkeypatch):
     import noisegauge.amend
     import noisegauge.channels

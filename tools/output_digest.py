@@ -35,8 +35,12 @@ families byte for byte.  The families:
   sides by two seeded SU(2) elements, where ``mu_c_search`` reads the
   channel in its normal frame, one seeded CP unital channel in Kraus form,
   rotated on both sides, ``amend`` on diag(0.3, 0.3, 1), ``analyze`` on
-  diag(-1, 0.1, 0.5) and ``sweep fig1 --fixed lambda3=1`` on a 2x2 grid
-  around (0.3, 0.3);
+  diag(-1, 0.1, 0.5), ``amend`` at ``--budget`` 8 and 1000 on the damping
+  channel at p_1 - d and at p_1 + d (gamma = 0.3, d from 1e-9 to 1e-13) in
+  the same three forms, where the search answers order 1 without a scan on
+  one side of the edge and scans from order 2 on the other, ``amend`` on the
+  entanglement-breaking unital channel diag(0.4, 0.3, 0.2), and ``sweep
+  fig1 --fixed lambda3=1`` on a 2x2 grid around (0.3, 0.3);
 - ``barrier``: calls whose threshold the normal-form guess does not
   certify, so ``mu_c_search`` runs its barrier solve: ``sweep fig4 --fixed
   filter=r2r1`` at the default grid, and ``analyze`` on 40 seeded Kraus
@@ -263,6 +267,15 @@ def _edges(cli, workloads, sink) -> None:
         ("amend", json.dumps(channel_to_json(UnitalChannel(np.diag([0.3, 0.3, 1.0]))))),
         ("analyze", json.dumps(channel_to_json(UnitalChannel(np.diag([-1.0, 0.1, 0.5]))))),
     ]
+    # the filter search on both sides of p_1, where the channel's own
+    # order-1 decision stands for every filter's
+    for d in (1e-9, 1e-10, 1e-11, 1e-12, 1e-13):
+        for p in (edge - d, edge + d):
+            ops = [u @ e @ v for e in workloads._gad_ops(p, 0.3)]
+            texts = forms(GadParams(p, 0.3)) + [workloads._kraus_json(ops)]
+            argvs += [("amend", text, "--budget", budget)
+                      for text in texts for budget in ("8", "1000")]
+    argvs.append(("amend", json.dumps(channel_to_json(UnitalChannel(np.diag([0.4, 0.3, 0.2]))))))
     for argv in argvs:
         _run(cli, sink, argv)
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
