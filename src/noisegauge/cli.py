@@ -122,17 +122,38 @@ def _ebn_order_canonical(lams, cap: int) -> NcResult:
     A largest multiplier of modulus >= 1 makes the sum exceed 1 for every n
     unless the other two vanish, so that edge is decided exactly rather than
     through the floating tolerance (1 + 2 * 0.5^n would otherwise dip inside
-    any fixed slack at large n).
+    any fixed slack at large n).  Below that, the test at order n is
+    ``float((mags**n).sum()) <= 1 + ROUND_TOL``.  Orders 1 to 5, where most
+    rows of a default grid stop, are tested in turn.  Past them the largest
+    modulus m bounds the order: 3 m^n <= 1 holds from ceil(ln 3 / -ln m) on,
+    so the test passes there, and bisection between order 5 and that bound
+    (or the cap, if lower) finds the first order that passes.  Where the
+    test is monotone in n this is the order a scan from n = 1 gives.
     """
     mags = np.sort(np.abs(np.asarray(lams, dtype=float)))[::-1]
     if mags[0] >= 1.0:
         if mags[0] <= 1.0 and mags[1] == 0.0:
             return NcResult(1, cap)
         return NcResult(None, cap, proven_divergent=True)
-    for n in range(1, cap + 1):
-        if float((mags**n).sum()) <= 1.0 + ROUND_TOL:
+
+    def holds(n):
+        return float((mags**n).sum()) <= 1.0 + ROUND_TOL
+
+    for n in range(1, min(cap, 5) + 1):
+        if holds(n):
             return NcResult(n, cap)
-    return NcResult(None, cap)
+    if cap <= 5:
+        return NcResult(None, cap)
+    lo, hi = 5, min(cap, math.ceil(math.log(3.0) / -math.log(mags[0])))
+    if not holds(hi):
+        return NcResult(None, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return NcResult(hi, cap)
 
 
 # Each row function is a generator over (grids, fixed, cap) that checks the
@@ -361,6 +382,9 @@ def _verify_fixtures():
         ("deep-band damping order", "1",
          lambda: _nc_cell(gadforms.n_c_gad(0.9, 0.5)), None,
          "0.9 above the first band edge"),
+        ("deep damping band order", "35",
+         lambda: _nc_cell(gadforms.n_c_gad(0.05, 0.5)), None,
+         "ceil(ln(3 - 2 sqrt 2) / ln 0.95) at p = 0.05, gamma = 1/2"),
         ("amendable boundary limit", (math.sqrt(5) - 1) / 2,
          lambda: gadforms.amend_boundary_s1(1e-6), 1e-3,
          "boundary curve toward gamma = 0"),

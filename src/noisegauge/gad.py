@@ -5,7 +5,9 @@ The (p, gamma) damping channel has Bloch matrix diag(sqrt(1-p), sqrt(1-p),
 minimal depolarizing admixture is ``mu_c_axial`` of those three numbers.
 n uses of the (p, gamma) channel are one use at 1 - (1 - p)^n: hence the
 band edges ``p_n``, and the two-use threshold is the one-use one at
-p (2 - p).  Band edges are compared exactly.
+p (2 - p).  Band edges are compared exactly.  The order ``n_c_gad`` is read
+by inverting the band edge, (1 - p)^n <= 1 - 2 / (1 + s), and confirmed by
+the exact comparison with ``p_n`` at that order and the one below it.
 
 Every closed form here is cross-checked in the test suite against the
 representation-independent route (Choi matrix, partial transpose, the
@@ -120,18 +122,34 @@ def p_n(gamma: float, n: int) -> float:
 def n_c_gad(p: float, gamma: float, cap: int = DEFAULT_CAP) -> NcResult:
     """Entanglement-breaking order of the damping channel via the p_n bands.
 
-    Order 1 is p >= p_1, where ``mu_c_gad`` reads zero.  gamma in {0, 1} with
-    p < 1 is certified divergent (the band boundaries are identically 1
-    there); any other exhausted cap is merely inconclusive.
+    The order is the least n with p >= p_n(gamma, n), that is with
+    (1 - p)^n <= e, e = 1 - 2 / (1 + s) and s = sqrt(1 + 4 gamma (1 - gamma)).
+    Inverting the band edge guesses n = ceil(ln e / ln(1 - p)), clamped to
+    [1, cap + 1]: p = 1 starts at 1, and p = 0, e = 0 or a tiny p at
+    cap + 1, above the cap.  The exact comparison ``p >= p_n(gamma, n)`` then settles it:
+    step down while n - 1 still passes, step up while n fails.  So each
+    answer rests on the comparisons a scan from n = 1 would make at n and
+    n - 1, usually two ``p_n`` calls in all.  Order 1 is p >= p_1, where
+    ``mu_c_gad`` reads zero.  gamma in {0, 1} with p < 1 is certified
+    divergent (the band boundaries are identically 1 there); any other
+    exhausted cap is merely inconclusive.
     """
     p = _check_unit("p", p)
     g = _check_unit("gamma", gamma)
     if g in (0.0, 1.0) and p < 1.0:
         return NcResult(None, cap, proven_divergent=True)
-    for n in range(1, cap + 1):
-        if p >= p_n(g, n):
-            return NcResult(n, cap)
-    return NcResult(None, cap)
+    e = 1.0 - 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * g * (1.0 - g)))
+    if p == 1.0:
+        n = 1
+    elif p == 0.0 or e == 0.0:
+        n = cap + 1
+    else:
+        n = math.ceil(min(max(math.log(e) / math.log1p(-p), 1.0), cap + 1.0))
+    while n > 1 and p >= p_n(g, n - 1):
+        n -= 1
+    while n <= cap and p < p_n(g, n):
+        n += 1
+    return NcResult(n if n <= cap else None, cap)
 
 
 def amend_boundary_s1(gamma: float) -> float:

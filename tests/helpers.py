@@ -505,6 +505,33 @@ def loop_n_c(c, cap: int) -> NcResult:
     return NcResult(None, cap)
 
 
+def loop_n_c_gad(p: float, gamma: float, cap: int) -> NcResult:
+    """Damping order by testing p >= p_n(gamma, n) at every n from 1; an
+    oracle for the band inversion of ``gad.n_c_gad``."""
+    p, g = float(p), float(gamma)
+    if g in (0.0, 1.0) and p < 1.0:
+        return NcResult(None, cap, proven_divergent=True)
+    for n in range(1, cap + 1):
+        if p >= p_n(g, n):
+            return NcResult(n, cap)
+    return NcResult(None, cap)
+
+
+def loop_ebn_order(lams, cap: int) -> NcResult:
+    """fig1 order by testing sum |lambda_i|^n <= 1 + ROUND_TOL at every n
+    from 1, with the exact edge at a largest modulus >= 1; an oracle for
+    the bracketed search of ``cli._ebn_order_canonical``."""
+    mags = np.sort(np.abs(np.asarray(lams, dtype=float)))[::-1]
+    if mags[0] >= 1.0:
+        if mags[0] <= 1.0 and mags[1] == 0.0:
+            return NcResult(1, cap)
+        return NcResult(None, cap, proven_divergent=True)
+    for n in range(1, cap + 1):
+        if float((mags**n).sum()) <= 1.0 + ROUND_TOL:
+            return NcResult(n, cap)
+    return NcResult(None, cap)
+
+
 def kraus_gad_amendable(p: float, gamma: float, f) -> bool:
     """``amend.gad_amendable`` through the Kraus sandwich and its Choi
     matrix; an oracle for the transfer-matrix product R F R."""

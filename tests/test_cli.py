@@ -10,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import noisegauge
 import noisegauge.cli
-from helpers import kraus_gad_amendable, sdp_mu_c
+from helpers import kraus_gad_amendable, loop_ebn_order, sdp_mu_c
 from noisegauge import (
     GadParams,
     gad_kraus,
@@ -23,7 +25,7 @@ from noisegauge import (
     sandwich,
 )
 from noisegauge.amend import FilterCandidate
-from noisegauge.cli import main
+from noisegauge.cli import _ebn_order_canonical, main
 
 # sha256 of `sweep fig3` at the default 200 x 200 grid
 FIG3_DEFAULT_SHA256 = "3ba8fd0a74b3eba2f0ea4922a65e6fd3166afd8eab57682aba0761a14b1c6e51"
@@ -202,6 +204,20 @@ class TestSweep:
         assert rows[0] == ["lambda1", "lambda2", "ebn_order"]
         first = rows[1]
         assert first[0] == "0.3" and first[1] == "0.3" and first[2] == "2"
+
+    @pytest.mark.parametrize("cap, corner", [("64", "inf"), ("200", "69")])
+    def test_fig1_deep_corner(self, capsys, tmp_path, cap, corner):
+        """At (0.99, 0.99, 0.5) the order is the first n with
+        2 * 0.99^n + 0.5^n <= 1, that is 69: above the default cap of 64."""
+        out_path = tmp_path / "f1.csv"
+        code, _, _ = run(
+            capsys, "sweep", "fig1", "--out", str(out_path), "--cap", cap,
+            "--grid", "lambda1=0.99:1:2", "--grid", "lambda2=0.99:1:2",
+        )
+        assert code == 0
+        by_point = {(r[0], r[1]): r[2] for r in read_rows(out_path)[1:]}
+        assert by_point == {("0.99", "0.99"): corner, ("0.99", "1.0"): "inf",
+                            ("1.0", "0.99"): "inf", ("1.0", "1.0"): "inf"}
 
     def test_fig2_band_boundary(self, capsys, tmp_path):
         out_path = tmp_path / "f2.csv"
@@ -442,6 +458,46 @@ class TestSweep:
         rows = read_rows(out_path)[1:]
         assert len(rows) == 200 * 200
         assert sum(row[2] == "true" for row in rows) == 2868
+
+
+MAGNITUDES = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.integers(1, 53).map(lambda k: 1.0 - 2.0**-k),
+    st.just(0.0),
+)
+
+
+@st.composite
+def fig1_lambdas(draw):
+    """Three multipliers, often near 1, zero or with two of equal modulus."""
+    lams = draw(st.lists(MAGNITUDES, min_size=3, max_size=3))
+    if draw(st.booleans()):
+        i, j, _ = draw(st.permutations(range(3)))
+        lams[j] = draw(st.sampled_from([1.0, -1.0])) * lams[i]
+    return lams
+
+
+class TestFig1Order:
+    """The fig1 order scans orders 1 to 5 and then bisects below the bound
+    3 m^n <= 1; the scan over every order is its oracle."""
+
+    @settings(max_examples=800, deadline=None)
+    @given(fig1_lambdas(), st.sampled_from([*range(1, 11), 64, 200]))
+    @example([0.99, 0.99, 0.5], 64)
+    @example([0.99, 0.99, 0.5], 200)
+    @example([1 - 2.0**-53, 1 - 2.0**-53, 0.0], 200)
+    @example([1 - 2.0**-6, -(1 - 2.0**-6), 1 - 2.0**-6], 200)
+    @example([0.0, 0.0, 0.0], 1)
+    @example([0.9, 0.85, 0.5], 6)
+    @example([0.9, 0.85, 0.5], 7)
+    def test_matches_the_scan(self, lams, cap):
+        assert _ebn_order_canonical(lams, cap) == loop_ebn_order(lams, cap)
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    @pytest.mark.parametrize("lams", [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [0.99, 0.99, 0.5]])
+    def test_cap_below_one_raises(self, lams, cap):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            _ebn_order_canonical(lams, cap)
 
 
 class TestVerify:

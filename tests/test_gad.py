@@ -9,6 +9,7 @@ from helpers import (
     QUATERNIONS,
     axial_kraus,
     explicit_mu_c_gad_squared,
+    loop_n_c_gad,
     mu_vs_vz,
     pbar,
     pbarbar,
@@ -31,6 +32,7 @@ from noisegauge import (
 )
 from noisegauge.amend import FilterCandidate, sandwich
 from noisegauge.channels import gad_kraus
+from noisegauge.report import NcResult
 from noisegauge.separability import is_eb
 
 SQRT2 = math.sqrt(2.0)
@@ -296,6 +298,57 @@ class TestBandMap:
                 closed = n_c_gad(p, gamma, cap=8)
                 brute = n_c(as_kraus(GadParams(p, gamma)), cap=8)
                 assert closed.n == brute.n
+
+
+GAMMAS = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 0.5, 1 - 1e-16]), st.floats(0.0, 1.0))
+CAPS = st.sampled_from([1, 2, 3, 8, 64, 200])
+
+
+class TestBandInversion:
+    """``n_c_gad`` guesses the order from the inverted band edge and settles
+    it by the exact comparison; the scan over every order is its oracle."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        GAMMAS,
+        st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e-300, 1.0]),
+            st.floats(0.0, 1.0),
+            st.tuples(st.integers(1, 70), st.integers(-4, 4)),
+        ),
+        CAPS,
+    )
+    @example(0.3, 0.01, 64)
+    @example(0.3, 0.01, 200)
+    @example(0.5, 0.05, 8)
+    @example(0.5, (35, 0), 64)
+    @example(0.5, (35, -1), 64)
+    @example(1e-17, 0.5, 64)
+    @example(1e-17, 1.0, 64)
+    @example(0.7, 5e-324, 200)
+    def test_matches_the_scan(self, gamma, where, cap):
+        """A float draws p; a pair (n, k) puts p k ulps from p_n(gamma, n)."""
+        if isinstance(where, tuple):
+            n, k = where
+            p = p_n(gamma, n)
+            for _ in range(abs(k)):
+                p = math.nextafter(p, math.copysign(math.inf, k))
+            p = min(1.0, max(0.0, p))
+        else:
+            p = where
+        assert n_c_gad(p, gamma, cap) == loop_n_c_gad(p, gamma, cap)
+
+    @pytest.mark.parametrize("cap", [0, -1, -64])
+    @pytest.mark.parametrize("p, gamma", [(0.0, 0.5), (0.5, 0.3), (1.0, 0.2), (0.5, 0.0), (1.0, 1.0)])
+    def test_cap_below_one_raises(self, p, gamma, cap):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            n_c_gad(p, gamma, cap)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, exclude_max=True), CAPS)
+    def test_zero_temperature_stays_divergent(self, gamma, p, cap):
+        result = n_c_gad(p, gamma, cap)
+        assert result == NcResult(None, cap, proven_divergent=True)
 
 
 class TestAmendBoundary:

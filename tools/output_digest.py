@@ -22,7 +22,10 @@ families byte for byte.  The families:
   whole band and half from its top 5%, each at ``--budget`` 1, 8 and 64,
   where the refinement has the most to add to a coarse lattice;
 - ``sweeps``: the six figures at their default grids plus three fig5
-  variants;
+  variants, and the order columns off their defaults, where a row can need
+  many powers: fig1 at ``--fixed lambda3=`` -0.45, 0.99, 1.0 and 0.0,
+  fig1 at ``--steps 600``, fig2 at ``--steps 700``, and fig1 and fig2 at
+  ``--cap`` 1, 8 and 200;
 - ``sweep-errors``: small sweeps with a bad axis, fixed value, cap or flag,
   alone and combined, and non-default runs, each over an ``--out`` file that
   already holds a sentinel, so the digest shows whether it was left untouched;
@@ -90,6 +93,12 @@ FIG5_VARIANTS = (
     ("--grid", "k=0.3:0.9:7", "--fixed", "family=attenuation"),
     ("--grid", "k=1.1:1.9:7", "--fixed", "family=amplification"),
     ("--fixed", "family=attenuation"),
+)
+ORDER_VARIANTS = (
+    *(("fig1", "--fixed", f"lambda3={lam3}") for lam3 in ("-0.45", "0.99", "1.0", "0.0")),
+    ("fig1", "--steps", "600"),
+    ("fig2", "--steps", "700"),
+    *((fig, "--cap", cap) for fig in ("fig1", "fig2") for cap in ("1", "8", "200")),
 )
 
 
@@ -164,6 +173,7 @@ def _amend_budgets(cli, workloads, sink) -> None:
 def _sweeps(cli, workloads, sink) -> None:
     runs = [(fig,) for fig in ("fig1", "fig2", "fig2-inset", "fig3", "fig4", "fig5")]
     runs += [("fig5",) + flags for flags in FIG5_VARIANTS]
+    runs += list(ORDER_VARIANTS)
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for fig, *flags in runs:
             _run(cli, sink, ("sweep", fig, "--out", "out.csv", *flags), Path("out.csv"))
