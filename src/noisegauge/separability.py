@@ -10,12 +10,11 @@ determinant (a two-qubit partial transpose has at most one negative
 eigenvalue, so both carry the same information away from the boundary): it
 degrades linearly near the boundary where the determinant degrades
 quartically.  The test suite keeps the determinant as a cross-check.
-Every entanglement-breaking decision on a channel is ``decide_eb``, with the
-slack ``linalg.ROUND_TOL`` of the closed forms, except that ``is_eb`` decides
-a ``GadParams`` channel by its closed-form band edge, as the order and the
-threshold of that representation do.  ``is_eb`` and the order scans of
-``measures`` read one matrix per channel, ``_scan_base``: the Bloch matrix
-of a unital channel, the PTM of any other.
+Every entanglement-breaking decision is ``decide_eb``, with the slack
+``linalg.ROUND_TOL`` of the closed forms, on one matrix per channel,
+``_scan_base`` (the Bloch matrix of a unital channel, the PTM of any other),
+or on products of such matrices.  ``is_eb`` decides a ``GadParams`` channel
+by its band edge instead, as ``n_c`` does, and ``amend`` reads these two.
 """
 
 from __future__ import annotations

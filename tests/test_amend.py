@@ -34,6 +34,7 @@ from noisegauge import (
     gad_amendable,
     gad_kraus,
     is_amendable2,
+    is_eb,
     n_c,
     sandwich,
     search_filter,
@@ -64,6 +65,39 @@ def rotated_damping(rng, band: int):
     p = rng.uniform(p_n(gamma, band), p_n(gamma, band - 1))
     u, v = (su2_from_so3(random_rotation(rng)) for _ in range(2))
     return rotated_kraus(gad_kraus(GadParams(p, gamma)), u, v)
+
+
+NEAR_EDGE = st.one_of(st.integers(-4, 4), st.sampled_from(
+    [sign * d for sign in (-1.0, 1.0) for d in (1e-9, 1e-10, 1e-11, 1e-12, 1e-13)]))
+
+
+def _off_edge(x: float, where) -> float:
+    """x moved k ulps for an int `where`, by `where` itself for a float."""
+    if isinstance(where, float):
+        return x + where
+    for _ in range(abs(where)):
+        x = math.nextafter(x, math.copysign(math.inf, where))
+    return x
+
+
+@st.composite
+def near_order_one(draw):
+    """A channel within a few ulps, or 1e-9 to 1e-13, of the order-1 edge:
+    the damping channel at p_n(gamma, 1) or the unital channel diag(0.5,
+    0.3, 0.2) scaled to trace norm 1, as ``GadParams`` or ``UnitalChannel``,
+    in Kraus form, or in Kraus form rotated on both sides."""
+    where = draw(NEAR_EDGE)
+    if draw(st.booleans()):
+        gamma = draw(st.floats(0.05, 0.95))
+        c = GadParams(min(1.0, _off_edge(p_n(gamma, 1), where)), gamma)
+    else:
+        c = UnitalChannel(np.diag([0.5, 0.3, 0.2]) * _off_edge(1.0, where))
+    form = draw(st.sampled_from(["params", "kraus", "rotated"]))
+    if form == "params":
+        return c
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u, v = (su2_from_so3(random_rotation(rng)) for _ in range(2))
+    return as_kraus(c) if form == "kraus" else rotated_kraus(as_kraus(c), u, v)
 
 
 def named_and_lattice(budget: int, seed: int) -> np.ndarray:
@@ -469,6 +503,34 @@ class TestSearchFilter:
         assume(not amend_module._is_unitary_channel(_scan_base(c)))
         report = search_filter(c, cap=16, budget=budget, seed=seed)
         assert report.filtered_nc == amend_order(c, report.filter, cap=16)
+
+    @settings(max_examples=150, deadline=None)
+    @given(near_order_one(), st.sampled_from([1, 2, 8, 64]), st.sampled_from([1, 8]),
+           st.tuples(*[st.floats(-math.pi, math.pi)] * 3))
+    @example(GadParams(p_n(0.3, 1) - 1e-12, 0.3), 64, 8, (0.3, 1.1, -0.7))
+    @example(GadParams(p_n(0.3, 1) - 1e-13, 0.3), 64, 1, (0.3, 1.1, -0.7))
+    @example(GadParams(p_n(0.3, 1) + 1e-12, 0.3), 64, 8, (0.3, 1.1, -0.7))
+    @example(UnitalChannel(np.diag([0.5, 0.3, 0.2]) * (1 + 1e-9)), 8, 8, (0.3, 1.1, -0.7))
+    def test_order_one_is_the_channels_own(self, c, cap, budget, angles):
+        """Filters keep the order-1 decision, so the search and
+        ``amend_order`` answer order 1 exactly where ``is_eb`` and ``n_c``
+        do, in every form of the channel, however close to the edge."""
+        eb = is_eb(c)
+        report = search_filter(c, cap=cap, budget=budget)
+        assert report.base_nc == n_c(c, cap)
+        assert (report.filtered_nc.n == 1) == (report.base_nc.n == 1) == eb
+        assert report.filtered_nc == amend_order(c, report.filter, cap)
+        assert (amend_order(c, FilterCandidate.euler(*angles), cap).n == 1) == eb
+
+    def test_damping_parameters_below_the_edge_keep_order_two(self):
+        """Just below p_1 the band gives order 2, while the filtered steps'
+        smallest partial-transpose eigenvalue, about -0.8 d, lies inside the
+        slack of ``decide_eb``; the channel's own order decides."""
+        for d in (1e-12, 1e-13):
+            c = GadParams(p_n(0.3, 1) - d, 0.3)
+            report = search_filter(c)
+            assert (report.base_nc.n, report.filtered_nc.n) == (2, 2)
+            assert report.filtered_nc == amend_order(c, report.filter)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 4), st.sampled_from([1, 8, 64]), st.integers(0, 2 ** 32 - 1))

@@ -165,9 +165,24 @@ class TestAnalyze:
         ({"kind": "unital", "t": "abc"}, "unital channel JSON field 't' must hold numbers only"),
         ({"kind": "kraus", "ops": [[["a", 0], [0, 0], [0, 0], [1, 0]]]},
          "kraus channel JSON field 'ops' must hold numbers only"),
+        # JSON booleans are not numbers, though float() reads them as 1 and 0
+        ({"kind": "gad", "p": True, "gamma": False}, "gad channel JSON field 'p' must be a number"),
+        ({"kind": "gad", "p": 0.3, "gamma": False},
+         "gad channel JSON field 'gamma' must be a number"),
+        ({"family": "attenuation", "k": True, "n0": 0.1},
+         "attenuation channel JSON field 'k' must be a number"),
+        ({"family": "amplification", "k": 1.5, "n0": False},
+         "amplification channel JSON field 'n0' must be a number"),
+        ({"kind": "unital", "t": [True, 0, 0, 0, 0.5, 0, 0, 0, 0.5]},
+         "unital channel JSON field 't' must hold numbers only"),
+        ({"kind": "unital", "t": [[1, 0, 0], [0, 0.5, 0], [0, 0, False]]},
+         "unital channel JSON field 't' must hold numbers only"),
+        ({"kind": "kraus", "ops": [[[1, 0], [0, 0], [0, 0], [True, 0]]]},
+         "kraus channel JSON field 'ops' must hold numbers only"),
     ], ids=["kraus-ops-int", "kraus-ops-object", "gad-p-null", "gad-gamma-string",
             "gad-p-list", "attenuation-k-null", "amplification-n0-list", "unital-t-string",
-            "kraus-op-string"])
+            "kraus-op-string", "gad-p-bool", "gad-gamma-bool", "attenuation-k-bool",
+            "amplification-n0-bool", "unital-t-bool", "unital-t-nested-bool", "kraus-op-bool"])
     def test_field_of_wrong_type_is_named(self, capsys, command, payload, message):
         code, out, err = run(capsys, command, json.dumps(payload))
         assert (code, out) == (3, "")

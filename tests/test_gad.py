@@ -350,6 +350,14 @@ class TestBandInversion:
         result = n_c_gad(p, gamma, cap)
         assert result == NcResult(None, cap, proven_divergent=True)
 
+    @pytest.mark.xfail(strict=True, reason="p_n forms its band edge as 1 - 2 / (1 + s), "
+                       "which cancels to 0 for 4 g (1 - g) below about 1.1e-16")
+    @pytest.mark.parametrize("gamma, order", [(1e-16, 54), (1e-17, 57)])
+    def test_tiny_gamma_order(self, gamma, order):
+        """(1 - p)^n <= g (1 - g) to first order in g, so at p = 1/2 the order
+        is ceil(log2(1 / g)); the oracle shares p_n and cannot see this."""
+        assert n_c_gad(0.5, gamma, cap=200).n == order
+
 
 class TestAmendBoundary:
     def test_limit_toward_zero(self):

@@ -42,8 +42,10 @@ families byte for byte.  The families:
   channel at p_1 - d and at p_1 + d (gamma = 0.3, d from 1e-9 to 1e-13) in
   the same three forms, where the search answers order 1 without a scan on
   one side of the edge and scans from order 2 on the other, ``amend`` on the
-  entanglement-breaking unital channel diag(0.4, 0.3, 0.2), and ``sweep
-  fig1 --fixed lambda3=1`` on a 2x2 grid around (0.3, 0.3);
+  entanglement-breaking unital channel diag(0.4, 0.3, 0.2), ``analyze
+  --cap 200`` on the damping channel at p = 0.5 and gamma = 1e-12, 1e-16
+  and 1e-17, where the band edge p_n cancels, and ``sweep fig1 --fixed
+  lambda3=1`` on a 2x2 grid around (0.3, 0.3);
 - ``barrier``: calls whose threshold the normal-form guess does not
   certify, so ``mu_c_search`` runs its barrier solve: ``sweep fig4 --fixed
   filter=r2r1`` at the default grid, and ``analyze`` on 40 seeded Kraus
@@ -286,6 +288,9 @@ def _edges(cli, workloads, sink) -> None:
             argvs += [("amend", text, "--budget", budget)
                       for text in texts for budget in ("8", "1000")]
     argvs.append(("amend", json.dumps(channel_to_json(UnitalChannel(np.diag([0.4, 0.3, 0.2]))))))
+    # p_n cancels for 4 gamma (1 - gamma) below about 1.1e-16
+    argvs += [("analyze", json.dumps({"kind": "gad", "p": 0.5, "gamma": g}), "--cap", "200")
+              for g in (1e-12, 1e-16, 1e-17)]
     for argv in argvs:
         _run(cli, sink, argv)
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
