@@ -4,16 +4,16 @@ A channel whose two-fold self-composition breaks entanglement can sometimes
 be rescued: interposing a fixed unitary filter between uses keeps the
 composition non-entanglement-breaking for longer.  ``is_amendable2`` tests a
 given filter, ``amend_order`` computes the order of the filtered iteration,
-and ``search_filter`` looks for a good filter among the named ones (Pauli
+and ``search_filter`` looks for a good filter.  For a unital channel it
+takes the inverse polar rotation alone, which is provably optimal (Horn's
+inequality); any other channel is scored on the named filters (Pauli
 conjugations s1, s2, s3 and the rotation pair r2r1, in the table
-``_NAMED_BLOCH``).  For a unital channel its inverse polar rotation is
-provably optimal (Horn's inequality); any other channel adds a seeded
-Euler-angle grid and refines its best point.  Every set of filters is
-scored by one ``measures._order_scan`` of its filtered steps,
-``_filter_matrix`` times the channel's transfer matrix, and a step scores
-the same bits in any stack as alone (an Euler filter's Bloch matrix is its
-row of the one-point ``_euler_lattice``), so a filter scores the same
-whichever scan it is in.
+``_NAMED_BLOCH``) and a seeded Euler-angle grid whose best point is
+refined.  Every set of filters is scored by one ``measures._order_scan``
+of its filtered steps, ``_filter_matrix`` times the channel's transfer
+matrix, and a step scores the same bits in any stack as alone (an Euler
+filter's Bloch matrix is its row of the one-point ``_euler_lattice``), so
+a filter scores the same whichever scan it is in.
 
 Order 1 is decided once per channel, by its own order (``is_eb``, ``n_c``:
 a ``GadParams`` by its band edge).  A unitary applied after a channel keeps
@@ -260,7 +260,7 @@ def _first_max(scores: np.ndarray) -> int:
     return int(np.argmax(scores >= scores.max() - ROUND_TOL))
 
 
-# Halvings of the refinement step in ``search_filter``: the last round
+# Halvings of the refinement step of ``_refine``: the last round
 # steps below 1e-4 rad on every axis, 2 pi / 2**16 from a one-point lattice.
 _REFINE_ROUNDS = 16
 
@@ -292,6 +292,32 @@ def _refine(base: np.ndarray, point: tuple, spacing: np.ndarray, cap: int) -> tu
     return point, order, score
 
 
+def _lattice_search(base: np.ndarray, cap: int, budget: int, seed: int) -> tuple:
+    """The winning filter and its order for a non-EB channel with PTM
+    `base`.  One order scan from order 2 scores the named filters, in the
+    order of ``_NAMED_BLOCH``, then a seeded Euler-angle lattice of k^3
+    points, k^3 the largest cube not above `budget`; scores within
+    ``ROUND_TOL`` of the maximum tie, and the first wins.  ``_refine``
+    starts from the first best lattice point, and its filter wins only by
+    more than ``ROUND_TOL``, with the order of its row in the last scan."""
+    named = [FilterCandidate(kind) for kind in _NAMED_BLOCH]
+    rng = np.random.default_rng(seed)
+    per_axis = _cube_root_floor(budget)
+    spacing = np.array([2 * math.pi, math.pi, 2 * math.pi]) / per_axis
+    axes = [rng.uniform(0.0, step) + np.arange(per_axis) * step for step in spacing]
+    rotations = np.concatenate([[f.bloch_matrix() for f in named], _euler_lattice(*axes)])
+    orders, margins = _order_scan(_filter_matrix(rotations, base) @ base, cap, first=2)
+    scores = orders + margins
+    best = _first_max(scores)
+    best_filter = (named[best] if best < len(named)
+                   else FilterCandidate.euler(*_lattice_point(axes, best - len(named))))
+    start = _lattice_point(axes, _first_max(scores[len(named):]))
+    point, order, score = _refine(base, start, spacing, cap)
+    if score > scores[best] + ROUND_TOL:
+        return FilterCandidate.euler(*point), _order_result(order, cap)
+    return best_filter, _order_result(orders[best], cap)
+
+
 def search_filter(
     c: Channel,
     cap: int = DEFAULT_CAP,
@@ -300,72 +326,42 @@ def search_filter(
 ) -> AmendReport:
     """Look for the filter that maximally delays entanglement breaking.
 
-    After the checks of `budget` and of a unitary channel, reads the
+    After the checks of `budget`, `seed` and of a unitary channel, reads the
     channel's own order ``n_c(c, cap)``, which checks `cap`.  Every filter
     keeps order 1 (module docstring), so there the first named filter, s1,
-    wins with no scan; every scan below starts at order 2.
+    wins with no scan.
 
-    Otherwise scores the named filters (three Pauli conjugations and the
-    x-then-y quarter-turn pair, in the order of ``_NAMED_BLOCH``) by one
-    batched order scan over their stacked Bloch rotations.  Scores within
-    ``ROUND_TOL`` of the maximum tie, and the first in evaluation order wins.
-
-    A unital channel (a 3x3 ``_scan_base``) adds one more named filter, its
-    inverse polar rotation, and stops there.  With T = O_p P its polar
+    A unital channel (a 3x3 ``_scan_base``) gets its inverse polar rotation
+    and the order ``amend_order`` gives it.  With T = O_p P its polar
     decomposition, the filter O_p^T gives (O_p^T T)^m = P^m, whose trace
     norm is sum_i s_i^m for the singular values s_i of T.  For every
     orthogonal O the singular values of (O T)^m are weakly majorized by the
     products of the singular values of its factors (A. Horn, PNAS 1950), so
     ||(O T)^m||_1 <= sum_i s_i^m.  No filter therefore turns entanglement
-    breaking later, nor at the same use with a larger trace norm, so none
-    scores higher; `budget` is only checked, and `seed` is not used.
+    breaking later, nor at the same use with a larger trace norm.  A CP
+    channel that is not EB has det T > 0, so this rotation is proper.
 
-    Any other channel also scores a seeded Euler-angle lattice of k^3 points,
-    k^3 the largest cube not above `budget`, in the same scan after the
-    named filters, then refines the first best lattice point by ``_refine``:
-    ``_REFINE_ROUNDS`` stacked scans of a 3x3x3 lattice around it whose step
-    starts at the seeded spacing and halves each round.  The refined filter
-    wins only by more than ``ROUND_TOL``, with the order of its row in the
-    last scan.  Deterministic for a fixed seed; the ``amend`` flags default
-    to the same budget and seed.
+    Any other channel is searched by ``_lattice_search``, deterministic for
+    a fixed seed; the ``amend`` flags default to the same budget and seed.
 
     The report is amendable when the channel's order, found within `cap`,
     is at most 2 and the winning filter's order exceeds 2.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     base = _scan_base(c)
     if _is_unitary_channel(base):
         raise ValueError("unitary channels never break entanglement; nothing to amend")
     base_nc = n_c(c, cap)
     if base_nc.n == 1:
         return AmendReport(base_nc, base_nc, FilterCandidate("s1"), False)
-
-    named = [FilterCandidate(kind) for kind in _NAMED_BLOCH]
-    unital = base.shape == (3, 3)
-    if unital:
-        named.append(FilterCandidate.orthogonal(polar_decompose(base)[0].T))
-    rotations = np.array([f.bloch_matrix() for f in named])
-    if not unital:
-        rng = np.random.default_rng(seed)
-        per_axis = _cube_root_floor(budget)
-        spacing = np.array([2 * math.pi, math.pi, 2 * math.pi]) / per_axis
-        axes = [rng.uniform(0.0, step) + np.arange(per_axis) * step for step in spacing]
-        rotations = np.concatenate([rotations, _euler_lattice(*axes)])
-    orders, margins = _order_scan(_filter_matrix(rotations, base) @ base, cap, first=2)
-    scores = orders + margins
-    best = _first_max(scores)
-    best_result = _order_result(orders[best], cap)
-    best_filter = (named[best] if best < len(named)
-                   else FilterCandidate.euler(*_lattice_point(axes, best - len(named))))
-
-    if not unital:
-        start = _lattice_point(axes, _first_max(scores[len(named):]))
-        point, order, score = _refine(base, start, spacing, cap)
-        if score > scores[best] + ROUND_TOL:
-            best_filter = FilterCandidate.euler(*point)
-            best_result = _order_result(order, cap)
-
+    if base.shape == (3, 3):
+        best_filter = FilterCandidate.orthogonal(polar_decompose(base)[0].T)
+        best_result = amend_order(c, best_filter, cap)
+    else:
+        best_filter, best_result = _lattice_search(base, cap, budget, seed)
     amendable = base_nc.is_finite and base_nc.n <= 2 < best_result.order_key()
     return AmendReport(base_nc, best_result, best_filter, amendable)
 

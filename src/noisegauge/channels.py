@@ -315,10 +315,12 @@ def _json_field(data: dict, kind: str, name: str):
     return data[name]
 
 
-def _holds_bool(value) -> bool:
-    """Is `value` a boolean, or a list holding one at any depth?  JSON true
-    and false are not numbers, though float() reads them as 1 and 0."""
-    return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
+def _numbers_only(value) -> bool:
+    """Is `value` a JSON number, or a list of only numbers at any depth?
+    float() also reads strings such as "0.3", and booleans."""
+    if isinstance(value, list):
+        return all(map(_numbers_only, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _json_number(data: dict, kind: str, name: str) -> float:
@@ -326,9 +328,9 @@ def _json_number(data: dict, kind: str, name: str) -> float:
     field when it is missing or not a number."""
     value = _json_field(data, kind, name)
     try:
-        if not _holds_bool(value):
+        if _numbers_only(value):
             return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, OverflowError):
         pass
     raise ValueError(f"{kind} channel JSON field {name!r} must be a number")
 
@@ -337,9 +339,9 @@ def _json_floats(value, kind: str, name: str) -> np.ndarray:
     """The value of field `name` as a float array, or a ``ValueError`` naming
     the kind and the field when an entry is not a number."""
     try:
-        if not _holds_bool(value):
+        if _numbers_only(value):
             return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (ValueError, OverflowError):
         pass
     raise ValueError(f"{kind} channel JSON field {name!r} must hold numbers only")
 

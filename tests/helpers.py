@@ -411,7 +411,10 @@ def order_and_margin(c, f, cap: int) -> tuple:
 def loop_search_filter(c, cap: int, budget: int, seed: int) -> AmendReport:
     """``search_filter`` with every candidate built as a ``FilterCandidate``
     and scored on its own by ``order_and_margin``, the refinement's rounds
-    of 27 candidates included; an oracle for the batched search."""
+    of 27 candidates included; an oracle for the batched search.  A unital
+    channel also scores the named filters and the lattice beside its
+    inverse polar rotation, which the search scans alone, so there the
+    oracle checks the best order, not which of the tied filters wins."""
 
     def score(f):
         result, margin = order_and_margin(c, f, cap)

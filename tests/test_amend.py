@@ -11,6 +11,7 @@ from helpers import (
     channel_power,
     filter_unitary,
     filtered_scan,
+    in_cpt_tetrahedron,
     kraus_channels,
     kraus_filtered,
     kraus_gad_amendable,
@@ -152,7 +153,8 @@ class TestFilterCandidate:
     @pytest.mark.parametrize("channel", [UnitalChannel(LAM), GadParams(0.61, 0.25)],
                              ids=["unital", "gad"])
     def test_search_scores_the_named_filters_first(self, monkeypatch, channel):
-        # the scan of search_filter opens with s1, s2, s3, r2r1, in that order
+        # the scan of search_filter opens with s1, s2, s3, r2r1, in that
+        # order; a unital channel scans its inverse polar rotation alone
         stacks, firsts = [], []
 
         def recording_scan(steps, cap, first=1):
@@ -162,14 +164,18 @@ class TestFilterCandidate:
 
         monkeypatch.setattr(amend_module, "_order_scan", recording_scan)
         search_filter(channel, budget=8)
-        named = [FilterCandidate(kind).bloch_matrix() for kind in ("s1", "s2", "s3", "r2r1")]
         base = _scan_base(channel)
+        if isinstance(channel, UnitalChannel):
+            polar = polar_decompose(base)[0].T
+            assert [stack.tolist() for stack in stacks] == [[(polar @ base).tolist()]]
+            assert firsts == [2]
+            return
+        named = [FilterCandidate(kind).bloch_matrix() for kind in ("s1", "s2", "s3", "r2r1")]
         assert np.array_equal(stacks[0][:4], _filter_matrix(np.array(named), base) @ base)
-        # then one 3x3x3 stack per refinement round, for all but unital channels
-        refining = 0 if isinstance(channel, UnitalChannel) else amend_module._REFINE_ROUNDS
-        assert [len(stack) for stack in stacks[1:]] == [27] * refining
+        # then one 3x3x3 stack per refinement round
+        assert [len(stack) for stack in stacks[1:]] == [27] * amend_module._REFINE_ROUNDS
         # the channel is not EB, so no filtered step is, and every scan starts at order 2
-        assert firsts == [2] * (1 + refining)
+        assert firsts == [2] * (1 + amend_module._REFINE_ROUNDS)
 
     @pytest.mark.parametrize("channel", [GadParams(0.9, 0.25), as_kraus(GadParams(0.9, 0.25))],
                              ids=["gad", "kraus"])
@@ -437,6 +443,8 @@ class TestSearchFilter:
         st.lists(st.floats(-1, 1), min_size=3, max_size=3),
         st.lists(st.floats(-1, 1), min_size=8, max_size=8),
     )
+    # diagonal T: s1 ties the polar rotation (the identity) exactly
+    @example([0.73, 0.5, 0.5], [1, 0, 0, 0, 1, 0, 0, 0])
     def test_unital_order_is_the_horn_order(self, lam, quaternions):
         # Horn: ||(O T)^m||_1 <= sum_i s_i^m for every orthogonal O, with
         # equality at the inverse polar rotation, so the best filtered order
@@ -451,7 +459,17 @@ class TestSearchFilter:
         sums = [float((s ** m).sum()) for m in range(1, cap + 1)]
         assume(all(abs(v - 1.0) >= 1e-9 for v in sums))
         horn = next((m for m, v in enumerate(sums, start=1) if v <= 1.0), None)
-        assert search_filter(UnitalChannel(t), cap=cap).filtered_nc.n == horn
+        c = UnitalChannel(t)
+        report = search_filter(c, cap=cap)
+        assert report.filtered_nc.n == horn
+        assert report.filtered_nc == amend_order(c, report.filter, cap)
+        if report.base_nc.n != 1:
+            # the one filter scanned is the inverse polar rotation O_p^T
+            polar = FilterCandidate.orthogonal(polar_decompose(t)[0].T)
+            assert report.filter == polar
+            # a CP channel that is not EB has det T > 0: its filter is proper
+            if in_cpt_tetrahedron(lam):
+                assert np.linalg.det(report.filter.bloch_matrix()) > 0
 
     @pytest.mark.parametrize("budget", [8, 27, 64])
     def test_json_matches_loop_oracle(self, budget):
@@ -463,9 +481,20 @@ class TestSearchFilter:
         channels += [as_kraus(random_cp_unital(rng)) for _ in range(2)]
         channels += [gad_kraus(GadParams(p, 0.3)) for p in (0.55, 0.7)]
         for c in channels:
-            report = search_filter(c, cap=16, budget=budget, seed=11).to_json()
-            oracle = loop_search_filter(c, cap=16, budget=budget, seed=11).to_json()
-            assert json.dumps(report) == json.dumps(oracle)
+            report = search_filter(c, cap=16, budget=budget, seed=11)
+            oracle = loop_search_filter(c, cap=16, budget=budget, seed=11)
+            if not isinstance(c, UnitalChannel):
+                assert json.dumps(report.to_json()) == json.dumps(oracle.to_json())
+                continue
+            # a unital channel scans its inverse polar rotation alone: it
+            # reaches the oracle's best order over the five candidates and
+            # the lattice, and scores that best in the oracle
+            assert (report.base_nc, report.filtered_nc, report.amendable) == (
+                oracle.base_nc, oracle.filtered_nc, oracle.amendable)
+            best = order_and_margin(c, oracle.filter, 16)
+            mine = order_and_margin(c, report.filter, 16)
+            assert mine[0] == best[0]
+            assert abs(mine[1] - best[1]) <= ROUND_TOL
 
     def test_filtered_nc_equals_amend_order(self):
         rng = np.random.default_rng(58)

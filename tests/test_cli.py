@@ -179,10 +179,34 @@ class TestAnalyze:
          "unital channel JSON field 't' must hold numbers only"),
         ({"kind": "kraus", "ops": [[[1, 0], [0, 0], [0, 0], [True, 0]]]},
          "kraus channel JSON field 'ops' must hold numbers only"),
+        # strings are not numbers, though float() reads "0.3"
+        ({"kind": "gad", "p": "0.3", "gamma": 0.2}, "gad channel JSON field 'p' must be a number"),
+        ({"family": "attenuation", "k": "0.5", "n0": 0.1},
+         "attenuation channel JSON field 'k' must be a number"),
+        ({"family": "amplification", "k": 1.5, "n0": "0.3"},
+         "amplification channel JSON field 'n0' must be a number"),
+        ({"kind": "unital", "t": ["0.5", 0, 0, 0, 0.5, 0, 0, 0, 0.5]},
+         "unital channel JSON field 't' must hold numbers only"),
+        ({"kind": "kraus", "ops": [[["1", 0], [0, 0], [0, 0], [1, 0]]]},
+         "kraus channel JSON field 'ops' must hold numbers only"),
+        # an integer too large for a float is not a number either
+        ({"kind": "gad", "p": 10 ** 400, "gamma": 0.2}, "gad channel JSON field 'p' must be a number"),
+        ({"family": "attenuation", "k": 10 ** 400, "n0": 0.1},
+         "attenuation channel JSON field 'k' must be a number"),
+        ({"family": "amplification", "k": 1.5, "n0": 10 ** 400},
+         "amplification channel JSON field 'n0' must be a number"),
+        ({"kind": "unital", "t": [10 ** 400, 0, 0, 0, 0.5, 0, 0, 0, 0.5]},
+         "unital channel JSON field 't' must hold numbers only"),
+        ({"kind": "kraus", "ops": [[[10 ** 400, 0], [0, 0], [0, 0], [1, 0]]]},
+         "kraus channel JSON field 'ops' must hold numbers only"),
     ], ids=["kraus-ops-int", "kraus-ops-object", "gad-p-null", "gad-gamma-string",
             "gad-p-list", "attenuation-k-null", "amplification-n0-list", "unital-t-string",
             "kraus-op-string", "gad-p-bool", "gad-gamma-bool", "attenuation-k-bool",
-            "amplification-n0-bool", "unital-t-bool", "unital-t-nested-bool", "kraus-op-bool"])
+            "amplification-n0-bool", "unital-t-bool", "unital-t-nested-bool", "kraus-op-bool",
+            "gad-p-numeric-string", "attenuation-k-numeric-string",
+            "amplification-n0-numeric-string", "unital-t-numeric-string",
+            "kraus-op-numeric-string", "gad-p-huge-int", "attenuation-k-huge-int",
+            "amplification-n0-huge-int", "unital-t-huge-int", "kraus-op-huge-int"])
     def test_field_of_wrong_type_is_named(self, capsys, command, payload, message):
         code, out, err = run(capsys, command, json.dumps(payload))
         assert (code, out) == (3, "")
@@ -573,6 +597,17 @@ class TestAmend:
         code, _, err = run(capsys, "amend", channel, "--budget", "8")
         assert code == 3
         assert "unitary" in err
+
+    @pytest.mark.parametrize("channel", [
+        NEWT_JSON,
+        json.dumps({"kind": "unital", "t": [0.3, 0, 0, 0, 0.3, 0, 0, 0, 0.3]}),
+        '{"kind":"gad","p":0.3,"gamma":0.2}',
+    ], ids=["unital", "eb", "damping"])
+    def test_negative_seed_rejected(self, capsys, channel):
+        # every route checks the seed, not only the one that draws the lattice
+        code, out, err = run(capsys, "amend", channel, "--seed", "-1")
+        assert (code, out) == (3, "")
+        assert err == "error: seed must be >= 0, got -1\n"
 
 
 def test_cli_import_loads_no_scipy():

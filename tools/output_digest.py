@@ -44,8 +44,10 @@ families byte for byte.  The families:
   one side of the edge and scans from order 2 on the other, ``amend`` on the
   entanglement-breaking unital channel diag(0.4, 0.3, 0.2), ``analyze
   --cap 200`` on the damping channel at p = 0.5 and gamma = 1e-12, 1e-16
-  and 1e-17, where the band edge p_n cancels, and ``sweep fig1 --fixed
-  lambda3=1`` on a 2x2 grid around (0.3, 0.3);
+  and 1e-17, where the band edge p_n cancels, ``amend`` on the swap channel
+  [[0, 0.5, 0], [0.73, 0, 0], [0, 0, 0.5]] and on diag(0.73, 0.5, 0.5),
+  where a named filter ties the inverse polar rotation, and ``sweep fig1
+  --fixed lambda3=1`` on a 2x2 grid around (0.3, 0.3);
 - ``barrier``: calls whose threshold the normal-form guess does not
   certify, so ``mu_c_search`` runs its barrier solve: ``sweep fig4 --fixed
   filter=r2r1`` at the default grid, and ``analyze`` on 40 seeded Kraus
@@ -291,6 +293,9 @@ def _edges(cli, workloads, sink) -> None:
     # p_n cancels for 4 gamma (1 - gamma) below about 1.1e-16
     argvs += [("analyze", json.dumps({"kind": "gad", "p": 0.5, "gamma": g}), "--cap", "200")
               for g in (1e-12, 1e-16, 1e-17)]
+    # unital channels where a named filter ties the inverse polar rotation
+    argvs += [("amend", json.dumps({"kind": "unital", "t": t}))
+              for t in ([0, 0.5, 0, 0.73, 0, 0, 0, 0, 0.5], [0.73, 0, 0, 0, 0.5, 0, 0, 0, 0.5])]
     for argv in argvs:
         _run(cli, sink, argv)
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
